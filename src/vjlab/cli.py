@@ -2,8 +2,11 @@
 
 Every subcommand takes --config PATH (key = value file), --seed N and
 --out DIR; flags override the config file, which overrides variant
-defaults. The sweep/report pair writes and reads one JSON summary per
-run directory so results survive across invocations.
+defaults. `--variant NAME`, and each entry of a sweep's --variants list,
+applies that variant's recipe fields (config.RECIPE_FIELDS: lambda_hw and
+the masking flags) over the config file. The sweep/report pair writes and
+reads one JSON summary per run directory so results survive across
+invocations.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .config import (
     load_config,
     save_config,
     variant_defaults,
+    variant_slug,
+    with_variant,
 )
 from .model import load_checkpoint, load_into
 from .objectives import VARIANTS
@@ -35,14 +40,14 @@ SWEEP_NAME = "sweep.json"
 
 
 def _build_config(args) -> RunConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
+    variant = getattr(args, "variant", None)
+    if args.config is None:
+        cfg = variant_defaults(variant or "Baseline")
     else:
-        cfg = variant_defaults(getattr(args, "variant", None) or "Baseline")
-    overrides = {}
-    if getattr(args, "variant", None) is not None and args.config is not None:
-        overrides["variant"] = args.variant
-    return apply_overrides(cfg, seed=args.seed, out=args.out, **overrides)
+        cfg = load_config(args.config)
+        if variant is not None:
+            cfg = with_variant(cfg, variant)
+    return apply_overrides(cfg, seed=args.seed, out=args.out)
 
 
 def _load_run_dataset(cfg: RunConfig):
@@ -137,17 +142,7 @@ def cmd_sweep(args) -> int:
     root = Path(base.out)
     rows = []
     for name in names:
-        cfg = variant_defaults(name)
-        cfg = dataclasses.replace(
-            base, variant=name,
-            lambda_hw=cfg.lambda_hw,
-            motion_guided=cfg.motion_guided,
-            motion_guided_strength=cfg.motion_guided_strength,
-            motion_guided_random_rate=cfg.motion_guided_random_rate,
-            full_complement=cfg.full_complement,
-            max_temporal_keep=cfg.max_temporal_keep,
-            out=str(root / cfg.out.split("/")[-1]),
-        ).validate()
+        cfg = apply_overrides(with_variant(base, name), out=str(root / variant_slug(name)))
         ds = _load_run_dataset(cfg)
         t0 = time.time()
         state = run_pretrain(cfg, dataset=ds)

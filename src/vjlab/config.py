@@ -126,39 +126,31 @@ class RunConfig:
         )
 
     def to_objective(self) -> ObjectiveConfig:
-        return ObjectiveConfig(
-            variant=self.variant,
-            lambda_kin=self.lambda_kin, lambda_s=self.lambda_s, lambda_o=self.lambda_o,
-            lambda_d=self.lambda_d, lambda_hw=self.lambda_hw, lambda_ac=self.lambda_ac,
-            lambda_delta=self.lambda_delta, lambda_spec=self.lambda_spec,
-            lambda_ltc=self.lambda_ltc, tau=self.tau, huber_delta=self.huber_delta,
-            ltc_margin=self.ltc_margin, app_ratio=self.app_ratio,
-            anneal_horizon=self.anneal_horizon, sigreg_projections=self.sigreg_projections,
-            ema=VARIANTS[self.variant].ema, mask_ratio=self.mask_ratio,
-            motion_guided=self.motion_guided,
-            motion_guided_strength=self.motion_guided_strength,
-            motion_guided_random_rate=self.motion_guided_random_rate,
-            full_complement=self.full_complement,
-            max_temporal_keep=self.max_temporal_keep,
-        )
+        shared = {name: getattr(self, name) for name in _OBJECTIVE_FIELDS}
+        return ObjectiveConfig(ema=VARIANTS[self.variant].ema, **shared)
+
+
+# Every ObjectiveConfig field but `ema`, which only the variant decides.
+_OBJECTIVE_FIELDS = tuple(f.name for f in fields(ObjectiveConfig) if f.name != "ema")
+
+# The RunConfig fields a variant's recipe sets.
+RECIPE_FIELDS = ("lambda_hw", "motion_guided", "motion_guided_strength",
+                 "motion_guided_random_rate", "full_complement", "max_temporal_keep")
+
+
+def with_variant(cfg: RunConfig, variant: str) -> RunConfig:
+    """``cfg`` switched to ``variant``, its recipe fields overriding ``cfg``'s."""
+    obj = resolve_objective(variant)
+    recipe = {name: getattr(obj, name) for name in RECIPE_FIELDS}
+    return dataclasses.replace(cfg, variant=variant, **recipe).validate()
 
 
 def variant_defaults(variant: str) -> RunConfig:
     """Baseline defaults overlaid with the variant's recipe settings."""
-    obj = resolve_objective(variant)
-    return RunConfig(
-        variant=variant,
-        lambda_hw=obj.lambda_hw,
-        motion_guided=obj.motion_guided,
-        motion_guided_strength=obj.motion_guided_strength,
-        motion_guided_random_rate=obj.motion_guided_random_rate,
-        full_complement=obj.full_complement,
-        max_temporal_keep=obj.max_temporal_keep,
-        out=f"runs/{_slug(variant)}",
-    )
+    return with_variant(RunConfig(out=f"runs/{variant_slug(variant)}"), variant)
 
 
-def _slug(variant: str) -> str:
+def variant_slug(variant: str) -> str:
     out = []
     for ch in variant.lower():
         out.append(ch if ch.isalnum() else "-")

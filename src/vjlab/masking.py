@@ -114,27 +114,17 @@ def distance_weights(visible: np.ndarray, target: np.ndarray) -> np.ndarray:
     """w = 1/(1+d), d = Chebyshev distance to the nearest visible token in
     the same temporal block (full 3-d distance when that block has none),
     normalized to mean 1 over targets."""
-    t_blocks, gh, gw = target.shape
+    _, gh, gw = target.shape
     vis_all = np.argwhere(visible)  # rows of (t, r, c)
     if vis_all.size == 0:
         raise ValueError("no visible tokens to measure distance against")
-    raw = []
-    for t, r, c in np.argwhere(target):
-        in_block = vis_all[vis_all[:, 0] == t]
-        if len(in_block):
-            d = np.min(np.maximum(np.abs(in_block[:, 1] - r), np.abs(in_block[:, 2] - c)))
-        else:
-            d = np.min(
-                np.maximum.reduce(
-                    [
-                        np.abs(vis_all[:, 0] - t),
-                        np.abs(vis_all[:, 1] - r),
-                        np.abs(vis_all[:, 2] - c),
-                    ]
-                )
-            )
-        raw.append(1.0 / (1.0 + float(d)))
-    raw = np.array(raw, dtype=np.float64)
+    gap = np.abs(np.argwhere(target)[:, None, :] - vis_all[None, :, :])  # [K, V, 3]
+    same_block = gap[:, :, 0] == 0
+    far = max(gh, gw)  # beyond any in-block distance
+    in_block = np.where(same_block, gap[:, :, 1:].max(axis=2), far).min(axis=1)
+    anywhere = gap.max(axis=2).min(axis=1)
+    d = np.where(same_block.any(axis=1), in_block, anywhere)
+    raw = 1.0 / (1.0 + d.astype(np.float64))
     return raw / raw.mean()
 
 

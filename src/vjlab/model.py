@@ -312,6 +312,10 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
 
 
 def slice_cols(x: Tensor, a: int, b: int) -> Tensor:
+    """Columns [a, b) of the last axis, for any leading shape."""
+    if x.ndim != 2:
+        flat = slice_cols(x.reshape(-1, x.shape[-1]), a, b)
+        return flat.reshape(*x.shape[:-1], b - a)
     return gather_rows(x.transpose(), range(a, b)).transpose()
 
 
@@ -452,13 +456,7 @@ def split_channels(x: Tensor, app_ratio: float) -> tuple[Tensor, Tensor]:
     d_app = int(round(d_app))
     if not 0 < d_app < d:
         raise ValueError(f"appearance split {d_app} of {d} leaves an empty side")
-    flat = x if x.ndim == 2 else x.reshape(-1, d)
-    app = slice_cols(flat, 0, d_app)
-    dyn = slice_cols(flat, d_app, d)
-    if x.ndim == 2:
-        return app, dyn
-    lead = x.shape[:-1]
-    return app.reshape(*lead, d_app), dyn.reshape(*lead, d - d_app)
+    return slice_cols(x, 0, d_app), slice_cols(x, d_app, d)
 
 
 def dyn_head(heads: HeadParams, x: Tensor) -> Tensor:

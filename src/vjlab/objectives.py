@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fourier import dft_matrices
-from .model import HeadParams, LatentGrid, action_head, dyn_head, split_channels
+from .model import HeadParams, LatentGrid, action_head, dyn_head, slice_cols, split_channels
 from .synth import VideoClip
 from .tensor import Tensor, gather_rows, huber as huber_op, softmax
 
@@ -143,13 +143,6 @@ def time_diff(x: Tensor) -> Tensor:
     return gather_rows(x, range(1, t)) - gather_rows(x, range(0, t - 1))
 
 
-def _channel_slice(x: Tensor, a: int, b: int) -> Tensor:
-    lead = x.shape[:-1]
-    flat = x.reshape(int(np.prod(lead)), x.shape[-1])
-    sliced = gather_rows(flat.transpose(), range(a, b)).transpose()
-    return sliced.reshape(*lead, b - a)
-
-
 def _zero() -> Tensor:
     return Tensor(0.0)
 
@@ -188,7 +181,7 @@ def kinematic_loss(z: LatentGrid, kind: str = "l1", huber_delta: float = 1.0) ->
         d = z.dim
         if d % 2:
             raise ValueError("split kinematic needs an even channel count")
-        vals = _channel_slice(vals, 0, d // 2)
+        vals = slice_cols(vals, 0, d // 2)
     vel = time_diff(vals)
     if kind in ("l1", "anneal"):
         return vel.abs().mean()
@@ -263,10 +256,10 @@ def hamiltonian_loss(z: LatentGrid, ham) -> Tensor:
     def grid(t: Tensor, width: int) -> Tensor:
         return t.reshape(tp, z.n_space, width)
 
-    q = grid(_channel_slice(x, 0, half), half)
-    p = grid(_channel_slice(x, half, half2), half)
-    dhdq = grid(_channel_slice(dhdx, 0, half), half)
-    dhdp = grid(_channel_slice(dhdx, half, half2), half)
+    q = grid(slice_cols(x, 0, half), half)
+    p = grid(slice_cols(x, half, half2), half)
+    dhdq = grid(slice_cols(dhdx, 0, half), half)
+    dhdp = grid(slice_cols(dhdx, half, half2), half)
 
     dq = time_diff(q)
     dp = time_diff(p)
@@ -400,23 +393,18 @@ def hard_weights(e, tau: float = 1.0) -> Tensor:
     return w.detach()
 
 
-def _weighted_error_mean(e: Tensor, tau: float, weights) -> Tensor:
+def hw_jepa_loss(e: Tensor, tau: float = 1.0, weights=None) -> Tensor:
+    """Hard-weighted mean of per-token errors (weights constant).
+
+    Serves both the predictor's errors (``hw_jepa``) and the dynamics
+    head's errors (``ld_hw``).
+    """
     if weights is None:
         weights = hard_weights(e, tau)
     w_data = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
     if w_data.shape != e.shape:
         raise ValueError(f"weights {w_data.shape} vs errors {e.shape}")
     return (Tensor(w_data) * e).mean()
-
-
-def hw_jepa_loss(e: Tensor, tau: float = 1.0, weights=None) -> Tensor:
-    """Hard-weighted mean of per-token prediction errors (weights constant)."""
-    return _weighted_error_mean(e, tau, weights)
-
-
-def ld_hw_loss(e: Tensor, tau: float = 1.0, weights=None) -> Tensor:
-    """Hard-weighted mean of dynamics-head errors (weights constant)."""
-    return _weighted_error_mean(e, tau, weights)
 
 
 def ac_targets(clip: VideoClip, patch: int, tubelet: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .model import EncoderParams, encode
+from .model import EncoderParams, encode, linear
 from .synth import Dataset, MotionClass, VideoClip, gen_motion_dataset
 from .tensor import Tensor, backward, log_softmax, matmul, no_grad, softmax
 from .training import OptState, adamw_step, init_opt
@@ -107,14 +107,14 @@ def probe_logits(probe: ProbeParams, feats: np.ndarray) -> Tensor:
     if probe.kind == "linear":
         if x.ndim != 2:
             raise ValueError(f"linear probe wants [n, dim] features, got {x.shape}")
-        return matmul(Tensor(x), probe.w) + _rows(probe.b, x.shape[0])
+        return linear(Tensor(x), probe.w, probe.b)
     if x.ndim != 3:
         raise ValueError(f"attentive probe wants [n, tokens, dim] features, got {x.shape}")
     n, k, d = x.shape
     scores = matmul(Tensor(x.reshape(n * k, d)), probe.query.reshape(d, 1))
     attn = softmax(scores.reshape(n, k) * (1.0 / np.sqrt(d)), axis=-1)
     pooled = _attn_pool(attn, x)
-    return matmul(pooled, probe.w) + _rows(probe.b, n)
+    return linear(pooled, probe.w, probe.b)
 
 
 def _attn_pool(attn: Tensor, x: np.ndarray) -> Tensor:
@@ -122,10 +122,6 @@ def _attn_pool(attn: Tensor, x: np.ndarray) -> Tensor:
     # weighted sum per clip: [n, k] against constant tokens [n, k, d]
     w3 = attn.reshape(n, k, 1).broadcast_to((n, k, d))
     return (w3 * Tensor(x)).sum(axis=1)
-
-
-def _rows(b: Tensor, n: int) -> Tensor:
-    return b.reshape(1, b.shape[0]).broadcast_to((n, b.shape[0]))
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -338,14 +338,6 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
-def randn(rng: np.random.Generator, shape, scale: float = 1.0, requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a = Tensor._coerce(a)
     b = Tensor._coerce(b)

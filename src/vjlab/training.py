@@ -53,7 +53,7 @@ from .objectives import (
     jepa_loss,
     kinematic_loss,
     ld_errors,
-    ld_hw_loss,
+    ld_loss,
     ltc_loss,
     per_token_errors,
     sigreg_loss,
@@ -242,10 +242,10 @@ def clip_parts(state: TrainState, clip: VideoClip, mask: MaskSpec,
     if "delta" in needs:
         parts["delta"] = delta_loss(z_full, h_grid)
     if "ld" in needs:
-        parts["ld"] = ld_loss_part(state.heads, z_full, h_grid, spec.fwm, obj.app_ratio)
+        parts["ld"] = ld_loss(state.heads, z_full, h_grid, spec.fwm, obj.app_ratio)
     if "ld_hw" in needs:
         e = ld_errors(state.heads, z_full, h_grid, spec.fwm, obj.app_ratio)
-        parts["ld_hw"] = Tensor(0.0) if e is None else ld_hw_loss(e, obj.tau)
+        parts["ld_hw"] = Tensor(0.0) if e is None else hw_jepa_loss(e, obj.tau)
     if "spectral" in needs:
         parts["spectral"] = spectral_loss(z_full, h_grid)
     if "ltc" in needs:
@@ -262,12 +262,6 @@ def clip_parts(state: TrainState, clip: VideoClip, mask: MaskSpec,
         parts["ac"] = ac_loss(state.heads, z_full, clip, cfg.patch, cfg.tubelet,
                               spec.fwm, obj.app_ratio)
     return parts
-
-
-def ld_loss_part(heads: HeadParams, z: LatentGrid, h_grid: np.ndarray,
-                 fwm: bool, app_ratio: float) -> Tensor:
-    e = ld_errors(heads, z, h_grid, fwm, app_ratio)
-    return Tensor(0.0) if e is None else e.mean()
 
 
 def batch_bundle(state: TrainState, clips: list[VideoClip],
@@ -357,6 +351,15 @@ def load_train_state(cfg: RunConfig, path) -> TrainState:
     return state
 
 
+def _truncate_metrics(path: Path, step: int) -> None:
+    """Keep the log lines of steps 1..step, dropping any that a crash after
+    the checkpoint left behind; fail if those steps are not all there."""
+    kept = path.read_text().splitlines(keepends=True)[:step] if path.exists() else []
+    if [json.loads(line)["step"] for line in kept] != list(range(1, step + 1)):
+        raise ValueError(f"{path} does not hold steps 1..{step} of the checkpoint")
+    path.write_text("".join(kept))
+
+
 def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
                  resume: bool = False, stop_after: int | None = None,
                  log=None) -> TrainState:
@@ -376,6 +379,7 @@ def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
     ckpt = out / CHECKPOINT_NAME
     if resume:
         state = load_train_state(cfg, ckpt)
+        _truncate_metrics(out / METRICS_NAME, state.step)
         mode = "a"
     else:
         state = init_state(cfg)

@@ -47,7 +47,6 @@ from vjlab.objectives import (
     jepa_loss,
     kinematic_loss,
     ld_errors,
-    ld_hw_loss,
     ld_loss,
     ltc_loss,
     per_token_errors,
@@ -210,7 +209,7 @@ class TestCriterion1GradientOracle:
                        act_w=heads.act_w, act_b=heads.act_b),
             LatentGrid(v, grid), h, False, 0.5)
         w_ld = hard_weights(ld_f(Tensor(zld.copy()), heads.dyn_w1, heads.dyn_w2), 1.0).data
-        check("ld_hw", lambda v, w1, w2: ld_hw_loss(ld_f(v, w1, w2), 1.0, weights=w_ld),
+        check("ld_hw", lambda v, w1, w2: hw_jepa_loss(ld_f(v, w1, w2), 1.0, weights=w_ld),
               [Tensor(zld.copy(), requires_grad=True), heads.dyn_w1, heads.dyn_w2])
 
         clip = image_as_clip(np.zeros((8, 8, 1)))

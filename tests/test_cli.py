@@ -5,7 +5,7 @@ import json
 import pytest
 
 from vjlab.cli import main
-from vjlab.config import load_config
+from vjlab.config import RECIPE_FIELDS, load_config, variant_defaults, variant_slug
 from vjlab.synth import load_dataset
 
 
@@ -69,6 +69,9 @@ class TestPretrainProbe:
                        "--variant", "AMG-JEPA", "--out", out) == 0
         snap = load_config(out / "config.lab")
         assert snap.variant == "AMG-JEPA"
+        assert snap.motion_guided is True
+        assert snap.motion_guided_strength == 5.0
+        assert snap.motion_guided_random_rate == 0.0
 
     def test_defaults_without_config_file(self, tmp_path):
         # no --config: variant defaults with explicit out; keep it tiny via config-less gendata only
@@ -87,12 +90,19 @@ class TestVerify:
 class TestSweepReport:
     def test_sweep_then_report(self, tiny_config, tmp_path, capsys):
         root = tmp_path / "sw"
+        # recipe fields in the file are overridden by each variant's recipe
+        tiny_config.write_text(tiny_config.read_text() + "motion_guided = true\nlambda_hw = 0.7\n")
         assert run_cli("sweep", "--config", tiny_config, "--out", root,
                        "--variants", "Baseline,Delta-JEPA",
                        "--train-per-class", 2, "--test-per-class", 2) == 0
         rows = json.loads((root / "sweep.json").read_text())
         assert [r["variant"] for r in rows] == ["Baseline", "Delta-JEPA"]
         assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
+        for name in ("Baseline", "Delta-JEPA"):
+            snap = load_config(root / variant_slug(name) / "config.lab")
+            recipe = variant_defaults(name)
+            for key in RECIPE_FIELDS:
+                assert getattr(snap, key) == getattr(recipe, key), (name, key)
         capsys.readouterr()
         assert run_cli("report", "--out", root) == 0
         out = capsys.readouterr().out

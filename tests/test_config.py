@@ -33,10 +33,11 @@ class TestParse:
         assert again.mask_ratio == cfg.mask_ratio
 
     def test_round_trip_every_variant(self):
-        from vjlab.objectives import VARIANTS
+        from vjlab.objectives import VARIANTS, resolve_objective
         for variant in VARIANTS:
             cfg = variant_defaults(variant).validate()
             assert parse_config(serialize_config(cfg)) == cfg, variant
+            assert cfg.to_objective() == resolve_objective(variant), variant
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\n  \nseed = 3\n# another\n")

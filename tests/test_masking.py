@@ -19,6 +19,21 @@ from vjlab.synth import MotionClass, gen_motion_clip, image_as_clip
 GRID = (4, 4, 4)  # desk-scale token grid
 
 
+def loop_distance_weights(visible, target):
+    """Per-target reference for the vectorized distance_weights."""
+    vis_all = np.argwhere(visible)
+    raw = []
+    for t, r, c in np.argwhere(target):
+        in_block = vis_all[vis_all[:, 0] == t]
+        if len(in_block):
+            d = np.min(np.maximum(np.abs(in_block[:, 1] - r), np.abs(in_block[:, 2] - c)))
+        else:
+            d = np.min(np.abs(vis_all - (t, r, c)).max(axis=1))
+        raw.append(1.0 / (1.0 + float(d)))
+    raw = np.array(raw, dtype=np.float64)
+    return raw / raw.mean()
+
+
 class TestTubeMask:
     @given(st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
@@ -221,12 +236,29 @@ class TestDistanceWeights:
         # weights exist and are valid even for fully-masked late blocks
         spec.validate()
         assert len(spec.distance_weight) == spec.n_targets
+        np.testing.assert_array_equal(spec.distance_weight,
+                                      loop_distance_weights(spec.visible, spec.target))
+
+    def test_empty_block_exact_3d_weights(self):
+        # block 0 sees only (0,0,0); block 1 has no visible token
+        visible = np.zeros((2, 1, 3), dtype=bool)
+        visible[0, 0, 0] = True
+        target = np.zeros((2, 1, 3), dtype=bool)
+        target[0, 0, 2] = True  # in-block distance 2 -> 1/3
+        target[1, 0, 0] = True  # 3-d distance max(1, 0, 0) = 1 -> 1/2
+        target[1, 0, 2] = True  # 3-d distance max(1, 0, 2) = 2 -> 1/3
+        w = distance_weights(visible, target)
+        raw = np.array([1 / 3, 1 / 2, 1 / 3])
+        np.testing.assert_array_equal(w, raw / raw.mean())
+        assert w == pytest.approx([6 / 7, 9 / 7, 6 / 7])
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_mean_one(self, seed):
         spec = sample_tube_mask(GRID, 0.5, np.random.default_rng(seed))
         assert abs(spec.distance_weight.mean() - 1.0) <= 1e-9
+        np.testing.assert_array_equal(spec.distance_weight,
+                                      loop_distance_weights(spec.visible, spec.target))
 
     def test_validate_catches_no_visible(self):
         target = np.ones((1, 2, 2), dtype=bool)

@@ -24,7 +24,6 @@ from vjlab.objectives import (
     jepa_loss,
     kinematic_loss,
     ld_errors,
-    ld_hw_loss,
     ld_loss,
     ltc_loss,
     per_token_errors,
@@ -610,7 +609,7 @@ class TestHardWeights:
 
     def test_explicit_weights_respected(self):
         e = Tensor(np.array([1.0, 3.0]), requires_grad=True)
-        loss = ld_hw_loss(e, tau=1.0, weights=np.array([2.0, 0.0]))
+        loss = hw_jepa_loss(e, tau=1.0, weights=np.array([2.0, 0.0]))
         assert abs(loss.item() - 1.0) <= 1e-12
 
     def test_weight_shape_checked(self):

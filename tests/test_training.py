@@ -358,6 +358,39 @@ class TestRunAndResume:
         assert (tmp_path / "a" / "metrics.jsonl").read_bytes() == \
             (tmp_path / "b" / "metrics.jsonl").read_bytes()
 
+    def test_resume_after_crash_drops_unsaved_log_lines(self, tmp_path, monkeypatch):
+        import vjlab.training as training
+        ds = gen_motion_dataset(2, 0)
+        straight = small_cfg(steps=6, out=str(tmp_path / "a"))
+        run_pretrain(straight, ds)
+        crashed = small_cfg(steps=6, out=str(tmp_path / "b"))
+        run_pretrain(crashed, ds, stop_after=3)
+
+        real_step = training.train_step
+
+        def crash_after_step_5(state, clips):
+            if state.step == 5:
+                raise RuntimeError("simulated crash")
+            return real_step(state, clips)
+
+        monkeypatch.setattr(training, "train_step", crash_after_step_5)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_pretrain(crashed, ds, resume=True)  # logs steps 4, 5; no checkpoint
+        monkeypatch.setattr(training, "train_step", real_step)
+        run_pretrain(crashed, ds, resume=True)
+
+        lines = (tmp_path / "b" / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["step"] for line in lines] == [1, 2, 3, 4, 5, 6]
+        assert (tmp_path / "a" / "metrics.jsonl").read_bytes() == \
+            (tmp_path / "b" / "metrics.jsonl").read_bytes()
+        assert (tmp_path / "a" / "checkpoint.jpck").read_bytes() == \
+            (tmp_path / "b" / "checkpoint.jpck").read_bytes()
+
+        # a log that lacks checkpointed steps is refused, not appended to
+        (tmp_path / "b" / "metrics.jsonl").write_text(lines[0] + "\n")
+        with pytest.raises(ValueError, match="steps 1..6"):
+            run_pretrain(crashed, ds, resume=True)
+
     def test_identical_runs_identical_bytes(self, tmp_path):
         ds = gen_motion_dataset(2, 0)
         a = small_cfg("HW-JEPA", out=str(tmp_path / "a"))
