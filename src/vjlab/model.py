@@ -18,7 +18,7 @@ import numpy as np
 
 from .masking import MaskSpec
 from .synth import VideoClip
-from .tensor import Tensor, concat, gather_rows, matmul, no_grad, softmax
+from .tensor import Tensor, concat, gather_rows, no_grad
 
 LN_EPS = 1e-5
 INIT_SCALE = 0.02
@@ -295,43 +295,85 @@ def token_grid(params: EncoderParams, clip: VideoClip) -> tuple[int, int, int]:
 # -- forward passes ------------------------------------------------------
 
 
-def _row_bias(b: Tensor, n: int) -> Tensor:
-    return b.reshape(1, b.shape[0]).broadcast_to((n, b.shape[0]))
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, w) + _row_bias(b, x.shape[0])
+    """``x @ w + b`` for x [N, in], w [in, out], b [out], as one graph node."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or b.shape != (wd.shape[1],) or xd.shape[1] != wd.shape[0]:
+        raise ValueError(f"linear shapes do not fit: x {xd.shape}, w {wd.shape}, b {b.shape}")
+
+    def vjp(g):
+        gx = g @ wd.T if x.requires_grad else None
+        return gx, xd.T @ g, g.sum(axis=0)
+
+    return Tensor._node(xd @ wd + b.data, (x, w, b), vjp)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    m = x.mean(axis=1, keepdims=True).broadcast_to(x.shape)
-    d = x - m
-    v = (d * d).mean(axis=1, keepdims=True)
-    y = d / (v + LN_EPS).sqrt().broadcast_to(x.shape)
-    return y * _row_bias(g, x.shape[0]) + _row_bias(b, x.shape[0])
+    """Per-row normalization of x [N, d] with gain g and bias b, one graph node."""
+    xd, gd = x.data, g.data
+    inv_n = 1.0 / xd.shape[1]
+    d = xd - np.sum(xd, axis=1, keepdims=True) * inv_n
+    s = np.sqrt(np.sum(d * d, axis=1, keepdims=True) * inv_n + LN_EPS)
+    y = d / s
+
+    def vjp(gout):
+        gy = gout * gd
+        gx = (gy - np.sum(gy, axis=1, keepdims=True) * inv_n
+              - y * (np.sum(gy * y, axis=1, keepdims=True) * inv_n)) / s
+        return gx, np.sum(gout * y, axis=0), np.sum(gout, axis=0)
+
+    return Tensor._node(y * gd + b.data, (x, g, b), vjp)
 
 
 def slice_cols(x: Tensor, a: int, b: int) -> Tensor:
     """Columns [a, b) of the last axis, for any leading shape."""
-    if x.ndim != 2:
-        flat = slice_cols(x.reshape(-1, x.shape[-1]), a, b)
-        return flat.reshape(*x.shape[:-1], b - a)
-    return gather_rows(x.transpose(), range(a, b)).transpose()
+    shape = x.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        out[..., a:b] = g
+        return (out,)
+
+    return Tensor._node(x.data[..., a:b].copy(), (x,), vjp)
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh)) v over [N, d] inputs, one graph node.
+
+    Scores are clipped to ``_ATTN_CLIP`` before the max-shifted softmax; a
+    clipped score passes no gradient back to q or k.
+    """
+    n, d = q.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(t: np.ndarray) -> np.ndarray:
+        return t.reshape(n, heads, dh).transpose(1, 0, 2)  # [H, N, dh]
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    raw = (qh @ kh.transpose(0, 2, 1)) * scale
+    inside = (raw >= _ATTN_CLIP[0]) & (raw <= _ATTN_CLIP[1])
+    s = np.clip(raw, *_ATTN_CLIP)
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    p = e / np.sum(e, axis=-1, keepdims=True)
+
+    def merge(t: np.ndarray) -> np.ndarray:
+        return t.transpose(1, 0, 2).reshape(n, d)
+
+    def vjp(g):
+        gh = split(g)
+        gp = gh @ vh.transpose(0, 2, 1)
+        gs = p * (gp - np.sum(gp * p, axis=-1, keepdims=True)) * inside * scale
+        return merge(gs @ kh), merge(gs.transpose(0, 2, 1) @ qh), merge(p.transpose(0, 2, 1) @ gh)
+
+    return Tensor._node(merge(p @ vh), (q, k, v), vjp)
 
 
 def _attention(blk: Block, x: Tensor, heads: int) -> Tensor:
-    n, d = x.shape
-    dh = d // heads
     q = linear(x, blk.wq, blk.bq)
     k = linear(x, blk.wk, blk.bk)
     v = linear(x, blk.wv, blk.bv)
-    outs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh, kh, vh = slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-        scores = matmul(qh, kh.transpose()) * (1.0 / math.sqrt(dh))
-        outs.append(matmul(softmax(scores, clip=_ATTN_CLIP, axis=-1), vh))
-    return linear(concat(outs, axis=1), blk.wo, blk.bo)
+    return linear(attention_core(q, k, v, heads), blk.wo, blk.bo)
 
 
 def _trunk(blocks: list[Block], heads: int, x: Tensor) -> Tensor:
@@ -447,16 +489,28 @@ def teacher_targets(teacher: EncoderParams, clip: VideoClip) -> np.ndarray:
 # -- heads ---------------------------------------------------------------
 
 
+def app_width(app_ratio: float, dim: int) -> int:
+    """Appearance channels of a ``dim``-wide latent; the rest are dynamics."""
+    d_app = app_ratio * dim
+    if abs(d_app - round(d_app)) > 1e-9:
+        raise ValueError(f"app_ratio {app_ratio} does not split {dim} channels integrally")
+    d_app = int(round(d_app))
+    if not 0 < d_app < dim:
+        raise ValueError(f"appearance split {d_app} of {dim} leaves an empty side")
+    return d_app
+
+
 def split_channels(x: Tensor, app_ratio: float) -> tuple[Tensor, Tensor]:
     """Split the channel axis into appearance/dynamics halves (last axis)."""
     d = x.shape[-1]
-    d_app = app_ratio * d
-    if abs(d_app - round(d_app)) > 1e-9:
-        raise ValueError(f"app_ratio {app_ratio} does not split {d} channels integrally")
-    d_app = int(round(d_app))
-    if not 0 < d_app < d:
-        raise ValueError(f"appearance split {d_app} of {d} leaves an empty side")
+    d_app = app_width(app_ratio, d)
     return slice_cols(x, 0, d_app), slice_cols(x, d_app, d)
+
+
+def dyn_channels(x: Tensor, app_ratio: float) -> Tensor:
+    """The dynamics half of ``split_channels`` alone."""
+    d = x.shape[-1]
+    return slice_cols(x, app_width(app_ratio, d), d)
 
 
 def dyn_head(heads: HeadParams, x: Tensor) -> Tensor:

@@ -14,7 +14,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fourier import dft_matrices
-from .model import HeadParams, LatentGrid, action_head, dyn_head, slice_cols, split_channels
+from .model import (
+    HeadParams,
+    LatentGrid,
+    action_head,
+    dyn_channels,
+    dyn_head,
+    linear,
+    slice_cols,
+    split_channels,
+)
 from .synth import VideoClip
 from .tensor import Tensor, gather_rows, huber as huber_op, softmax
 
@@ -245,11 +254,9 @@ def hamiltonian_loss(z: LatentGrid, ham) -> Tensor:
     if tp < 2:
         return _zero()
     half = half2 // 2
-    n = tp * z.n_space
     x = z.flat()
 
-    u = x @ ham.w1 + ham.b1.reshape(1, -1).broadcast_to((n, ham.w1.shape[1]))
-    a = u.tanh()
+    a = linear(x, ham.w1, ham.b1).tanh()
     gate = (1.0 - a * a) * ham.w2.reshape(1, -1).broadcast_to(a.shape)
     dhdx = gate @ ham.w1.transpose() + x * ham.quad.reshape(1, -1).broadcast_to(x.shape)
 
@@ -306,7 +313,7 @@ def ld_errors(heads: HeadParams, z: LatentGrid, h_values: np.ndarray,
         return None
     src = z.values
     if fwm:
-        _, src = split_channels(src, app_ratio)
+        src = dyn_channels(src, app_ratio)
     m = (tp - 1) * z.n_space
     inputs = gather_rows(src, range(tp - 1)).reshape(m, src.shape[-1])
     pred = dyn_head(heads, inputs)
@@ -427,7 +434,7 @@ def ac_loss(heads: HeadParams, z: LatentGrid, clip: VideoClip, patch: int,
         return _zero()
     src = z.values
     if fwm:
-        _, src = split_channels(src, app_ratio)
+        src = dyn_channels(src, app_ratio)
     m = (tp - 1) * z.n_space
     inputs = gather_rows(src, range(tp - 1)).reshape(m, src.shape[-1])
     pred = action_head(heads, inputs)

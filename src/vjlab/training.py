@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, save_config
+from .config import RunConfig, load_config, save_config
 from .masking import (
     MaskSpec,
     motion_energy,
@@ -28,6 +28,7 @@ from .model import (
     EncoderParams,
     HeadParams,
     LatentGrid,
+    app_width,
     clone_frozen,
     ema_update,
     encode,
@@ -159,8 +160,7 @@ def init_state(cfg: RunConfig) -> TrainState:
     mcfg = cfg.to_model()
     rng = np.random.default_rng([cfg.seed, STREAM_INIT])
     student = init_encoder(mcfg, rng)
-    d_app = int(round(obj.app_ratio * mcfg.dim))
-    head_in = (mcfg.dim - d_app) if spec.fwm else mcfg.dim
+    head_in = mcfg.dim - app_width(obj.app_ratio, mcfg.dim) if spec.fwm else mcfg.dim
     heads = init_heads(mcfg, rng, dyn_in=head_in, act_in=head_in,
                        with_ham="ham" in spec.components)
     quantize_params(student.named("enc"))
@@ -360,6 +360,18 @@ def _truncate_metrics(path: Path, step: int) -> None:
     path.write_text("".join(kept))
 
 
+def _check_resumed_config(cfg: RunConfig, path: Path) -> None:
+    """Refuse to resume a run under any config but the one it was started with."""
+    if not path.exists():
+        raise ValueError(f"cannot resume: {path} is missing")
+    saved = load_config(path)
+    changed = [f.name for f in fields(RunConfig)
+               if f.name != "out" and getattr(saved, f.name) != getattr(cfg, f.name)]
+    if changed:
+        raise ValueError(f"cannot resume under a config that differs from {path} in "
+                         f"{', '.join(changed)}")
+
+
 def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
                  resume: bool = False, stop_after: int | None = None,
                  log=None) -> TrainState:
@@ -371,6 +383,8 @@ def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
     cfg.validate()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    if resume:
+        _check_resumed_config(cfg, out / "config.lab")
     save_config(cfg, out / "config.lab")
     if dataset is None:
         dataset = gen_motion_dataset(cfg.n_per_class, cfg.seed, t=cfg.frames,

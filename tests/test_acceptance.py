@@ -30,7 +30,10 @@ from vjlab.model import (
     HamiltonianParams,
     HeadParams,
     LatentGrid,
+    ModelConfig,
     encode,
+    init_encoder,
+    init_heads,
     predict_masked,
     full_grid,
     teacher_targets,
@@ -224,6 +227,24 @@ class TestCriterion1GradientOracle:
                              act_w=aw, act_b=ab),
                   LatentGrid(v, grid), clip, patch=4, tubelet=1),
               [Tensor(zac.copy(), requires_grad=True), ac_heads.act_w, ac_heads.act_b])
+
+        # encoder -> predictor end to end: the gradients at both ends pass
+        # back through every linear, layer-norm, attention, gather and concat
+        mcfg = ModelConfig(patch=4, tubelet=1, dim=8, heads=2, layers=1, ff=8,
+                           pred_layers=1, pred_heads=2)
+        enc = init_encoder(mcfg, rng)
+        predictor = init_heads(mcfg, rng).predictor
+        for t in [*enc.named().values(), *predictor.named().values()]:
+            t.data = rng.standard_normal(t.shape) * 0.5
+        mask = sample_tube_mask((2, 2, 2), 0.5, rng)
+        w_out = rng.standard_normal((mask.n_targets, d))
+
+        def enc_pred(ew, eb, token):
+            z, _ = encode(dataclasses.replace(enc, embed_w=ew, embed_b=eb), clip, mask.visible)
+            out = predict_masked(dataclasses.replace(predictor, mask_token=token), z, mask)
+            return (out * Tensor(w_out)).sum()
+
+        check("encode_predict", enc_pred, [enc.embed_w, enc.embed_b, predictor.mask_token])
 
         elapsed = time.monotonic() - t0
         top = max(worst.values())

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from vjlab.gradcheck import grad_check
 from vjlab.masking import sample_tube_mask
 from vjlab.model import (
     HeadParams,
     LatentGrid,
     ModelConfig,
     action_head,
+    attention_core,
     clone_frozen,
     dyn_head,
     embed_clip,
@@ -20,12 +22,14 @@ from vjlab.model import (
     init_encoder,
     init_heads,
     layer_norm,
+    linear,
     load_checkpoint,
     load_into,
     pos_table,
     predict_masked,
     quantize_params,
     save_checkpoint,
+    slice_cols,
     split_channels,
     teacher_targets,
 )
@@ -166,6 +170,65 @@ class TestPredictor:
         backward((out * out).mean())
         assert p.embed_w.grad is not None and np.any(p.embed_w.grad != 0.0)
         assert heads.predictor.mask_token.grad is not None
+
+
+def weighted_sum(out: Tensor, seed: int) -> Tensor:
+    """A smooth scalar of every output entry, for finite differences."""
+    return (out * Tensor(np.random.default_rng(seed).standard_normal(out.shape))).sum()
+
+
+def rand_t(rng, shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+class TestFusedOps:
+    def test_linear_grad(self):
+        rng = np.random.default_rng(0)
+        rep = grad_check(lambda x, w, b: weighted_sum(linear(x, w, b), 1),
+                         [rand_t(rng, (5, 4)), rand_t(rng, (4, 3)), rand_t(rng, 3)])
+        assert rep.ok(1e-4), rep.per_input
+
+    def test_linear_rejects_mismatched_bias(self):
+        with pytest.raises(ValueError, match="linear shapes"):
+            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
+
+    def test_layer_norm_grad(self):
+        rng = np.random.default_rng(2)
+        rep = grad_check(lambda x, g, b: weighted_sum(layer_norm(x, g, b), 3),
+                         [rand_t(rng, (5, 6)), rand_t(rng, 6), rand_t(rng, 6)])
+        assert rep.ok(1e-4), rep.per_input
+
+    def test_attention_core_grad_inside_clip(self):
+        rng = np.random.default_rng(4)
+        qkv = [rand_t(rng, (5, 8)) for _ in range(3)]
+        for cols in (slice(0, 4), slice(4, 8)):
+            assert np.abs(qkv[0].data[:, cols] @ qkv[1].data[:, cols].T / 2.0).max() < 30.0
+        rep = grad_check(lambda q, k, v: weighted_sum(attention_core(q, k, v, 2), 5), qkv)
+        assert rep.ok(1e-4), rep.per_input
+
+    def test_attention_core_clipped_scores_pass_no_gradient(self):
+        # head 0 (columns 0-1): every score of query 0 and of key 3 is
+        # beyond +-30 after the 1/sqrt(2) scale; the other scores are not
+        q = np.array([[40.0, 40.0], [1.0, 0.0], [-1.0, 0.5], [2.0, 1.0]])
+        k = np.array([[1.0, 1.0], [0.5, 1.0], [-1.0, -0.5], [60.0, -20.0]])
+        raw = q @ k.T / np.sqrt(2.0)
+        clipped = np.abs(raw) > 30.0
+        assert clipped[0].all() and clipped[:, 3].all() and not clipped[1:, :3].any()
+        rng = np.random.default_rng(6)
+        qt = Tensor(np.concatenate([q, rng.standard_normal((4, 2))], axis=1), requires_grad=True)
+        kt = Tensor(np.concatenate([k, rng.standard_normal((4, 2))], axis=1), requires_grad=True)
+        vt = rand_t(rng, (4, 4))
+        backward(weighted_sum(attention_core(qt, kt, vt, 2), 7))
+        assert np.all(qt.grad[0, :2] == 0.0) and np.all(kt.grad[3, :2] == 0.0)
+        assert np.all(qt.grad[1:, :2] != 0.0) and np.all(kt.grad[:3, :2] != 0.0)
+
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)])
+    def test_slice_cols_grad(self, shape):
+        rng = np.random.default_rng(8)
+        x = rand_t(rng, shape)
+        assert np.array_equal(slice_cols(x, 2, 5).data, x.data[..., 2:5])
+        rep = grad_check(lambda t: weighted_sum(slice_cols(t, 2, 5), 9), [x])
+        assert rep.ok(1e-4), rep.per_input
 
 
 class TestEMA:

@@ -298,6 +298,30 @@ class TestTrainStep:
         assert m1 == m2
 
 
+class TestGraphSize:
+    @staticmethod
+    def graph_nodes(root):
+        seen = {id(root)}
+        stack = [root]
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen)
+
+    @pytest.mark.parametrize("variant,limit", [("Baseline", 760), ("FWM-HW-LD", 1300)])
+    def test_nodes_per_step_at_criterion_8_geometry(self, variant, limit):
+        # batch 8, 32x32x8 clips, a 4x4x4 token grid at dim 32; the graph
+        # held about 3,800 (Baseline) and 6,200 (FWM-HW-LD) nodes before the
+        # fused linear, layer-norm, attention and column-slice ops
+        cfg = dataclasses.replace(variant_defaults(variant), batch_size=8, n_per_class=2)
+        state = init_state(cfg)
+        clips = draw_batch(gen_motion_dataset(2, 0), 8, cfg.seed, 0)
+        assert token_grid(state.student, clips[0]) == (4, 4, 4)
+        assert self.graph_nodes(batch_bundle(state, clips).total_node) <= limit
+
+
 class TestRunAndResume:
     def test_metrics_file_sorted_keys_one_line_per_step(self, tmp_path):
         cfg = small_cfg(out=str(tmp_path / "run"))
@@ -390,6 +414,19 @@ class TestRunAndResume:
         (tmp_path / "b" / "metrics.jsonl").write_text(lines[0] + "\n")
         with pytest.raises(ValueError, match="steps 1..6"):
             run_pretrain(crashed, ds, resume=True)
+
+    def test_resume_under_another_config_refused(self, tmp_path):
+        ds = gen_motion_dataset(2, 0)
+        cfg = small_cfg(out=str(tmp_path / "run"))
+        run_pretrain(cfg, ds, stop_after=2)
+        saved = (tmp_path / "run" / "config.lab").read_bytes()
+        other = dataclasses.replace(small_cfg("Kin.-L1", out=cfg.out), lr_peak=1e-3)
+        with pytest.raises(ValueError, match="variant, .*lr_peak"):
+            run_pretrain(other, ds, resume=True)
+        assert (tmp_path / "run" / "config.lab").read_bytes() == saved
+        (tmp_path / "run" / "config.lab").unlink()
+        with pytest.raises(ValueError, match="config.lab is missing"):
+            run_pretrain(cfg, ds, resume=True)
 
     def test_identical_runs_identical_bytes(self, tmp_path):
         ds = gen_motion_dataset(2, 0)
