@@ -3,8 +3,10 @@
 The encoder is a small pre-norm transformer over tubelet-patch tokens with
 fixed sinusoidal position codes. Clips and single-frame images share the
 transformer trunk; images enter through their own tubelet-1 embedding.
-Masked encoding physically drops non-visible tokens, so attention can only
-ever mix visible content.
+Encoder, predictor and teacher run once per batch on [B, N, dim] token
+slabs. Masked encoding still drops non-visible tokens, so attention can only
+ever mix visible content; clips with fewer visible tokens are padded to the
+batch maximum, and padding never gets attention weight.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .masking import MaskSpec
 from .synth import VideoClip
-from .tensor import Tensor, concat, gather_rows, no_grad
+from .tensor import Tensor, concat, no_grad
 
 LN_EPS = 1e-5
 INIT_SCALE = 0.02
@@ -296,134 +298,196 @@ def token_grid(params: EncoderParams, clip: VideoClip) -> tuple[int, int, int]:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for x [N, in], w [in, out], b [out], as one graph node."""
+    """``x @ w + b`` for x [..., in], w [in, out], b [out], as one graph node.
+
+    The weight and bias gradients reduce over every leading row.
+    """
     xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or b.shape != (wd.shape[1],) or xd.shape[1] != wd.shape[0]:
+    if xd.ndim < 1 or wd.ndim != 2 or b.shape != (wd.shape[1],) or xd.shape[-1] != wd.shape[0]:
         raise ValueError(f"linear shapes do not fit: x {xd.shape}, w {wd.shape}, b {b.shape}")
 
     def vjp(g):
         gx = g @ wd.T if x.requires_grad else None
-        return gx, xd.T @ g, g.sum(axis=0)
+        rows = g.reshape(-1, wd.shape[1])
+        return gx, xd.reshape(-1, wd.shape[0]).T @ rows, rows.sum(axis=0)
 
-    return Tensor._node(xd @ wd + b.data, (x, w, b), vjp)
+    out = xd @ wd
+    out += b.data
+    return Tensor._node(out, (x, w, b), vjp)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    """Per-row normalization of x [N, d] with gain g and bias b, one graph node."""
+    """Normalization over the last axis of x [..., d] with gain g and bias b,
+    one graph node; the gain and bias gradients reduce over every leading row."""
     xd, gd = x.data, g.data
-    inv_n = 1.0 / xd.shape[1]
-    d = xd - np.sum(xd, axis=1, keepdims=True) * inv_n
-    s = np.sqrt(np.sum(d * d, axis=1, keepdims=True) * inv_n + LN_EPS)
-    y = d / s
+    width = xd.shape[-1]
+    inv_n = 1.0 / width
+    y = xd - np.sum(xd, axis=-1, keepdims=True) * inv_n
+    s = np.sqrt(np.sum(y * y, axis=-1, keepdims=True) * inv_n + LN_EPS)
+    y /= s
 
     def vjp(gout):
         gy = gout * gd
-        gx = (gy - np.sum(gy, axis=1, keepdims=True) * inv_n
-              - y * (np.sum(gy * y, axis=1, keepdims=True) * inv_n)) / s
-        return gx, np.sum(gout * y, axis=0), np.sum(gout, axis=0)
+        gx = gy - np.sum(gy, axis=-1, keepdims=True) * inv_n
+        gy *= y
+        gx -= y * (np.sum(gy, axis=-1, keepdims=True) * inv_n)
+        gx /= s
+        return (gx, np.sum((gout * y).reshape(-1, width), axis=0),
+                np.sum(gout.reshape(-1, width), axis=0))
 
-    return Tensor._node(y * gd + b.data, (x, g, b), vjp)
+    out = y * gd
+    out += b.data
+    return Tensor._node(out, (x, g, b), vjp)
+
+
+def view(x: Tensor, index, shape: tuple[int, ...] | None = None) -> Tensor:
+    """``x.data[index]`` for a basic index (integers and slices), reshaped to
+    ``shape`` if given, as one graph node; backward writes only those entries."""
+    part = x.data[index]
+
+    def vjp(g):
+        out = np.zeros(x.shape)
+        out[index] = g.reshape(part.shape)
+        return (out,)
+
+    out = part.copy()
+    return Tensor._node(out if shape is None else out.reshape(shape), (x,), vjp)
 
 
 def slice_cols(x: Tensor, a: int, b: int) -> Tensor:
     """Columns [a, b) of the last axis, for any leading shape."""
-    shape = x.shape
+    return view(x, (Ellipsis, slice(a, b)))
+
+
+def gather_padded(x: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """The kept rows of each sequence of x [B, N, ...], packed in order to the
+    front of a [B, K, ...] slab with K the largest kept count; padded slots
+    hold zeros. Returns (slab, valid [B, K]). Backward writes only the kept
+    rows."""
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != x.shape[:2]:
+        raise ValueError(f"keep mask {keep.shape} does not fit rows {x.shape[:2]}")
+    counts = keep.sum(axis=1)
+    valid = np.arange(counts.max()) < counts[:, None]
+    out = np.zeros(valid.shape + x.shape[2:])
+    out[valid] = x.data[keep]
 
     def vjp(g):
-        out = np.zeros(shape)
-        out[..., a:b] = g
-        return (out,)
+        gx = np.zeros(x.shape)
+        gx[keep] = g[valid]
+        return (gx,)
 
-    return Tensor._node(x.data[..., a:b].copy(), (x,), vjp)
+    return Tensor._node(out, (x,), vjp), valid
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(dh)) v over [N, d] inputs, one graph node.
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, valid: np.ndarray) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh)) v over [B, N, d] inputs, one graph
+    node computed as [B, H, N, dh] batched matmuls.
 
-    Scores are clipped to ``_ATTN_CLIP`` before the max-shifted softmax; a
-    clipped score passes no gradient back to q or k.
+    ``valid`` [B, N] marks the real tokens of each sequence. A padded key's
+    score becomes -inf, so it gets weight exactly 0 and no gradient, and the
+    max shift runs over valid keys only: valid rows do not depend on what
+    padded slots hold. Scores are clipped to ``_ATTN_CLIP`` before the
+    softmax; a clipped score passes no gradient back to q or k.
     """
-    n, d = q.shape
+    bsz, n, d = q.shape
+    keys = np.asarray(valid, dtype=bool)
+    if keys.shape != (bsz, n) or not keys.any(axis=1).all():
+        raise ValueError(f"attention needs a [{bsz}, {n}] key mask with a valid key per row")
+    keys = keys[:, None, None, :]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(t: np.ndarray) -> np.ndarray:
-        return t.reshape(n, heads, dh).transpose(1, 0, 2)  # [H, N, dh]
+        return t.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3)  # [B, H, N, dh]
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    raw = (qh @ kh.transpose(0, 2, 1)) * scale
-    inside = (raw >= _ATTN_CLIP[0]) & (raw <= _ATTN_CLIP[1])
-    s = np.clip(raw, *_ATTN_CLIP)
-    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
-    p = e / np.sum(e, axis=-1, keepdims=True)
+    # The [B, H, N, N] buffers are worked on in place: each fresh one costs page faults.
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= scale
+    inside = (s >= _ATTN_CLIP[0]) & (s <= _ATTN_CLIP[1]) & keys
+    np.clip(s, *_ATTN_CLIP, out=s)
+    np.copyto(s, -np.inf, where=~keys)
+    s -= np.max(s, axis=-1, keepdims=True)
+    p = np.exp(s, out=s)  # exactly 0 at padded keys
+    p /= np.sum(p, axis=-1, keepdims=True)
 
     def merge(t: np.ndarray) -> np.ndarray:
-        return t.transpose(1, 0, 2).reshape(n, d)
+        return t.transpose(0, 2, 1, 3).reshape(bsz, n, d)
 
     def vjp(g):
         gh = split(g)
-        gp = gh @ vh.transpose(0, 2, 1)
-        gs = p * (gp - np.sum(gp * p, axis=-1, keepdims=True)) * inside * scale
-        return merge(gs @ kh), merge(gs.transpose(0, 2, 1) @ qh), merge(p.transpose(0, 2, 1) @ gh)
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= np.sum(gs * p, axis=-1, keepdims=True)
+        gs *= p
+        gs *= inside
+        gs *= scale
+        return merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
 
     return Tensor._node(merge(p @ vh), (q, k, v), vjp)
 
 
-def _attention(blk: Block, x: Tensor, heads: int) -> Tensor:
+def _attention(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
     q = linear(x, blk.wq, blk.bq)
     k = linear(x, blk.wk, blk.bk)
     v = linear(x, blk.wv, blk.bv)
-    return linear(attention_core(q, k, v, heads), blk.wo, blk.bo)
+    return linear(attention_core(q, k, v, heads, valid), blk.wo, blk.bo)
 
 
-def _trunk(blocks: list[Block], heads: int, x: Tensor) -> Tensor:
+def _trunk(blocks: list[Block], heads: int, x: Tensor, valid: np.ndarray) -> Tensor:
     for blk in blocks:
-        x = x + _attention(blk, layer_norm(x, blk.ln1_g, blk.ln1_b), heads)
+        x = x + _attention(blk, layer_norm(x, blk.ln1_g, blk.ln1_b), heads, valid)
         x = x + linear(linear(layer_norm(x, blk.ln2_g, blk.ln2_b), blk.w1, blk.b1).gelu(),
                        blk.w2, blk.b2)
     return x
 
 
-def embed_clip(params: EncoderParams, clip: VideoClip) -> Tensor:
-    """All tokens of a clip embedded to [N, dim] with position codes added."""
+def embed_clips(params: EncoderParams, clips: list[VideoClip]) -> Tensor:
+    """All tokens of each clip embedded to [B, N, dim] with position codes
+    added; the clips of one batch share a shape."""
+    if not clips:
+        raise ValueError("no clips to embed")
+    shape = clips[0].shape
+    if any(c.shape != shape for c in clips):
+        raise ValueError(f"clips of one batch must share a shape, got {[c.shape for c in clips]}")
     cfg = params.cfg
-    t = clip.shape[0]
-    if t == 1:
-        patches = extract_patches(clip.pixels, cfg.patch, 1)
-        w, b = params.embed_img_w, params.embed_img_b
+    if shape[0] == 1:
+        tubelet, w, b = 1, params.embed_img_w, params.embed_img_b
     else:
-        patches = extract_patches(clip.pixels, cfg.patch, cfg.tubelet)
-        w, b = params.embed_w, params.embed_b
-    tp, gh, gw, _ = patches.shape
-    flat = Tensor(patches.reshape(tp * gh * gw, -1))
-    x = linear(flat, w, b)
-    return x + Tensor(pos_table(tp, gh, gw, cfg.dim))
+        tubelet, w, b = cfg.tubelet, params.embed_w, params.embed_b
+    patches = np.stack([extract_patches(c.pixels, cfg.patch, tubelet) for c in clips])
+    bsz, tp, gh, gw, _ = patches.shape
+    x = linear(Tensor(patches.reshape(bsz, tp * gh * gw, -1)), w, b)
+    return x + Tensor(np.broadcast_to(pos_table(tp, gh, gw, cfg.dim), x.shape))
 
 
-def encode_tokens(params: EncoderParams, x: Tensor) -> Tensor:
-    x = _trunk(params.blocks, params.cfg.heads, x)
+def encode_tokens(params: EncoderParams, x: Tensor, valid: np.ndarray) -> Tensor:
+    x = _trunk(params.blocks, params.cfg.heads, x, valid)
     return layer_norm(x, params.ln_g, params.ln_b)
 
 
-def encode(params: EncoderParams, clip: VideoClip,
-           visible: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Latents for the visible tokens only (all tokens when visible is None).
+def encode(params: EncoderParams, clips: list[VideoClip],
+           visible: list[np.ndarray] | None = None) -> tuple[Tensor, np.ndarray]:
+    """Latents of each clip's visible tokens (all tokens when visible is None).
 
-    Returns (latents [K, dim], flat token indices in scan order).
+    Non-visible tokens are dropped before the trunk, so attention only ever
+    mixes visible content. Returns (latents [B, K, dim], valid [B, K]): row j
+    of clip b is its j-th visible token in scan order while valid[b, j], and
+    K is the batch's largest visible count.
     """
-    x = embed_clip(params, clip)
-    n = x.shape[0]
+    x = embed_clips(params, clips)
+    bsz, n, _ = x.shape
     if visible is None:
-        idx = np.arange(n)
-    else:
-        flat = np.asarray(visible, dtype=bool).reshape(-1)
+        valid = np.ones((bsz, n), dtype=bool)
+        return encode_tokens(params, x, valid), valid
+    flats = [np.asarray(v, dtype=bool).reshape(-1) for v in visible]
+    for flat in flats:
         if flat.shape[0] != n:
             raise ValueError(f"visibility over {flat.shape[0]} tokens, clip has {n}")
         if not flat.any():
             raise ValueError("no visible tokens to encode")
-        idx = np.flatnonzero(flat)
-        x = gather_rows(x, idx)
-    return encode_tokens(params, x), idx
+    x, valid = gather_padded(x, np.stack(flats))
+    return encode_tokens(params, x, valid), valid
 
 
 @dataclass
@@ -456,33 +520,48 @@ class LatentGrid:
         return self.values.reshape(self.t_blocks * self.n_space, self.dim)
 
 
-def full_grid(params: EncoderParams, clip: VideoClip) -> LatentGrid:
-    latents, _ = encode(params, clip)
-    tp, gh, gw = token_grid(params, clip)
-    return LatentGrid(values=latents.reshape(tp, gh * gw, params.cfg.dim), grid=(tp, gh, gw))
+def full_grid(params: EncoderParams, clips: list[VideoClip]) -> list[LatentGrid]:
+    """Full-grid latents per clip, each a view of one batched encode."""
+    latents, _ = encode(params, clips)
+    tp, gh, gw = token_grid(params, clips[0])
+    shape = (tp, gh * gw, params.cfg.dim)
+    return [LatentGrid(values=view(latents, (b,), shape), grid=(tp, gh, gw))
+            for b in range(len(clips))]
 
 
-def predict_masked(pred: PredictorParams, z_vis: Tensor, mask: MaskSpec) -> Tensor:
-    """Predictor outputs, one row per target token, in scan order of targets."""
-    tp, gh, gw = mask.grid
-    d = pred.cfg.dim
-    pos = pos_table(tp, gh, gw, d)
-    targets = mask.target_indices
-    k = len(targets)
-    if k == 0:
+def predict_masked(pred: PredictorParams, z_vis: Tensor, masks: list[MaskSpec]) -> Tensor:
+    """Predictor outputs [B, K, dim]: row j of clip b predicts its j-th target
+    token in scan order while j < masks[b].n_targets; later rows are padding.
+
+    ``z_vis`` holds each clip's visible latents as ``encode`` packs them. The
+    predictor runs over the visible latents followed by the target queries,
+    with the padding of both masked out of attention.
+    """
+    bsz, k_vis, d = z_vis.shape
+    n_vis = np.array([m.visible.sum() for m in masks])
+    targets = [m.target_indices for m in masks]
+    n_tgt = np.array([len(t) for t in targets])
+    if len(masks) != bsz or k_vis != n_vis.max():
+        raise ValueError(f"{len(masks)} masks with at most {n_vis.max()} visible tokens "
+                         f"do not fit latents {z_vis.shape}")
+    if n_tgt.min() == 0:
         raise ValueError("mask has no targets to predict")
-    queries = pred.mask_token.reshape(1, d).broadcast_to((k, d)) + Tensor(pos[targets])
-    seq = concat([z_vis, queries], axis=0)
-    seq = _trunk(pred.blocks, pred.cfg.pred_heads, seq)
-    seq = layer_norm(seq, pred.ln_g, pred.ln_b)
-    out = linear(seq, pred.out_w, pred.out_b)
-    return gather_rows(out, range(z_vis.shape[0], z_vis.shape[0] + k))
+    k_tgt = n_tgt.max()
+    pos = np.zeros((bsz, k_tgt, d))
+    for b, (m, t) in enumerate(zip(masks, targets)):
+        pos[b, :len(t)] = pos_table(*m.grid, d)[t]
+    queries = pred.mask_token.reshape(1, 1, d).broadcast_to((bsz, k_tgt, d)) + Tensor(pos)
+    valid = np.concatenate([np.arange(k_vis) < n_vis[:, None],
+                            np.arange(k_tgt) < n_tgt[:, None]], axis=1)
+    seq = _trunk(pred.blocks, pred.cfg.pred_heads, concat([z_vis, queries], axis=1), valid)
+    seq = view(seq, (slice(None), slice(k_vis, None)))
+    return linear(layer_norm(seq, pred.ln_g, pred.ln_b), pred.out_w, pred.out_b)
 
 
-def teacher_targets(teacher: EncoderParams, clip: VideoClip) -> np.ndarray:
-    """Full-clip teacher latents as plain values, [N, dim]."""
+def teacher_targets(teacher: EncoderParams, clips: list[VideoClip]) -> np.ndarray:
+    """Full-grid teacher latents as plain values, [B, N, dim]."""
     with no_grad():
-        latents, _ = encode(teacher, clip)
+        latents, _ = encode(teacher, clips)
     return latents.data
 
 

@@ -19,6 +19,7 @@ from .training import OptState, adamw_step, init_opt
 
 TRAIN_TAG = 101
 TEST_TAG = 202
+FEATURE_CHUNK = 8
 
 
 def _child_seed(seed: int, tag: int) -> int:
@@ -29,13 +30,17 @@ def _child_seed(seed: int, tag: int) -> int:
 
 
 def token_features(encoder: EncoderParams, clips: list[VideoClip]) -> np.ndarray:
-    """Full-grid latents per clip, [n_clips, n_tokens, dim], no gradients."""
+    """Full-grid latents per clip, [n_clips, n_tokens, dim], no gradients.
+
+    Clips are encoded ``FEATURE_CHUNK`` at a time, which keeps the activation
+    slabs (and peak memory) as small as one training batch's.
+    """
     rows = []
     with no_grad():
-        for clip in clips:
-            latents, _ = encode(encoder, clip)
+        for lo in range(0, len(clips), FEATURE_CHUNK):
+            latents, _ = encode(encoder, clips[lo:lo + FEATURE_CHUNK])
             rows.append(latents.data)
-    return np.stack(rows)
+    return np.concatenate(rows)
 
 
 def pooled_features(encoder: EncoderParams, clips: list[VideoClip]) -> np.ndarray:

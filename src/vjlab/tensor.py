@@ -243,14 +243,24 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         # Exact erf form: x * Phi(x); grad = Phi(x) + x * phi(x).
+        # Worked in place where possible: each fresh slab-sized buffer costs page faults.
         a = self
         x = a.data
-        phi_cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        phi_cdf = x / math.sqrt(2.0)
+        erf(phi_cdf, out=phi_cdf)
+        phi_cdf += 1.0
+        phi_cdf *= 0.5
         out = x * phi_cdf
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        pdf = -0.5 * x
+        pdf *= x
+        np.exp(pdf, out=pdf)
+        pdf /= math.sqrt(2.0 * math.pi)
 
         def vjp(g):
-            return (g * (phi_cdf + x * pdf),)
+            slope = x * pdf
+            slope += phi_cdf
+            slope *= g
+            return (slope,)
 
         return Tensor._node(out, (a,), vjp)
 

@@ -42,6 +42,7 @@ from .model import (
     save_checkpoint,
     teacher_targets,
     token_grid,
+    view,
 )
 from .objectives import (
     ObjectiveConfig,
@@ -199,27 +200,39 @@ def sample_clip_mask(obj: ObjectiveConfig, clip: VideoClip, grid: tuple[int, int
 # -- loss assembly -------------------------------------------------------
 
 
-def clip_parts(state: TrainState, clip: VideoClip, mask: MaskSpec,
-               sig_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
-    """All loss parts for one clip under the configured variant."""
+def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec],
+                sig_rngs: list[np.random.Generator | None]) -> list[dict[str, Tensor]]:
+    """All loss parts of each clip under the configured variant.
+
+    The batch takes one masked student encode, one predictor pass, one
+    teacher encode and, when a part needs it, one full-grid encode; each
+    clip's losses then read its own rows.
+    """
     cfg = state.cfg
     obj = cfg.to_objective()
+    needs = obj.spec.components
+
+    z_vis, _ = encode(state.student, clips, [m.visible for m in masks])
+    pred = predict_masked(state.heads.predictor, z_vis, masks)
+    z_full = full_grid(state.student, clips) if needs else [None] * len(clips)
+    if obj.ema:
+        h_all = teacher_targets(state.teacher, clips)
+    elif needs:
+        h_all = [z.values.data.reshape(-1, cfg.dim) for z in z_full]  # detached student
+    else:
+        h_all = teacher_targets(state.student, clips)
+    return [_clip_losses(state, obj, clip, mask, view(pred, (b, slice(0, mask.n_targets))),
+                         z_full[b], h_all[b], sig_rngs[b])
+            for b, (clip, mask) in enumerate(zip(clips, masks))]
+
+
+def _clip_losses(state: TrainState, obj: ObjectiveConfig, clip: VideoClip, mask: MaskSpec,
+                 pred: Tensor, z_full: LatentGrid | None, h_flat: np.ndarray,
+                 sig_rng: np.random.Generator | None) -> dict[str, Tensor]:
+    """Loss parts of one clip from its rows of the batched passes."""
+    cfg = state.cfg
     spec = obj.spec
     needs = spec.components
-
-    z_vis, _ = encode(state.student, clip, visible=mask.visible)
-    pred = predict_masked(state.heads.predictor, z_vis, mask)
-
-    z_full: LatentGrid | None = None
-    if needs:
-        z_full = full_grid(state.student, clip)
-
-    if obj.ema:
-        h_flat = teacher_targets(state.teacher, clip)
-    elif z_full is not None:
-        h_flat = z_full.values.data.reshape(-1, cfg.dim)  # detached student
-    else:
-        h_flat = teacher_targets(state.student, clip)
     targets = h_flat[mask.target_indices]
 
     parts = {"jepa": jepa_loss(pred, targets, mask.distance_weight)}
@@ -264,22 +277,27 @@ def clip_parts(state: TrainState, clip: VideoClip, mask: MaskSpec,
     return parts
 
 
+def clip_parts(state: TrainState, clip: VideoClip, mask: MaskSpec,
+               sig_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
+    """All loss parts for one clip: ``batch_parts`` over a batch of one."""
+    return batch_parts(state, [clip], [mask], [sig_rng])[0]
+
+
 def batch_bundle(state: TrainState, clips: list[VideoClip],
                  masks: list[MaskSpec] | None = None):
     """Average loss parts over the batch, composed once at this step."""
     cfg = state.cfg
     obj = cfg.to_objective()
     step = state.step
+    if masks is None:
+        masks = [sample_clip_mask(obj, clip, token_grid(state.student, clip), cfg.patch,
+                                  np.random.default_rng([cfg.seed, STREAM_MASK, step, i]))
+                 for i, clip in enumerate(clips)]
+    sig_rngs = [np.random.default_rng([cfg.seed, STREAM_SIGREG, step, i])
+                for i in range(len(clips))]
     collected: dict[str, list[Tensor]] = {}
-    for i, clip in enumerate(clips):
-        if masks is None:
-            mask_rng = np.random.default_rng([cfg.seed, STREAM_MASK, step, i])
-            mask = sample_clip_mask(obj, clip, token_grid(state.student, clip),
-                                    cfg.patch, mask_rng)
-        else:
-            mask = masks[i]
-        sig_rng = np.random.default_rng([cfg.seed, STREAM_SIGREG, step, i])
-        for name, part in clip_parts(state, clip, mask, sig_rng).items():
+    for parts in batch_parts(state, clips, masks, sig_rngs):
+        for name, part in parts.items():
             collected.setdefault(name, []).append(part)
     averaged = {name: stack_scalars(vals).mean() for name, vals in collected.items()}
     return compose_total(obj, averaged, step)
@@ -320,7 +338,8 @@ def train_step(state: TrainState, clips: list[VideoClip],
     return metrics
 
 
-def save_train_state(state: TrainState, path) -> None:
+def train_records(state: TrainState) -> dict[str, np.ndarray]:
+    """Every checkpoint record of a state, by name."""
     records: dict[str, np.ndarray] = {}
     for name, t in state.trainable().items():
         records[name] = t.data
@@ -331,21 +350,30 @@ def save_train_state(state: TrainState, path) -> None:
         records[f"opt.m.{name}"] = state.opt.m[name]
         records[f"opt.v.{name}"] = state.opt.v[name]
     records["meta.step"] = np.array([float(state.step)])
-    save_checkpoint(path, records)
+    return records
+
+
+def save_train_state(state: TrainState, path) -> None:
+    save_checkpoint(path, train_records(state))
 
 
 def load_train_state(cfg: RunConfig, path) -> TrainState:
+    """The state a checkpoint holds; it must carry exactly the records that
+    ``save_train_state`` writes under ``cfg``, no fewer and no others."""
     state = init_state(cfg)
     records = load_checkpoint(path)
+    expected = train_records(state)
+    missing = sorted(expected.keys() - records.keys())
+    unknown = sorted(records.keys() - expected.keys())
+    if missing or unknown:
+        raise ValueError(f"checkpoint {path} does not fit this config: "
+                         f"missing records {missing}, unknown records {unknown}")
     load_into(state.trainable(), records)
     if state.teacher is not None:
         load_into(state.teacher.named("teacher"), records)
     for name in state.opt.m:
-        for slot, store in (("m", state.opt.m), ("v", state.opt.v)):
-            key = f"opt.{slot}.{name}"
-            if key not in records:
-                raise ValueError(f"checkpoint missing record '{key}'")
-            store[name] = records[key].copy()
+        state.opt.m[name] = records[f"opt.m.{name}"].copy()
+        state.opt.v[name] = records[f"opt.v.{name}"].copy()
     state.step = int(records["meta.step"][0])
     state.opt.step = state.step
     return state

@@ -240,9 +240,10 @@ class TestCriterion1GradientOracle:
         w_out = rng.standard_normal((mask.n_targets, d))
 
         def enc_pred(ew, eb, token):
-            z, _ = encode(dataclasses.replace(enc, embed_w=ew, embed_b=eb), clip, mask.visible)
-            out = predict_masked(dataclasses.replace(predictor, mask_token=token), z, mask)
-            return (out * Tensor(w_out)).sum()
+            z, _ = encode(dataclasses.replace(enc, embed_w=ew, embed_b=eb), [clip],
+                          [mask.visible])
+            out = predict_masked(dataclasses.replace(predictor, mask_token=token), z, [mask])
+            return (out * Tensor(w_out[None])).sum()
 
         check("encode_predict", enc_pred, [enc.embed_w, enc.embed_b, predictor.mask_token])
 
@@ -337,10 +338,10 @@ def _recompute_fwm_hw_ld(state, clips, step):
         rng = np.random.default_rng([cfg.seed, STREAM_MASK, step, i])
         mask = sample_clip_mask(obj, clip, token_grid(state.student, clip),
                                 cfg.patch, rng)
-        z_vis, _ = encode(state.student, clip, visible=mask.visible)
-        pred = predict_masked(state.heads.predictor, z_vis, mask).data
-        z = full_grid(state.student, clip).values.data
-        h_flat = teacher_targets(state.teacher, clip)
+        z_vis, _ = encode(state.student, [clip], visible=[mask.visible])
+        pred = predict_masked(state.heads.predictor, z_vis, [mask]).data[0]
+        z = full_grid(state.student, [clip])[0].values.data
+        h_flat = teacher_targets(state.teacher, [clip])[0]
         targets = h_flat[mask.target_indices]
 
         e = np.abs(pred - targets).mean(axis=1)

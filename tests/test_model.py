@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vjlab.gradcheck import grad_check
-from vjlab.masking import sample_tube_mask
+from vjlab.masking import MaskSpec, sample_tube_mask
 from vjlab.model import (
     HeadParams,
     LatentGrid,
@@ -13,12 +13,13 @@ from vjlab.model import (
     attention_core,
     clone_frozen,
     dyn_head,
-    embed_clip,
+    embed_clips,
     ema_update,
     encode,
     encode_tokens,
     extract_patches,
     full_grid,
+    gather_padded,
     init_encoder,
     init_heads,
     layer_norm,
@@ -32,6 +33,7 @@ from vjlab.model import (
     slice_cols,
     split_channels,
     teacher_targets,
+    view,
 )
 from vjlab.synth import MotionClass, gen_motion_clip, image_as_clip
 from vjlab.tensor import Tensor, backward
@@ -68,8 +70,8 @@ class TestPatchify:
 
     def test_image_uses_tubelet_one(self):
         img = image_as_clip(np.random.default_rng(0).uniform(size=(32, 32, 1)))
-        x = embed_clip(params(), img)
-        assert x.shape == (16, CFG.dim)
+        x = embed_clips(params(), [img])
+        assert x.shape == (1, 16, CFG.dim)
 
 
 class TestPositionCodes:
@@ -88,8 +90,8 @@ class TestEncoder:
     def test_full_vs_all_visible_identical(self):
         p = params()
         clip = clip8()
-        za, _ = encode(p, clip)
-        zb, _ = encode(p, clip, visible=np.ones(64, dtype=bool))
+        za, _ = encode(p, [clip])
+        zb, _ = encode(p, [clip], visible=[np.ones(64, dtype=bool)])
         assert np.array_equal(za.data, zb.data)
 
     def test_zeroed_projections_reduce_to_normed_embeddings(self):
@@ -100,16 +102,16 @@ class TestEncoder:
             blk.w2.data[:] = 0.0
             blk.b2.data[:] = 0.0
         clip = clip8(1)
-        z, _ = encode(p, clip)
-        want = layer_norm(embed_clip(p, clip), p.ln_g, p.ln_b)
+        z, _ = encode(p, [clip])
+        want = layer_norm(embed_clips(p, [clip]), p.ln_g, p.ln_b)
         assert np.max(np.abs(z.data - want.data)) <= 1e-12
 
     def test_masked_encode_returns_only_visible(self):
         p = params()
         mask = sample_tube_mask((4, 4, 4), 0.5, np.random.default_rng(5))
-        z, idx = encode(p, clip8(), visible=mask.visible)
-        assert z.shape == (len(mask.visible_indices), CFG.dim)
-        assert np.array_equal(idx, mask.visible_indices)
+        z, valid = encode(p, [clip8()], visible=[mask.visible])
+        assert z.shape == (1, len(mask.visible_indices), CFG.dim)
+        assert valid.shape == (1, len(mask.visible_indices)) and valid.all()
 
     def test_masked_latents_ignore_hidden_content(self):
         p = params()
@@ -121,25 +123,24 @@ class TestEncoder:
         b_pixels[t * 2:(t + 1) * 2, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8, :] = 0.5
         from vjlab.synth import VideoClip
 
-        za, _ = encode(p, a, visible=mask.visible)
-        zb, _ = encode(p, VideoClip(pixels=b_pixels), visible=mask.visible)
+        za, _ = encode(p, [a], visible=[mask.visible])
+        zb, _ = encode(p, [VideoClip(pixels=b_pixels)], visible=[mask.visible])
         assert np.array_equal(za.data, zb.data)
 
     def test_token_permutation_equivariance(self):
         p = params(2)
-        x = embed_clip(p, clip8(2))
+        x = embed_clips(p, [clip8(2)])
         perm = np.random.default_rng(0).permutation(64)
-        from vjlab.tensor import gather_rows
-
-        out_perm = encode_tokens(p, gather_rows(x, perm))
-        out = encode_tokens(p, x)
-        assert np.max(np.abs(out_perm.data - out.data[perm])) <= 1e-9
+        valid = np.ones((1, 64), dtype=bool)
+        out_perm = encode_tokens(p, Tensor(x.data[:, perm]), valid)
+        out = encode_tokens(p, x, valid)
+        assert np.max(np.abs(out_perm.data - out.data[:, perm])) <= 1e-9
 
     def test_image_encoded_deterministically(self):
         p = params()
         img = image_as_clip(np.random.default_rng(1).uniform(size=(32, 32, 1)))
-        za, _ = encode(p, img)
-        zb, _ = encode(p, img)
+        za, _ = encode(p, [img])
+        zb, _ = encode(p, [img])
         assert np.array_equal(za.data, zb.data)
 
     def test_latent_grid_validation(self):
@@ -147,7 +148,7 @@ class TestEncoder:
             LatentGrid(values=Tensor(np.zeros((4, 15, 32))), grid=(4, 4, 4))
 
     def test_full_grid_shape(self):
-        grid = full_grid(params(), clip8())
+        grid = full_grid(params(), [clip8()])[0]
         assert grid.values.shape == (4, 16, 32)
         assert grid.flat().shape == (64, 32)
 
@@ -157,16 +158,16 @@ class TestPredictor:
         p = params()
         heads = init_heads(CFG, np.random.default_rng(3))
         mask = sample_tube_mask((4, 4, 4), 0.5, np.random.default_rng(4))
-        z, _ = encode(p, clip8(), visible=mask.visible)
-        out = predict_masked(heads.predictor, z, mask)
-        assert out.shape == (mask.n_targets, CFG.dim)
+        z, _ = encode(p, [clip8()], visible=[mask.visible])
+        out = predict_masked(heads.predictor, z, [mask])
+        assert out.shape == (1, mask.n_targets, CFG.dim)
 
     def test_gradient_reaches_student_through_predictor(self):
         p = params()
         heads = init_heads(CFG, np.random.default_rng(3))
         mask = sample_tube_mask((4, 4, 4), 0.5, np.random.default_rng(4))
-        z, _ = encode(p, clip8(), visible=mask.visible)
-        out = predict_masked(heads.predictor, z, mask)
+        z, _ = encode(p, [clip8()], visible=[mask.visible])
+        out = predict_masked(heads.predictor, z, [mask])
         backward((out * out).mean())
         assert p.embed_w.grad is not None and np.any(p.embed_w.grad != 0.0)
         assert heads.predictor.mask_token.grad is not None
@@ -200,10 +201,11 @@ class TestFusedOps:
 
     def test_attention_core_grad_inside_clip(self):
         rng = np.random.default_rng(4)
-        qkv = [rand_t(rng, (5, 8)) for _ in range(3)]
+        qkv = [rand_t(rng, (1, 5, 8)) for _ in range(3)]
         for cols in (slice(0, 4), slice(4, 8)):
-            assert np.abs(qkv[0].data[:, cols] @ qkv[1].data[:, cols].T / 2.0).max() < 30.0
-        rep = grad_check(lambda q, k, v: weighted_sum(attention_core(q, k, v, 2), 5), qkv)
+            assert np.abs(qkv[0].data[0, :, cols] @ qkv[1].data[0, :, cols].T / 2.0).max() < 30.0
+        valid = np.ones((1, 5), dtype=bool)
+        rep = grad_check(lambda q, k, v: weighted_sum(attention_core(q, k, v, 2, valid), 5), qkv)
         assert rep.ok(1e-4), rep.per_input
 
     def test_attention_core_clipped_scores_pass_no_gradient(self):
@@ -215,12 +217,15 @@ class TestFusedOps:
         clipped = np.abs(raw) > 30.0
         assert clipped[0].all() and clipped[:, 3].all() and not clipped[1:, :3].any()
         rng = np.random.default_rng(6)
-        qt = Tensor(np.concatenate([q, rng.standard_normal((4, 2))], axis=1), requires_grad=True)
-        kt = Tensor(np.concatenate([k, rng.standard_normal((4, 2))], axis=1), requires_grad=True)
-        vt = rand_t(rng, (4, 4))
-        backward(weighted_sum(attention_core(qt, kt, vt, 2), 7))
-        assert np.all(qt.grad[0, :2] == 0.0) and np.all(kt.grad[3, :2] == 0.0)
-        assert np.all(qt.grad[1:, :2] != 0.0) and np.all(kt.grad[:3, :2] != 0.0)
+        qt = Tensor(np.concatenate([q, rng.standard_normal((4, 2))], axis=1)[None],
+                    requires_grad=True)
+        kt = Tensor(np.concatenate([k, rng.standard_normal((4, 2))], axis=1)[None],
+                    requires_grad=True)
+        vt = rand_t(rng, (1, 4, 4))
+        backward(weighted_sum(attention_core(qt, kt, vt, 2, np.ones((1, 4), dtype=bool)), 7))
+        qg, kg = qt.grad[0], kt.grad[0]
+        assert np.all(qg[0, :2] == 0.0) and np.all(kg[3, :2] == 0.0)
+        assert np.all(qg[1:, :2] != 0.0) and np.all(kg[:3, :2] != 0.0)
 
     @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)])
     def test_slice_cols_grad(self, shape):
@@ -229,6 +234,97 @@ class TestFusedOps:
         assert np.array_equal(slice_cols(x, 2, 5).data, x.data[..., 2:5])
         rep = grad_check(lambda t: weighted_sum(slice_cols(t, 2, 5), 9), [x])
         assert rep.ok(1e-4), rep.per_input
+
+
+    def test_linear_grad_batched(self):
+        rng = np.random.default_rng(10)
+        rep = grad_check(lambda x, w, b: weighted_sum(linear(x, w, b), 11),
+                         [rand_t(rng, (2, 3, 4)), rand_t(rng, (4, 3)), rand_t(rng, 3)])
+        assert rep.ok(1e-4), rep.per_input
+
+    def test_layer_norm_grad_batched(self):
+        rng = np.random.default_rng(12)
+        rep = grad_check(lambda x, g, b: weighted_sum(layer_norm(x, g, b), 13),
+                         [rand_t(rng, (2, 3, 6)), rand_t(rng, 6), rand_t(rng, 6)])
+        assert rep.ok(1e-4), rep.per_input
+
+    def test_attention_core_grad_padded_keys(self):
+        # sequence 1 holds 3 real tokens and 2 padded ones
+        rng = np.random.default_rng(14)
+        qkv = [rand_t(rng, (2, 5, 8)) for _ in range(3)]
+        valid = np.array([[True] * 5, [True, True, True, False, False]])
+        attn = lambda q, k, v: attention_core(q, k, v, 2, valid)
+        rep = grad_check(lambda q, k, v: weighted_sum(attn(q, k, v), 15), qkv)
+        assert rep.ok(1e-4), rep.per_input
+        out = attn(*qkv)
+        alone = attention_core(*[Tensor(t.data[1:, :3]) for t in qkv], 2, np.ones((1, 3), bool))
+        assert np.max(np.abs(out.data[1, :3] - alone.data[0])) <= 1e-12
+        backward(weighted_sum(out, 15))
+        assert np.all(qkv[1].grad[1, 3:] == 0.0) and np.all(qkv[2].grad[1, 3:] == 0.0)
+
+    def test_gather_padded_grad(self):
+        rng = np.random.default_rng(16)
+        x = rand_t(rng, (2, 5, 3))
+        keep = np.array([[True, False, True, True, False], [False, True, False, False, False]])
+        out, valid = gather_padded(x, keep)
+        assert valid.tolist() == [[True, True, True], [True, False, False]]
+        assert np.array_equal(out.data[valid], x.data[keep]) and np.all(out.data[~valid] == 0.0)
+        rep = grad_check(lambda t: weighted_sum(gather_padded(t, keep)[0], 17), [x])
+        assert rep.ok(1e-4), rep.per_input
+        backward(weighted_sum(out, 17))
+        assert np.all(x.grad[~keep] == 0.0) and np.all(x.grad[keep] != 0.0)
+
+    def test_view_grad(self):
+        rng = np.random.default_rng(18)
+        x = rand_t(rng, (3, 5, 4))
+        index, shape = (1, slice(0, 3)), (3, 2, 2)
+        assert np.array_equal(view(x, index, shape).data, x.data[1, :3].reshape(shape))
+        rep = grad_check(lambda t: weighted_sum(view(t, index, shape), 19), [x])
+        assert rep.ok(1e-4), rep.per_input
+
+
+def hand_mask(n_visible: int, n_targets: int) -> MaskSpec:
+    """Tokens 0..n_visible-1 visible, the last n_targets of the 4x4x4 grid targets."""
+    flat = np.zeros((2, 64), dtype=bool)
+    flat[0, :n_visible] = True
+    flat[1, 64 - n_targets:] = True
+    return MaskSpec(target=flat[1].reshape(4, 4, 4), visible=flat[0].reshape(4, 4, 4),
+                    distance_weight=np.ones(n_targets))
+
+
+class TestPadding:
+    def test_padded_slots_change_no_valid_output_or_gradient(self):
+        # clip 0 has 20 visible tokens and 24 targets, clip 1 has 28 and 10, so
+        # the encoder slab pads clip 0 and the predictor's query slab pads clip 1
+        p = params(3)
+        heads = init_heads(CFG, np.random.default_rng(4))
+        masks = [hand_mask(20, 24), hand_mask(28, 10)]
+        enc_valid = np.arange(28) < np.array([[20], [28]])
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 28, CFG.dim))
+        junk = x.copy()
+        junk[0, 20:] = rng.standard_normal((8, CFG.dim)) * 10.0
+
+        def run(slab):
+            named = {**p.named("enc"), **heads.predictor.named("pred")}
+            for t in named.values():
+                t.grad = None
+            z = encode_tokens(p, Tensor(slab), enc_valid)
+            out = predict_masked(heads.predictor, z, masks)
+            loss = sum((weighted_sum(view(out, (b, slice(0, m.n_targets))), 6 + b)
+                        for b, m in enumerate(masks)), Tensor(0.0))
+            backward(loss)
+            return z.data, out.data, {k: t.grad for k, t in named.items()}
+
+        z_a, out_a, grads_a = run(x)
+        z_b, out_b, grads_b = run(junk)
+        assert not np.array_equal(z_a[~enc_valid], z_b[~enc_valid])
+        assert np.array_equal(z_a[enc_valid], z_b[enc_valid])
+        for b, m in enumerate(masks):
+            assert np.array_equal(out_a[b, :m.n_targets], out_b[b, :m.n_targets])
+        assert grads_a.keys() == grads_b.keys()
+        for k in grads_a:
+            assert np.array_equal(grads_a[k], grads_b[k]), k
 
 
 class TestEMA:
@@ -262,8 +358,8 @@ class TestEMA:
 
     def test_teacher_targets_detached(self):
         p = params(0)
-        h = teacher_targets(clone_frozen(p), clip8())
-        assert isinstance(h, np.ndarray) and h.shape == (64, 32)
+        h = teacher_targets(clone_frozen(p), [clip8()])
+        assert isinstance(h, np.ndarray) and h.shape == (1, 64, 32)
 
 
 class TestSplitAndHeads:

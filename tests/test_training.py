@@ -9,9 +9,9 @@ import pytest
 from vjlab.config import RunConfig, variant_defaults
 from vjlab.masking import sample_tube_mask
 from vjlab.model import token_grid
-from vjlab.objectives import VARIANTS
+from vjlab.objectives import VARIANTS, compose_total
 from vjlab.synth import gen_motion_dataset
-from vjlab.tensor import Tensor
+from vjlab.tensor import Tensor, backward
 from vjlab.training import (
     OptState,
     adamw_step,
@@ -241,6 +241,43 @@ class TestClipParts:
             assert abs(val - want) <= 1e-12, name
 
 
+    @pytest.mark.parametrize("variant", ["Baseline", "Motion-Future", "FWM-HW-LD"])
+    def test_padded_batch_matches_clips_run_alone(self, variant):
+        # 64x64 clips give an 8x8 spatial grid, where visible counts differ
+        # from mask to mask, so the batched slabs carry padding
+        cfg = small_cfg(variant, height=64, width=64, batch_size=4)
+        st = init_state(cfg)
+        clips = draw_batch(gen_motion_dataset(1, 0, h=64, w=64), 4, cfg.seed, 0)
+        masks = [sample_clip_mask(cfg.to_objective(), c, token_grid(st.student, c), cfg.patch,
+                                  np.random.default_rng([cfg.seed, 2, 0, i]))
+                 for i, c in enumerate(clips)]
+        assert len({int(m.visible.sum()) for m in masks}) > 1
+        assert len({m.n_targets for m in masks}) > 1 or variant == "Baseline"
+
+        bundle = batch_bundle(st, clips, masks)
+        singles = [clip_parts(st, c, m) for c, m in zip(clips, masks)]
+        assert set(bundle.components) == set(singles[0])
+        for name, val in bundle.components.items():
+            want = np.mean([s[name].item() for s in singles])
+            assert abs(val - want) <= 1e-12, name
+
+        params = st.trainable()
+        backward(bundle.total_node)
+        batched = {k: np.zeros_like(p.data) if p.grad is None else p.grad
+                   for k, p in params.items()}
+        alone = {k: np.zeros_like(p.data) for k, p in params.items()}
+        obj = cfg.to_objective()
+        for parts in singles:
+            for p in params.values():
+                p.grad = None
+            backward(compose_total(obj, parts).total_node)
+            for k, p in params.items():
+                if p.grad is not None:
+                    alone[k] += p.grad / len(clips)
+        for k, g in batched.items():
+            assert np.max(np.abs(g - alone[k])) <= 1e-12 * max(1.0, np.max(np.abs(g))), k
+
+
 class TestTrainStep:
     def test_metrics_and_param_movement(self):
         cfg = small_cfg()
@@ -310,11 +347,12 @@ class TestGraphSize:
                     stack.append(parent)
         return len(seen)
 
-    @pytest.mark.parametrize("variant,limit", [("Baseline", 760), ("FWM-HW-LD", 1300)])
+    @pytest.mark.parametrize("variant,limit", [("Baseline", 260), ("FWM-HW-LD", 720)])
     def test_nodes_per_step_at_criterion_8_geometry(self, variant, limit):
         # batch 8, 32x32x8 clips, a 4x4x4 token grid at dim 32; the graph
         # held about 3,800 (Baseline) and 6,200 (FWM-HW-LD) nodes before the
-        # fused linear, layer-norm, attention and column-slice ops
+        # fused linear, layer-norm, attention and column-slice ops, and 613
+        # and 1,237 before one token slab per batch
         cfg = dataclasses.replace(variant_defaults(variant), batch_size=8, n_per_class=2)
         state = init_state(cfg)
         clips = draw_batch(gen_motion_dataset(2, 0), 8, cfg.seed, 0)
@@ -368,6 +406,20 @@ class TestRunAndResume:
         records.pop("opt.m.enc.embed_w")
         save_checkpoint(path, records)
         with pytest.raises(ValueError, match="opt.m.enc.embed_w"):
+            load_train_state(cfg, path)
+
+    def test_unknown_checkpoint_record_rejected(self, tmp_path):
+        from vjlab.model import load_checkpoint, save_checkpoint
+        cfg = small_cfg()
+        path = tmp_path / "state.jpck"
+        save_train_state(init_state(cfg), path)
+        # a Baseline checkpoint carries teacher records that Kin.-L1 never writes
+        with pytest.raises(ValueError, match=r"unknown records \['teacher\."):
+            load_train_state(small_cfg("Kin.-L1"), path)
+        records = load_checkpoint(path)
+        records["enc.stray"] = np.ones(3)
+        save_checkpoint(path, records)
+        with pytest.raises(ValueError, match=r"unknown records \['enc.stray'\]"):
             load_train_state(cfg, path)
 
     def test_resume_is_bit_exact(self, tmp_path):
