@@ -91,13 +91,20 @@ def cmd_pretrain(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = _build_config(args)
+    saved = Path(cfg.out) / "config.lab"
+    if saved.exists():  # the run's own config fixes its variant, model and probe settings
+        run = load_config(saved)
+        if (args.variant or args.config) and cfg.variant != run.variant:
+            print(f"{saved} holds a {run.variant} run, not {cfg.variant}", file=sys.stderr)
+            return 1
+        cfg = apply_overrides(run, seed=args.seed, out=cfg.out)
     ck = Path(cfg.out) / CHECKPOINT_NAME
     if not ck.exists():
         print(f"no checkpoint at {ck}; run `lab pretrain` first", file=sys.stderr)
         return 1
     state = init_state(cfg)
     load_into(state.student.named(), load_checkpoint(ck))
-    cfg = dataclasses.replace(cfg, probe_kind=args.probe)
+    cfg = dataclasses.replace(cfg, probe_kind=args.probe or cfg.probe_kind)
     rep = synthetic_benchmark(state.student, cfg,
                               n_train_per_class=args.train_per_class,
                               n_test_per_class=args.test_per_class)
@@ -220,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="evaluate a pretrained checkpoint")
     common(p)
-    p.add_argument("--probe", choices=("linear", "attentive"), default="linear")
+    p.add_argument("--probe", choices=("linear", "attentive"), default=None,
+                   help="probe kind (default: the run's probe_kind)")
     p.add_argument("--train-per-class", type=int, default=32)
     p.add_argument("--test-per-class", type=int, default=16)
     p.set_defaults(fn=cmd_probe)

@@ -490,43 +490,11 @@ def encode(params: EncoderParams, clips: list[VideoClip],
     return encode_tokens(params, x, valid), valid
 
 
-@dataclass
-class LatentGrid:
-    """Encoder output on the full token grid, kept as [T', n_space, dim]."""
-
-    values: Tensor
-    grid: tuple[int, int, int]
-
-    def __post_init__(self):
-        tp, gh, gw = self.grid
-        if self.values.shape != (tp, gh * gw, self.values.shape[2]):
-            raise ValueError(
-                f"latents {self.values.shape} do not match grid {self.grid}"
-            )
-
-    @property
-    def t_blocks(self) -> int:
-        return self.grid[0]
-
-    @property
-    def n_space(self) -> int:
-        return self.grid[1] * self.grid[2]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
-    def flat(self) -> Tensor:
-        return self.values.reshape(self.t_blocks * self.n_space, self.dim)
-
-
-def full_grid(params: EncoderParams, clips: list[VideoClip]) -> list[LatentGrid]:
-    """Full-grid latents per clip, each a view of one batched encode."""
+def full_grid(params: EncoderParams, clips: list[VideoClip]) -> Tensor:
+    """Full-grid latents of the batch as one [B, T', gh*gw, dim] slab."""
     latents, _ = encode(params, clips)
     tp, gh, gw = token_grid(params, clips[0])
-    shape = (tp, gh * gw, params.cfg.dim)
-    return [LatentGrid(values=view(latents, (b,), shape), grid=(tp, gh, gw))
-            for b in range(len(clips))]
+    return latents.reshape(len(clips), tp, gh * gw, params.cfg.dim)
 
 
 def predict_masked(pred: PredictorParams, z_vis: Tensor, masks: list[MaskSpec]) -> Tensor:
@@ -584,12 +552,6 @@ def split_channels(x: Tensor, app_ratio: float) -> tuple[Tensor, Tensor]:
     d = x.shape[-1]
     d_app = app_width(app_ratio, d)
     return slice_cols(x, 0, d_app), slice_cols(x, d_app, d)
-
-
-def dyn_channels(x: Tensor, app_ratio: float) -> Tensor:
-    """The dynamics half of ``split_channels`` alone."""
-    d = x.shape[-1]
-    return slice_cols(x, app_width(app_ratio, d), d)
 
 
 def dyn_head(heads: HeadParams, x: Tensor) -> Tensor:

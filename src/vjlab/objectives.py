@@ -4,6 +4,13 @@ Every loss returns a scalar Tensor on the student graph; teacher-side
 inputs arrive as plain arrays (already detached). Gates and hard weights
 are computed from values and treated as constants for differentiation, so
 gradients only ever flow through the unweighted error terms.
+
+Losses work on one batch at a time. Student latents arrive as a
+[B, T', n_space, dim] Tensor and teacher values as an array of the same
+shape; predictor errors arrive as a [B, K] slab whose padded rows carry
+weight exactly 0. The loss of a batch is the mean over its clips of each
+clip's own loss, so a batch of one is that clip's loss. Whatever the math
+takes per clip (centering, gating, moments, hard weights) stays per clip.
 """
 
 from __future__ import annotations
@@ -16,16 +23,16 @@ import numpy as np
 from .fourier import dft_matrices
 from .model import (
     HeadParams,
-    LatentGrid,
     action_head,
-    dyn_channels,
+    app_width,
     dyn_head,
     linear,
     slice_cols,
     split_channels,
+    view,
 )
 from .synth import VideoClip
-from .tensor import Tensor, gather_rows, huber as huber_op, softmax
+from .tensor import Tensor, huber as huber_op
 
 COMPONENTS = (
     "jepa", "hw_jepa", "static", "orth", "ld_hw", "kin", "sigreg", "ham",
@@ -145,11 +152,16 @@ def resolve_objective(variant: str, **overrides) -> ObjectiveConfig:
 
 
 def time_diff(x: Tensor) -> Tensor:
-    """First difference along the leading axis."""
-    t = x.shape[0]
+    """First difference along the time axis (axis 1) of a [B, T', ...] slab."""
+    t = x.shape[1]
     if t < 2:
         raise ValueError("time_diff needs at least two steps")
-    return gather_rows(x, range(1, t)) - gather_rows(x, range(0, t - 1))
+    return view(x, (slice(None), slice(1, t))) - _lead(x)
+
+
+def _lead(x: Tensor) -> Tensor:
+    """The states that start each transition: time steps [0, T'-1) of x."""
+    return view(x, (slice(None), slice(0, x.shape[1] - 1)))
 
 
 def _zero() -> Tensor:
@@ -157,41 +169,61 @@ def _zero() -> Tensor:
 
 
 def per_token_errors(pred: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean-abs residual per token: the e_i that hard weighting reweights."""
+    """Mean-abs residual over the last axis: the e_i that hard weighting reweights."""
     targets = np.asarray(targets, dtype=np.float64)
     if pred.shape != targets.shape:
         raise ValueError(f"prediction {pred.shape} vs target {targets.shape}")
-    return (pred - Tensor(targets)).abs().mean(axis=1)
+    return (pred - Tensor(targets)).abs().mean(axis=-1)
+
+
+def _valid_rows(shape: tuple[int, ...], valid: np.ndarray | None) -> np.ndarray:
+    """The real rows of a [B, K] error slab, all of them when valid is None."""
+    if len(shape) != 2:
+        raise ValueError(f"errors must be a [clips, rows] slab, got {shape}")
+    valid = np.ones(shape, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    if valid.shape != shape or not valid.any(axis=1).all():
+        raise ValueError(f"valid rows {valid.shape} do not fit errors {shape}")
+    return valid
+
+
+def _weighted_rows(e: Tensor, weights: np.ndarray, valid: np.ndarray) -> Tensor:
+    """Mean over clips of each clip's weighted mean error over its valid
+    rows, as one weighted sum over the slab; padded rows weigh 0."""
+    if weights.shape != e.shape:
+        raise ValueError(f"weights {weights.shape} vs errors {e.shape}")
+    counts = valid.sum(axis=1, keepdims=True)
+    scale = np.where(valid, weights, 0.0) / (counts * e.shape[0])
+    return (Tensor(scale) * e).sum()
 
 
 # -- losses --------------------------------------------------------------
 
 
-def jepa_loss(pred: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Distance-weighted L1 between predictions and detached teacher targets."""
+def jepa_loss(e: Tensor, weights: np.ndarray, valid: np.ndarray | None = None) -> Tensor:
+    """Distance-weighted L1 between predictions and detached teacher targets,
+    from the per-token errors e [B, K]; each clip's weights average 1 over
+    its valid rows."""
+    valid = _valid_rows(e.shape, valid)
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (pred.shape[0],):
-        raise ValueError(f"weights {weights.shape} vs {pred.shape[0]} targets")
-    if abs(weights.mean() - 1.0) > 1e-9:
+    means = np.where(valid, weights, 0.0).sum(axis=1) / valid.sum(axis=1)
+    if np.any(np.abs(means - 1.0) > 1e-9):
         raise ValueError("distance weights must average to 1")
-    e = per_token_errors(pred, targets)
-    return (Tensor(weights) * e).mean()
+    return _weighted_rows(e, weights, valid)
 
 
-def kinematic_loss(z: LatentGrid, kind: str = "l1", huber_delta: float = 1.0) -> Tensor:
+def kinematic_loss(z: Tensor, kind: str = "l1", huber_delta: float = 1.0) -> Tensor:
     """Temporal smoothness of the student's own latents, no teacher involved."""
     if kind not in KIN_KINDS:
         raise ValueError(f"unknown kinematic kind '{kind}'")
-    tp = z.t_blocks
+    tp = z.shape[1]
     if tp == 1:
         return _zero()  # image clips carry no temporal signal
-    vals = z.values
     if kind == "split":
-        d = z.dim
+        d = z.shape[-1]
         if d % 2:
             raise ValueError("split kinematic needs an even channel count")
-        vals = slice_cols(vals, 0, d // 2)
-    vel = time_diff(vals)
+        z = slice_cols(z, 0, d // 2)
+    vel = time_diff(z)
     if kind in ("l1", "anneal"):
         return vel.abs().mean()
     if kind == "huber":
@@ -210,164 +242,149 @@ def anneal_coeff(step: int, horizon: int) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def sigreg_loss(z, n_proj: int, rng: np.random.Generator) -> Tensor:
-    """Moment-matching penalty on random 1-d projections of the latents.
+def sigreg_loss(z: Tensor, n_proj: int, rngs: list[np.random.Generator]) -> Tensor:
+    """Moment-matching penalty on random 1-d projections of each clip's latents.
 
     Per direction: mean^2 + (var-1)^2 + skew^2 + (excess kurtosis)^2.
     Constant projections take the analytic limit (skew 0, kurtosis term 9).
+    Clip b draws its ``n_proj`` unit directions from ``rngs[b]``.
     """
-    flat = z.flat() if isinstance(z, LatentGrid) else z
-    n, d = flat.shape
+    bsz, d = z.shape[0], z.shape[-1]
+    n = z.size // (bsz * d)
     if n < 8:
         raise ValueError(f"sigreg needs at least 8 tokens, got {n}")
-    terms = []
-    for _ in range(n_proj):
-        u = rng.standard_normal(d)
-        u = u / np.linalg.norm(u)
-        s = (flat * Tensor(np.tile(u, (n, 1)))).sum(axis=1)
-        m = s.mean()
-        c = s - m
-        v = (c * c).mean()
-        t = m * m + (v - 1.0) * (v - 1.0)
-        if v.item() == 0.0:
-            t = t + 9.0
-        else:
-            skew = (c * c * c).mean() / v.pow(1.5)
-            exk = (c * c * c * c).mean() / v.pow(2.0) - 3.0
-            t = t + skew * skew + exk * exk
-        terms.append(t)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / n_proj)
+    if len(rngs) != bsz or any(rng is None for rng in rngs):
+        raise ValueError(f"sigreg needs a projection rng for each of {bsz} clips")
+    draws = [[rng.standard_normal(d) for _ in range(n_proj)] for rng in rngs]
+    dirs = np.array([[u / np.linalg.norm(u) for u in clip] for clip in draws])  # [B, P, d]
+    s = z.reshape(bsz, n, d) @ Tensor(dirs.transpose(0, 2, 1))  # [B, n, P]
+    m = s.mean(axis=1, keepdims=True)
+    c = s - m.broadcast_to(s.shape)
+    c2 = c * c
+    c3 = c2 * c
+    v = c2.mean(axis=1)
+    # A constant projection has c = 0: taking its variance as 1 in the
+    # denominators gives skew 0 and excess kurtosis -3, the analytic limit.
+    v_div = v + Tensor((v.data == 0.0).astype(np.float64))
+    skew = c3.mean(axis=1) / v_div.pow(1.5)
+    exk = (c3 * c).mean(axis=1) / v_div.pow(2.0) - 3.0
+    m = m.reshape(bsz, n_proj)
+    return (m * m + (v - 1.0) * (v - 1.0) + skew * skew + exk * exk).mean()
 
 
-def hamiltonian_loss(z: LatentGrid, ham) -> Tensor:
+def hamiltonian_loss(z: Tensor, ham) -> Tensor:
     """Discrete Hamiltonian residual |dq - dH/dp| + |dp + dH/dq|.
 
     The partials are written out analytically from the energy net, so the
     loss stays first-order differentiable end to end.
     """
-    tp, half2 = z.t_blocks, z.dim
-    if half2 % 2:
+    tp, d = z.shape[1], z.shape[-1]
+    if d % 2:
         raise ValueError("hamiltonian split needs an even channel count")
     if tp < 2:
         return _zero()
-    half = half2 // 2
-    x = z.flat()
-
-    a = linear(x, ham.w1, ham.b1).tanh()
-    gate = (1.0 - a * a) * ham.w2.reshape(1, -1).broadcast_to(a.shape)
-    dhdx = gate @ ham.w1.transpose() + x * ham.quad.reshape(1, -1).broadcast_to(x.shape)
-
-    def grid(t: Tensor, width: int) -> Tensor:
-        return t.reshape(tp, z.n_space, width)
-
-    q = grid(slice_cols(x, 0, half), half)
-    p = grid(slice_cols(x, half, half2), half)
-    dhdq = grid(slice_cols(dhdx, 0, half), half)
-    dhdp = grid(slice_cols(dhdx, half, half2), half)
-
-    dq = time_diff(q)
-    dp = time_diff(p)
-    lead = gather_rows  # partials evaluated at the earlier state of each pair
-    dhdq_t = lead(dhdq, range(tp - 1))
-    dhdp_t = lead(dhdp, range(tp - 1))
-    return (dq - dhdp_t).abs().mean() + (dp + dhdq_t).abs().mean()
+    a = linear(z, ham.w1, ham.b1).tanh()
+    gate = (1.0 - a * a) * ham.w2.broadcast_to(a.shape)
+    dhdx = gate @ ham.w1.transpose() + z * ham.quad.broadcast_to(z.shape)
+    # Hamilton's equations as rows: (dq, dp) = (dH/dq, dH/dp) @ J^T with
+    # J = [[0, I], [-I, 0]], partials taken at the earlier state of each pair.
+    j_t = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(d // 2))
+    r = time_diff(z) - _lead(dhdx) @ Tensor(j_t)
+    return r.abs().mean() * 2.0  # the q and p halves, each averaged on its own
 
 
-def velgate_loss(z: LatentGrid) -> Tensor:
-    """Kinematic L1 restricted to the slow half of the spatial tokens.
+def velgate_loss(z: Tensor) -> Tensor:
+    """Kinematic L1 restricted to the slow half of each clip's spatial tokens.
 
     Velocity ranking comes from values and is constant for differentiation;
     ties break by token index.
     """
-    tp = z.t_blocks
-    if tp < 2 or z.n_space < 2:
+    bsz, tp, n_space, d = z.shape
+    if tp < 2 or n_space < 2:
         return _zero()
-    vals = z.values
-    vel = np.abs(np.diff(vals.data, axis=0)).mean(axis=(0, 2))  # [n_space]
-    order = sorted(range(z.n_space), key=lambda j: (vel[j], j))
-    gated = order[: z.n_space // 2]
-    by_token = vals.transpose(1, 0, 2)
-    slow = gather_rows(by_token, gated).transpose(1, 0, 2)
-    return time_diff(slow).abs().mean()
+    vel = np.abs(np.diff(z.data, axis=1)).mean(axis=(1, 3))  # [B, n_space]
+    slow = np.argsort(vel, axis=1, kind="stable")[:, : n_space // 2]
+    gate = np.zeros((bsz, 1, n_space, 1))
+    np.put_along_axis(gate, slow[:, None, :, None], 1.0, axis=2)
+    moved = time_diff(z).abs()
+    kept = moved * Tensor(np.broadcast_to(gate, moved.shape))
+    return kept.sum() * (1.0 / (bsz * (tp - 1) * (n_space // 2) * d))
 
 
-def delta_loss(z: LatentGrid, h_values: np.ndarray) -> Tensor:
+def delta_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     """Match student latent velocity to detached teacher velocity."""
-    if z.t_blocks < 2:
+    if z.shape[1] < 2:
         return _zero()
-    dh = np.diff(h_values, axis=0)
-    return (time_diff(z.values) - Tensor(dh)).abs().mean()
+    return (time_diff(z) - Tensor(np.diff(h_values, axis=1))).abs().mean()
 
 
-def ld_errors(heads: HeadParams, z: LatentGrid, h_values: np.ndarray,
+def _transition_inputs(z: Tensor, fwm: bool, app_ratio: float) -> Tensor:
+    """What the dynamics and action heads read: the earlier state of each
+    transition, its dynamics channels only under FWM."""
+    d = z.shape[-1]
+    first = app_width(app_ratio, d) if fwm else 0
+    return view(z, (slice(None), slice(0, z.shape[1] - 1), Ellipsis, slice(first, d)))
+
+
+def ld_errors(heads: HeadParams, z: Tensor, h_values: np.ndarray,
               fwm: bool, app_ratio: float) -> Tensor | None:
-    """Per-token errors of the dynamics head predicting teacher deltas.
+    """Per-token errors [B, (T'-1) * n_space] of the dynamics head predicting
+    teacher deltas.
 
     Returns None for single-block clips (no transition to predict).
     """
-    tp = z.t_blocks
+    bsz, tp, n_space, _ = z.shape
     if tp < 2:
         return None
-    src = z.values
-    if fwm:
-        src = dyn_channels(src, app_ratio)
-    m = (tp - 1) * z.n_space
-    inputs = gather_rows(src, range(tp - 1)).reshape(m, src.shape[-1])
-    pred = dyn_head(heads, inputs)
-    targets = np.diff(h_values, axis=0).reshape(m, h_values.shape[-1])
-    return per_token_errors(pred, targets)
+    pred = dyn_head(heads, _transition_inputs(z, fwm, app_ratio))
+    e = per_token_errors(pred, np.diff(h_values, axis=1))
+    return e.reshape(bsz, (tp - 1) * n_space)
 
 
-def ld_loss(heads: HeadParams, z: LatentGrid, h_values: np.ndarray,
+def ld_loss(heads: HeadParams, z: Tensor, h_values: np.ndarray,
             fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
     e = ld_errors(heads, z, h_values, fwm, app_ratio)
     return _zero() if e is None else e.mean()
 
 
-def spectral_loss(z: LatentGrid, h_values: np.ndarray) -> Tensor:
+def spectral_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     """Frequency-weighted L1 on temporal DFT coefficient differences.
 
     Weight k/(T'-1) suppresses DC and emphasizes the fastest bins. The
     transform is applied as its (constant) matrix form so it stays
     differentiable; fourier.fft_time computes the identical map.
     """
-    tp = z.t_blocks
+    bsz, tp = z.shape[:2]
     if tp < 2:
         return _zero()
     cmat, smat = dft_matrices(tp)
-    fibers = z.values.reshape(tp, z.n_space * z.dim).transpose()
-    h_fib = h_values.reshape(tp, -1).T
-    d_re = (fibers @ Tensor(cmat)) - Tensor(h_fib @ cmat)
-    d_im = (fibers @ Tensor(smat)) - Tensor(h_fib @ smat)
+    series = z.reshape(bsz, tp, -1)  # one time series per column
+    h_series = h_values.reshape(bsz, tp, -1)
+    d_re = Tensor(cmat.T) @ series - Tensor(cmat.T @ h_series)
+    d_im = Tensor(smat.T) @ series - Tensor(smat.T @ h_series)
     mag = d_re.abs() + d_im.abs()
     w = np.arange(tp) / (tp - 1)
-    return (mag * Tensor(np.tile(w, (mag.shape[0], 1)))).mean()
+    return (mag * Tensor(np.broadcast_to(w[:, None], mag.shape))).mean()
 
 
-def ltc_loss(z: LatentGrid, h_values: np.ndarray, margin: float = 0.5) -> Tensor:
+def ltc_loss(z: Tensor, h_values: np.ndarray, margin: float = 0.5) -> Tensor:
     """Hinge: the aligned-time teacher latent must win the next-step one
     by ``margin`` in cosine similarity. Zero-vector cosines count as 0."""
     if margin <= 0.0:
         raise ValueError("ltc margin must be positive")
-    tp = z.t_blocks
-    if tp < 2:
+    if z.shape[1] < 2:
         return _zero()
-    m = (tp - 1) * z.n_space
-    d = z.dim
-    zz = gather_rows(z.values, range(tp - 1)).reshape(m, d)
-    h0 = h_values[:-1].reshape(m, d)
-    h1 = h_values[1:].reshape(m, d)
+    zz = _lead(z)
+    h0 = h_values[:, :-1]
+    h1 = h_values[:, 1:]
 
-    zn2 = (zz * zz).sum(axis=1)
-    hn0 = np.sum(h0 * h0, axis=1)
-    hn1 = np.sum(h1 * h1, axis=1)
+    zn2 = (zz * zz).sum(axis=-1)
+    hn0 = np.sum(h0 * h0, axis=-1)
+    hn1 = np.sum(h1 * h1, axis=-1)
 
     def cosine(h, hn2):
         valid = ((zn2.data > 0.0) & (hn2 > 0.0)).astype(np.float64)
-        dot = (zz * Tensor(h)).sum(axis=1) * Tensor(valid)
+        dot = (zz * Tensor(h)).sum(axis=-1) * Tensor(valid)
         denom = (zn2 * Tensor(hn2) + Tensor(1.0 - valid)).sqrt()
         return dot / denom
 
@@ -375,43 +392,52 @@ def ltc_loss(z: LatentGrid, h_values: np.ndarray, margin: float = 0.5) -> Tensor
     return hinge.mean()
 
 
-def fwm_losses(z: LatentGrid, app_ratio: float = 0.5) -> tuple[Tensor, Tensor]:
-    """(static, orth): freeze the appearance slice over time and keep the
-    centered appearance/dynamics subspaces uncorrelated."""
-    app, dyn = split_channels(z.values, app_ratio)
-    static = time_diff(app).abs().mean() if z.t_blocks >= 2 else _zero()
-    n = z.t_blocks * z.n_space
-    app_f = app.reshape(n, app.shape[-1])
-    dyn_f = dyn.reshape(n, dyn.shape[-1])
-    app_c = app_f - app_f.mean(axis=0, keepdims=True).broadcast_to(app_f.shape)
-    dyn_c = dyn_f - dyn_f.mean(axis=0, keepdims=True).broadcast_to(dyn_f.shape)
-    cross = app_c.transpose() @ dyn_c
-    orth = (cross * cross).sum() * (1.0 / n)
+def fwm_losses(z: Tensor, app_ratio: float = 0.5) -> tuple[Tensor, Tensor]:
+    """(static, orth): freeze the appearance slice over time and keep each
+    clip's centered appearance/dynamics subspaces uncorrelated."""
+    bsz, tp, n_space, _ = z.shape
+    app, dyn = split_channels(z, app_ratio)
+    static = time_diff(app).abs().mean() if tp >= 2 else _zero()
+    n = tp * n_space
+
+    def centered(x: Tensor) -> Tensor:
+        rows = x.reshape(bsz, n, x.shape[-1])
+        return rows - rows.mean(axis=1, keepdims=True).broadcast_to(rows.shape)
+
+    cross = centered(app).transpose(0, 2, 1) @ centered(dyn)
+    orth = (cross * cross).sum() * (1.0 / (bsz * n))
     return static, orth
 
 
-def hard_weights(e, tau: float = 1.0) -> Tensor:
-    """softmax(e / tau) * N, logits clipped to [-20, 20], returned detached."""
+def hard_weights(e, tau: float = 1.0, valid: np.ndarray | None = None) -> Tensor:
+    """Per clip, softmax(e / tau) over its valid rows times their count, with
+    logits clipped to [-20, 20]; e and valid are [B, K] and padded rows get
+    weight 0. Returned detached."""
     e_data = e.data if isinstance(e, Tensor) else np.asarray(e, dtype=np.float64)
-    if e_data.ndim != 1:
-        raise ValueError(f"hard weights want a flat error vector, got {e_data.shape}")
-    n = e_data.shape[0]
-    w = softmax(Tensor(e_data), temperature=tau, clip=(-20.0, 20.0)) * float(n)
-    return w.detach()
+    if tau <= 0.0:
+        raise ValueError(f"hard-weight temperature must be positive, got {tau}")
+    valid = _valid_rows(e_data.shape, valid)
+    s = np.clip(e_data * (1.0 / float(tau)), -20.0, 20.0)
+    s[~valid] = -np.inf
+    s -= np.max(s, axis=1, keepdims=True)
+    w = np.exp(s)
+    w /= np.sum(w, axis=1, keepdims=True)
+    w *= valid.sum(axis=1, keepdims=True)
+    return Tensor(w)
 
 
-def hw_jepa_loss(e: Tensor, tau: float = 1.0, weights=None) -> Tensor:
-    """Hard-weighted mean of per-token errors (weights constant).
+def hw_jepa_loss(e: Tensor, tau: float = 1.0, weights=None,
+                 valid: np.ndarray | None = None) -> Tensor:
+    """Hard-weighted mean of per-token errors e [B, K] (weights constant).
 
     Serves both the predictor's errors (``hw_jepa``) and the dynamics
     head's errors (``ld_hw``).
     """
+    valid = _valid_rows(e.shape, valid)
     if weights is None:
-        weights = hard_weights(e, tau)
+        weights = hard_weights(e, tau, valid)
     w_data = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
-    if w_data.shape != e.shape:
-        raise ValueError(f"weights {w_data.shape} vs errors {e.shape}")
-    return (Tensor(w_data) * e).mean()
+    return _weighted_rows(e, w_data, valid)
 
 
 def ac_targets(clip: VideoClip, patch: int, tubelet: int) -> np.ndarray:
@@ -426,19 +452,13 @@ def ac_targets(clip: VideoClip, patch: int, tubelet: int) -> np.ndarray:
     return per_patch.reshape((tp - 1) * gh * gw, c)
 
 
-def ac_loss(heads: HeadParams, z: LatentGrid, clip: VideoClip, patch: int,
+def ac_loss(heads: HeadParams, z: Tensor, clips: list[VideoClip], patch: int,
             tubelet: int, fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
     """L1 between the action head and per-patch frame-difference targets."""
-    tp = z.t_blocks
-    if tp < 2:
+    if z.shape[1] < 2:
         return _zero()
-    src = z.values
-    if fwm:
-        src = dyn_channels(src, app_ratio)
-    m = (tp - 1) * z.n_space
-    inputs = gather_rows(src, range(tp - 1)).reshape(m, src.shape[-1])
-    pred = action_head(heads, inputs)
-    targets = ac_targets(clip, patch, tubelet)
+    pred = action_head(heads, _transition_inputs(z, fwm, app_ratio))
+    targets = np.stack([ac_targets(c, patch, tubelet) for c in clips]).reshape(pred.shape)
     return per_token_errors(pred, targets).mean()
 
 

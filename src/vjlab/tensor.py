@@ -349,16 +349,25 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` over the last two axes. Leading batch axes must match, or one
+    operand is 2-d and shared by every batch entry of the other."""
     a = Tensor._coerce(a)
     b = Tensor._coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"matmul needs operands of at least 2 dims, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner-dimension mismatch: {a.shape} vs {b.shape}")
+    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul batch axes differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
 
+    def shared(g: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        # the gradient of a shared 2-d operand sums over the other's batch
+        return g if g.ndim == ref.ndim else g.reshape(-1, *ref.shape).sum(axis=0)
+
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return (shared(g @ np.swapaxes(bd, -1, -2), ad) if a.requires_grad else None,
+                shared(np.swapaxes(ad, -1, -2) @ g, bd) if b.requires_grad else None)
 
     return Tensor._node(ad @ bd, (a, b), vjp)
 
@@ -375,29 +384,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
     return Tensor._node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
-
-
-def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
-    """[s0, s1, ...] size-1 tensors -> 1-d tensor of length n."""
-    return concat([p.reshape(1) for p in parts], axis=0)
-
-
-def gather_rows(t: Tensor, indices) -> Tensor:
-    """Select rows along axis 0. Backward scatter-adds into zeros."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows wants a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
-        raise ValueError(f"gather index out of range for leading extent {t.shape[0]}")
-    a = t
-    shape = a.shape
-
-    def vjp(g):
-        out = np.zeros(shape, dtype=np.float64)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return Tensor._node(a.data[idx].copy(), (a,), vjp)
 
 
 def softmax(logits: Tensor, temperature: float = 1.0, clip: tuple[float, float] = (-20.0, 20.0),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from .masking import (
 from .model import (
     EncoderParams,
     HeadParams,
-    LatentGrid,
     app_width,
     clone_frozen,
     ema_update,
@@ -42,7 +42,6 @@ from .model import (
     save_checkpoint,
     teacher_targets,
     token_grid,
-    view,
 )
 from .objectives import (
     ObjectiveConfig,
@@ -63,7 +62,7 @@ from .objectives import (
     velgate_loss,
 )
 from .synth import Dataset, VideoClip, gen_motion_dataset
-from .tensor import Tensor, backward, stack_scalars
+from .tensor import Tensor, backward
 
 # Disjoint RNG stream tags; synth owns its own keying.
 STREAM_INIT = 0
@@ -201,91 +200,75 @@ def sample_clip_mask(obj: ObjectiveConfig, clip: VideoClip, grid: tuple[int, int
 
 
 def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec],
-                sig_rngs: list[np.random.Generator | None]) -> list[dict[str, Tensor]]:
-    """All loss parts of each clip under the configured variant.
+                sig_rngs: list[np.random.Generator | None]) -> dict[str, Tensor]:
+    """Every loss part of the configured variant, each the mean over the
+    batch of its per-clip values.
 
     The batch takes one masked student encode, one predictor pass, one
-    teacher encode and, when a part needs it, one full-grid encode; each
-    clip's losses then read its own rows.
+    teacher encode and, when a part needs it, one full-grid encode; each part
+    is then computed once on those slabs.
     """
     cfg = state.cfg
     obj = cfg.to_objective()
-    needs = obj.spec.components
+    spec, heads = obj.spec, state.heads
+    bsz = len(clips)
+    tp, gh, gw = token_grid(state.student, clips[0])
 
     z_vis, _ = encode(state.student, clips, [m.visible for m in masks])
-    pred = predict_masked(state.heads.predictor, z_vis, masks)
-    z_full = full_grid(state.student, clips) if needs else [None] * len(clips)
+    pred = predict_masked(heads.predictor, z_vis, masks)
+    z = full_grid(state.student, clips) if spec.components else None
     if obj.ema:
-        h_all = teacher_targets(state.teacher, clips)
-    elif needs:
-        h_all = [z.values.data.reshape(-1, cfg.dim) for z in z_full]  # detached student
+        h = teacher_targets(state.teacher, clips)
+    elif spec.components:
+        h = z.data  # the detached student
     else:
-        h_all = teacher_targets(state.student, clips)
-    return [_clip_losses(state, obj, clip, mask, view(pred, (b, slice(0, mask.n_targets))),
-                         z_full[b], h_all[b], sig_rngs[b])
-            for b, (clip, mask) in enumerate(zip(clips, masks))]
+        h = teacher_targets(state.student, clips)
+    h = h.reshape(bsz, tp, gh * gw, cfg.dim)
 
+    targets = np.zeros(pred.shape)
+    weights = np.zeros(pred.shape[:2])
+    for b, m in enumerate(masks):
+        targets[b, :m.n_targets] = h.reshape(bsz, -1, cfg.dim)[b, m.target_indices]
+        weights[b, :m.n_targets] = m.distance_weight
+    valid = np.arange(pred.shape[1]) < np.array([m.n_targets for m in masks])[:, None]
+    e = per_token_errors(pred, targets)
+    fwm = cache(lambda: fwm_losses(z, obj.app_ratio))
 
-def _clip_losses(state: TrainState, obj: ObjectiveConfig, clip: VideoClip, mask: MaskSpec,
-                 pred: Tensor, z_full: LatentGrid | None, h_flat: np.ndarray,
-                 sig_rng: np.random.Generator | None) -> dict[str, Tensor]:
-    """Loss parts of one clip from its rows of the batched passes."""
-    cfg = state.cfg
-    spec = obj.spec
-    needs = spec.components
-    targets = h_flat[mask.target_indices]
+    def ld_hw() -> Tensor:
+        e_ld = ld_errors(heads, z, h, spec.fwm, obj.app_ratio)
+        return Tensor(0.0) if e_ld is None else hw_jepa_loss(e_ld, obj.tau)
 
-    parts = {"jepa": jepa_loss(pred, targets, mask.distance_weight)}
-    if not needs:
-        return parts
-
-    grid = token_grid(state.student, clip)
-    h_grid = h_flat.reshape(grid[0], grid[1] * grid[2], cfg.dim)
-
-    if "kin" in needs:
-        parts["kin"] = kinematic_loss(z_full, spec.kin_kind, obj.huber_delta)
-    if "sigreg" in needs:
-        if sig_rng is None:
-            raise ValueError("sigreg variant needs a projection rng")
-        parts["sigreg"] = sigreg_loss(z_full, obj.sigreg_projections, sig_rng)
-    if "ham" in needs:
-        parts["ham"] = hamiltonian_loss(z_full, state.heads.ham)
-    if "velgate" in needs:
-        parts["velgate"] = velgate_loss(z_full)
-    if "delta" in needs:
-        parts["delta"] = delta_loss(z_full, h_grid)
-    if "ld" in needs:
-        parts["ld"] = ld_loss(state.heads, z_full, h_grid, spec.fwm, obj.app_ratio)
-    if "ld_hw" in needs:
-        e = ld_errors(state.heads, z_full, h_grid, spec.fwm, obj.app_ratio)
-        parts["ld_hw"] = Tensor(0.0) if e is None else hw_jepa_loss(e, obj.tau)
-    if "spectral" in needs:
-        parts["spectral"] = spectral_loss(z_full, h_grid)
-    if "ltc" in needs:
-        parts["ltc"] = ltc_loss(z_full, h_grid, obj.ltc_margin)
-    if "static" in needs or "orth" in needs:
-        static, orth = fwm_losses(z_full, obj.app_ratio)
-        if "static" in needs:
-            parts["static"] = static
-        if "orth" in needs:
-            parts["orth"] = orth
-    if "hw_jepa" in needs:
-        parts["hw_jepa"] = hw_jepa_loss(per_token_errors(pred, targets), obj.tau)
-    if "ac" in needs:
-        parts["ac"] = ac_loss(state.heads, z_full, clip, cfg.patch, cfg.tubelet,
-                              spec.fwm, obj.app_ratio)
-    return parts
+    # One batched loss per component, in COMPONENTS order. The losses are
+    # looked up in this module when called, so wrappers set on its names see them.
+    losses = {
+        "jepa": lambda: jepa_loss(e, weights, valid),
+        "hw_jepa": lambda: hw_jepa_loss(e, obj.tau, valid=valid),
+        "static": lambda: fwm()[0],
+        "orth": lambda: fwm()[1],
+        "ld_hw": ld_hw,
+        "kin": lambda: kinematic_loss(z, spec.kin_kind, obj.huber_delta),
+        "sigreg": lambda: sigreg_loss(z, obj.sigreg_projections, sig_rngs),
+        "ham": lambda: hamiltonian_loss(z, heads.ham),
+        "velgate": lambda: velgate_loss(z),
+        "delta": lambda: delta_loss(z, h),
+        "ld": lambda: ld_loss(heads, z, h, spec.fwm, obj.app_ratio),
+        "spectral": lambda: spectral_loss(z, h),
+        "ltc": lambda: ltc_loss(z, h, obj.ltc_margin),
+        "ac": lambda: ac_loss(heads, z, clips, cfg.patch, cfg.tubelet, spec.fwm, obj.app_ratio),
+    }
+    return {name: loss() for name, loss in losses.items()
+            if name == "jepa" or name in spec.components}
 
 
 def clip_parts(state: TrainState, clip: VideoClip, mask: MaskSpec,
                sig_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
     """All loss parts for one clip: ``batch_parts`` over a batch of one."""
-    return batch_parts(state, [clip], [mask], [sig_rng])[0]
+    return batch_parts(state, [clip], [mask], [sig_rng])
 
 
 def batch_bundle(state: TrainState, clips: list[VideoClip],
                  masks: list[MaskSpec] | None = None):
-    """Average loss parts over the batch, composed once at this step."""
+    """The batch's loss parts, composed once at this step."""
     cfg = state.cfg
     obj = cfg.to_objective()
     step = state.step
@@ -295,12 +278,7 @@ def batch_bundle(state: TrainState, clips: list[VideoClip],
                  for i, clip in enumerate(clips)]
     sig_rngs = [np.random.default_rng([cfg.seed, STREAM_SIGREG, step, i])
                 for i in range(len(clips))]
-    collected: dict[str, list[Tensor]] = {}
-    for parts in batch_parts(state, clips, masks, sig_rngs):
-        for name, part in parts.items():
-            collected.setdefault(name, []).append(part)
-    averaged = {name: stack_scalars(vals).mean() for name, vals in collected.items()}
-    return compose_total(obj, averaged, step)
+    return compose_total(obj, batch_parts(state, clips, masks, sig_rngs), step)
 
 
 # -- steps and loop ------------------------------------------------------

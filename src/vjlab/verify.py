@@ -17,12 +17,13 @@ from .config import variant_defaults
 from .fourier import fft_time, ifft_time
 from .gradcheck import grad_check
 from .masking import sample_future_predictive, sample_tube_mask
-from .model import LatentGrid, ema_update, load_checkpoint, save_checkpoint
+from .model import ema_update, load_checkpoint, save_checkpoint
 from .objectives import (
     compose_total,
     delta_loss,
     hard_weights,
     jepa_loss,
+    per_token_errors,
     resolve_objective,
     sigreg_loss,
     spectral_loss,
@@ -77,33 +78,33 @@ def _check_gradients(seed: int) -> None:
 
 def _check_loss_zero_identities(seed: int) -> None:
     rng = np.random.default_rng([seed, 4])
-    h = rng.standard_normal((3, 4, 8))
-    z = LatentGrid(Tensor(h.copy(), requires_grad=True), (3, 2, 2))
+    h = rng.standard_normal((1, 3, 4, 8))
+    z = Tensor(h.copy(), requires_grad=True)
     assert delta_loss(z, h).item() == 0.0
     assert spectral_loss(z, h).item() == 0.0
 
 
 def _check_sigreg_degenerate(seed: int) -> None:
-    z = LatentGrid(Tensor(np.zeros((4, 4, 6)), requires_grad=True), (4, 2, 2))
-    val = sigreg_loss(z, 3, np.random.default_rng([seed, 5])).item()
+    z = Tensor(np.zeros((1, 4, 4, 6)), requires_grad=True)
+    val = sigreg_loss(z, 3, [np.random.default_rng([seed, 5])]).item()
     assert abs(val - 10.0) <= 1e-12, f"degenerate penalty {val}"
 
 
 def _check_hard_weights(seed: int) -> None:
     rng = np.random.default_rng([seed, 6])
-    e = rng.standard_normal(16)
+    e = rng.standard_normal((1, 16))
     w = hard_weights(e).data
     assert abs(w.sum() - 16.0) <= 1e-9
-    w2 = hard_weights(np.array([0.0, 1e6])).data
+    w2 = hard_weights(np.array([[0.0, 1e6]])).data
     assert np.all(np.isfinite(w2))
 
 
 def _check_jepa_weighting(seed: int) -> None:
     rng = np.random.default_rng([seed, 7])
-    pred = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    pred = Tensor(rng.standard_normal((1, 4, 3)), requires_grad=True)
     targ = pred.data + 0.5
-    w = np.array([0.5, 1.5, 0.5, 1.5])
-    got = jepa_loss(pred, targ, w).item()
+    w = np.array([[0.5, 1.5, 0.5, 1.5]])
+    got = jepa_loss(per_token_errors(pred, targ), w).item()
     assert abs(got - 0.5) <= 1e-12, got  # uniform errors: weighting cancels
 
 

@@ -29,7 +29,6 @@ from vjlab.masking import (
 from vjlab.model import (
     HamiltonianParams,
     HeadParams,
-    LatentGrid,
     ModelConfig,
     encode,
     init_encoder,
@@ -88,8 +87,15 @@ def conclude(n: int, label: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {n} ({label}) {detail}"
 
 
+def one(t, grid):
+    """[T', gh*gw, dim] latents as a batch of one, [1, T', gh*gw, dim]."""
+    tp, gh, gw = grid
+    return t.reshape(1, tp, gh * gw, t.shape[-1])
+
+
 def lat(values, grid):
-    return LatentGrid(Tensor(np.asarray(values, dtype=np.float64), requires_grad=True), grid)
+    values = np.asarray(values, dtype=np.float64)
+    return Tensor(one(Tensor(values), grid).data, requires_grad=True)
 
 
 def mini_heads(rng, dyn_in, hidden, d, channels=1, act_in=None):
@@ -134,23 +140,23 @@ class TestCriterion1GradientOracle:
         targets = pred0 + rng.choice([-1.0, 1.0], (8, d)) * rng.uniform(0.4, 1.2, (8, d))
         w = rng.uniform(0.5, 1.5, 8)
         w = w / w.mean()
-        check("jepa", lambda p: jepa_loss(p, targets, w),
-              [Tensor(pred0.copy(), requires_grad=True)])
+        check("jepa", lambda p: jepa_loss(per_token_errors(p, targets[None]), w[None]),
+              [Tensor(pred0[None].copy(), requires_grad=True)])
 
         walk2 = alternating_walk(rng, 2, 4, d)
         walk3 = alternating_walk(rng, 3, 4, d)
-        check("kin_l1", lambda v: kinematic_loss(LatentGrid(v, grid), "l1"),
+        check("kin_l1", lambda v: kinematic_loss(one(v, grid), "l1"),
               [Tensor(walk2.copy(), requires_grad=True)])
-        check("kin_huber", lambda v: kinematic_loss(LatentGrid(v, grid), "huber", 1.0),
+        check("kin_huber", lambda v: kinematic_loss(one(v, grid), "huber", 1.0),
               [Tensor(walk2.copy(), requires_grad=True)])
-        check("kin_accel", lambda v: kinematic_loss(LatentGrid(v, (3, 2, 2)), "accel"),
+        check("kin_accel", lambda v: kinematic_loss(one(v, (3, 2, 2)), "accel"),
               [Tensor(walk3.copy(), requires_grad=True)])
-        check("kin_split", lambda v: kinematic_loss(LatentGrid(v, (3, 2, 2)), "split"),
+        check("kin_split", lambda v: kinematic_loss(one(v, (3, 2, 2)), "split"),
               [Tensor(walk3.copy(), requires_grad=True)])
 
         z8 = rng.standard_normal((2, 4, d))
-        check("sigreg", lambda v: sigreg_loss(LatentGrid(v, grid), 4,
-                                              np.random.default_rng(3)),
+        check("sigreg", lambda v: sigreg_loss(one(v, grid), 4,
+                                              [np.random.default_rng(3)]),
               [Tensor(z8.copy(), requires_grad=True)])
 
         ham = HamiltonianParams(
@@ -163,18 +169,18 @@ class TestCriterion1GradientOracle:
         zham = alternating_walk(rng, 2, 4, d)
         check("hamiltonian",
               lambda v, w1, b1, w2, quad: hamiltonian_loss(
-                  LatentGrid(v, grid),
+                  one(v, grid),
                   HamiltonianParams(w1=w1, b1=b1, w2=w2, b2=ham.b2, quad=quad)),
               [Tensor(zham.copy(), requires_grad=True), ham.w1, ham.b1, ham.w2, ham.quad])
 
         vel = alternating_walk(rng, 2, 4, d)
         vel[1] = vel[0] + np.arange(1, 4 * d + 1).reshape(4, d) * 0.05  # distinct velocities
-        check("velgate", lambda v: velgate_loss(LatentGrid(v, grid)),
+        check("velgate", lambda v: velgate_loss(one(v, grid)),
               [Tensor(vel.copy(), requires_grad=True)])
 
         h = rng.standard_normal((2, 4, d))
         zdelta = h + rng.choice([-1.0, 1.0], (2, 4, d)) * rng.uniform(0.3, 0.9, (2, 4, d))
-        check("delta", lambda v: delta_loss(LatentGrid(v, grid), h),
+        check("delta", lambda v: delta_loss(one(v, grid), h[None]),
               [Tensor(zdelta.copy(), requires_grad=True)])
 
         heads = mini_heads(rng, d, 5, d)
@@ -182,35 +188,35 @@ class TestCriterion1GradientOracle:
         check("ld", lambda v, w1, b1, w2, b2: ld_loss(
                   HeadParams(predictor=None, dyn_w1=w1, dyn_b1=b1, dyn_w2=w2,
                              dyn_b2=b2, act_w=heads.act_w, act_b=heads.act_b),
-                  LatentGrid(v, grid), h),
+                  one(v, grid), h[None]),
               [Tensor(zld.copy(), requires_grad=True),
                heads.dyn_w1, heads.dyn_b1, heads.dyn_w2, heads.dyn_b2])
 
         zspec = h + rng.choice([-1.0, 1.0], (2, 4, d)) * rng.uniform(0.5, 1.5, (2, 4, d))
-        check("spectral", lambda v: spectral_loss(LatentGrid(v, grid), h),
+        check("spectral", lambda v: spectral_loss(one(v, grid), h[None]),
               [Tensor(zspec.copy(), requires_grad=True)], tol=2e-4)
 
         zltc = rng.standard_normal((2, 4, d)) * 2.0
-        check("ltc", lambda v: ltc_loss(LatentGrid(v, grid), h, 0.5),
+        check("ltc", lambda v: ltc_loss(one(v, grid), h[None], 0.5),
               [Tensor(zltc.copy(), requires_grad=True)], tol=2e-4)
 
         zfwm = alternating_walk(rng, 2, 4, d)
-        check("fwm_static", lambda v: fwm_losses(LatentGrid(v, grid), 0.5)[0],
+        check("fwm_static", lambda v: fwm_losses(one(v, grid), 0.5)[0],
               [Tensor(zfwm.copy(), requires_grad=True)])
-        check("fwm_orth", lambda v: fwm_losses(LatentGrid(v, grid), 0.5)[1],
+        check("fwm_orth", lambda v: fwm_losses(one(v, grid), 0.5)[1],
               [Tensor(zfwm.copy(), requires_grad=True)])
 
         # weights are detached inside the losses; freezing them at the
         # unperturbed point keeps FD and the analytic gradient comparable
-        w_hw = hard_weights(per_token_errors(Tensor(pred0), targets), 1.0).data
-        check("hw_jepa", lambda p: hw_jepa_loss(per_token_errors(p, targets),
+        w_hw = hard_weights(per_token_errors(Tensor(pred0[None]), targets[None]), 1.0).data
+        check("hw_jepa", lambda p: hw_jepa_loss(per_token_errors(p, targets[None]),
                                                 1.0, weights=w_hw),
-              [Tensor(pred0.copy(), requires_grad=True)])
+              [Tensor(pred0[None].copy(), requires_grad=True)])
         ld_f = lambda v, w1, w2: ld_errors(
             HeadParams(predictor=None, dyn_w1=w1, dyn_b1=heads.dyn_b1,
                        dyn_w2=w2, dyn_b2=heads.dyn_b2,
                        act_w=heads.act_w, act_b=heads.act_b),
-            LatentGrid(v, grid), h, False, 0.5)
+            one(v, grid), h[None], False, 0.5)
         w_ld = hard_weights(ld_f(Tensor(zld.copy()), heads.dyn_w1, heads.dyn_w2), 1.0).data
         check("ld_hw", lambda v, w1, w2: hw_jepa_loss(ld_f(v, w1, w2), 1.0, weights=w_ld),
               [Tensor(zld.copy(), requires_grad=True), heads.dyn_w1, heads.dyn_w2])
@@ -225,7 +231,7 @@ class TestCriterion1GradientOracle:
                   HeadParams(predictor=None, dyn_w1=ac_heads.dyn_w1, dyn_b1=ac_heads.dyn_b1,
                              dyn_w2=ac_heads.dyn_w2, dyn_b2=ac_heads.dyn_b2,
                              act_w=aw, act_b=ab),
-                  LatentGrid(v, grid), clip, patch=4, tubelet=1),
+                  one(v, grid), [clip], patch=4, tubelet=1),
               [Tensor(zac.copy(), requires_grad=True), ac_heads.act_w, ac_heads.act_b])
 
         # encoder -> predictor end to end: the gradients at both ends pass
@@ -260,16 +266,16 @@ class TestCriterion2HardWeightIdentities:
         max_dev = 0.0
         for _ in range(1000):
             n = int(rng.integers(2, 65))
-            e = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            e = rng.standard_normal((1, n)) * rng.uniform(0.1, 10.0)
             w = hard_weights(Tensor(e), tau=rng.uniform(0.5, 2.0))
             max_dev = max(max_dev, abs(float(w.data.sum()) - n))
         assert max_dev <= 1e-9, max_dev
 
-        e_u = Tensor(np.full(16, 0.7))
+        e_u = Tensor(np.full((1, 16), 0.7))
         hw = hw_jepa_loss(e_u, 1.0).item()
         assert abs(hw - 0.7) <= 1e-12
 
-        w_ext = hard_weights(np.array([0.0, 1e6, 3.0, -2.0]), tau=1.0).data
+        w_ext = hard_weights(np.array([[0.0, 1e6, 3.0, -2.0]]), tau=1.0).data
         assert np.all(np.isfinite(w_ext)) and abs(w_ext.sum() - 4.0) <= 1e-9
         conclude(2, "hard-weight normalization, uniform identity, 1e6 clipping",
                  True, f"max |sum-N| {max_dev:.1e} over 1000 vectors")
@@ -293,12 +299,12 @@ class TestCriterion3ZeroCases:
         checks["orth"] = orth.item()
 
         h = rng.standard_normal((2, 4, d))
-        checks["delta"] = delta_loss(lat(h.copy(), grid), h).item()
-        checks["spectral"] = spectral_loss(lat(h.copy(), grid), h).item()
+        checks["delta"] = delta_loss(lat(h.copy(), grid), h[None]).item()
+        checks["spectral"] = spectral_loss(lat(h.copy(), grid), h[None]).item()
 
         pred = rng.standard_normal((5, d))
-        checks["jepa"] = jepa_loss(Tensor(pred.copy(), requires_grad=True),
-                                   pred, np.ones(5)).item()
+        checks["jepa"] = jepa_loss(per_token_errors(Tensor(pred[None].copy(), requires_grad=True),
+                                                    pred[None]), np.ones((1, 5))).item()
 
         # teacher fiber with constant delta; head biased to exactly that delta
         const_delta = rng.standard_normal(d)
@@ -310,7 +316,7 @@ class TestCriterion3ZeroCases:
             dyn_w2=t(np.zeros((3, d))), dyn_b2=t(const_delta.copy()),
             act_w=t(np.zeros((d, 1))), act_b=t(np.zeros(1)),
         )
-        checks["ld"] = ld_loss(perfect, lat(h_lin.copy(), (3, 2, 2)), h_lin).item()
+        checks["ld"] = ld_loss(perfect, lat(h_lin.copy(), (3, 2, 2)), h_lin[None]).item()
 
         bad = {k: v for k, v in checks.items() if not abs(v) <= 1e-12}
         conclude(3, "analytically forced zero cases at 1e-12",
@@ -340,7 +346,7 @@ def _recompute_fwm_hw_ld(state, clips, step):
                                 cfg.patch, rng)
         z_vis, _ = encode(state.student, [clip], visible=[mask.visible])
         pred = predict_masked(state.heads.predictor, z_vis, [mask]).data[0]
-        z = full_grid(state.student, [clip])[0].values.data
+        z = full_grid(state.student, [clip]).data[0]
         h_flat = teacher_targets(state.teacher, [clip])[0]
         targets = h_flat[mask.target_indices]
 

@@ -59,6 +59,19 @@ class TestPretrainProbe:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert "top-1" in capsys.readouterr().out
 
+    def test_probe_reads_the_runs_own_config(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "kin"
+        assert run_cli("pretrain", "--config", tiny_config, "--variant", "Kin.-L1",
+                       "--out", out) == 0
+        assert run_cli("probe", "--out", out, "--train-per-class", 2,
+                       "--test-per-class", 2) == 0
+        assert json.loads((out / "probe.json").read_text())["variant"] == "Kin.-L1"
+        capsys.readouterr()
+        assert run_cli("probe", "--out", out, "--variant", "Baseline") == 1
+        assert "holds a Kin.-L1 run, not Baseline" in capsys.readouterr().err
+        assert run_cli("probe", "--config", tiny_config, "--out", out) == 1
+        assert "not Baseline" in capsys.readouterr().err
+
     def test_probe_without_checkpoint_fails(self, tiny_config, capsys):
         assert run_cli("probe", "--config", tiny_config) == 1
         assert "no checkpoint" in capsys.readouterr().err

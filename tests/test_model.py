@@ -7,7 +7,6 @@ from vjlab.gradcheck import grad_check
 from vjlab.masking import MaskSpec, sample_tube_mask
 from vjlab.model import (
     HeadParams,
-    LatentGrid,
     ModelConfig,
     action_head,
     attention_core,
@@ -143,14 +142,8 @@ class TestEncoder:
         zb, _ = encode(p, [img])
         assert np.array_equal(za.data, zb.data)
 
-    def test_latent_grid_validation(self):
-        with pytest.raises(ValueError, match="grid"):
-            LatentGrid(values=Tensor(np.zeros((4, 15, 32))), grid=(4, 4, 4))
-
     def test_full_grid_shape(self):
-        grid = full_grid(params(), [clip8()])[0]
-        assert grid.values.shape == (4, 16, 32)
-        assert grid.flat().shape == (64, 32)
+        assert full_grid(params(), [clip8(), clip8()]).shape == (2, 4, 16, 32)
 
 
 class TestPredictor:

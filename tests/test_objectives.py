@@ -5,7 +5,7 @@ import pytest
 
 from vjlab.gradcheck import grad_check
 from vjlab.fourier import fft_time
-from vjlab.model import HamiltonianParams, HeadParams, LatentGrid
+from vjlab.model import HamiltonianParams, HeadParams
 from vjlab.objectives import (
     COMPONENTS,
     LossBundle,
@@ -39,8 +39,15 @@ from vjlab.tensor import Tensor, backward
 GC_TOL = 1e-4
 
 
-def lat(values, grid) -> LatentGrid:
-    return LatentGrid(Tensor(np.asarray(values, dtype=np.float64), requires_grad=True), grid)
+def one(t: Tensor, grid) -> Tensor:
+    """[T', gh*gw, dim] latents as a batch of one, [1, T', gh*gw, dim]."""
+    tp, gh, gw = grid
+    return t.reshape(1, tp, gh * gw, t.shape[-1])
+
+
+def lat(values, grid) -> Tensor:
+    values = np.asarray(values, dtype=np.float64)
+    return Tensor(one(Tensor(values), grid).data, requires_grad=True)
 
 
 def mini_heads(rng, dyn_in, hidden, d, channels=1, act_in=None):
@@ -60,8 +67,8 @@ def mini_heads(rng, dyn_in, hidden, d, channels=1, act_in=None):
 
 class TestJepa:
     def test_frozen_single_token(self):
-        pred = Tensor(np.array([[1.0]]), requires_grad=True)
-        loss = jepa_loss(pred, np.array([[3.0]]), np.array([1.0]))
+        pred = Tensor(np.array([[[1.0]]]), requires_grad=True)
+        loss = jepa_loss(per_token_errors(pred, np.array([[[3.0]]])), np.array([[1.0]]))
         assert loss.item() == 2.0
 
     def test_weighted_mean_oracle(self):
@@ -70,14 +77,15 @@ class TestJepa:
         targ = pred + np.where(rng.standard_normal((6, 4)) > 0, 0.5, -0.5)
         w = rng.uniform(0.5, 1.5, 6)
         w = w / w.mean()
-        loss = jepa_loss(Tensor(pred, requires_grad=True), targ, w)
+        loss = jepa_loss(per_token_errors(Tensor(pred[None], requires_grad=True), targ[None]),
+                         w[None])
         want = float(np.mean(w * np.abs(pred - targ).mean(axis=1)))
         assert abs(loss.item() - want) <= 1e-12
 
     def test_weights_must_average_one(self):
-        pred = Tensor(np.zeros((2, 2)), requires_grad=True)
+        pred = Tensor(np.zeros((1, 2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="average to 1"):
-            jepa_loss(pred, np.zeros((2, 2)), np.array([1.0, 2.0]))
+            jepa_loss(per_token_errors(pred, np.zeros((1, 2, 2))), np.array([[1.0, 2.0]]))
 
     def test_shape_mismatch_rejected(self):
         pred = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -91,17 +99,18 @@ class TestJepa:
         targ = pred_data + np.where(rng.standard_normal((5, 3)) > 0, 0.4, -0.4)
         w = rng.uniform(0.5, 1.5, 5)
         w = w / w.mean()
-        pred = Tensor(pred_data, requires_grad=True)
-        backward(jepa_loss(pred, targ, w))
+        pred = Tensor(pred_data[None], requires_grad=True)
+        backward(jepa_loss(per_token_errors(pred, targ[None]), w[None]))
         want = w[:, None] * np.sign(pred_data - targ) / (5 * 3)
-        np.testing.assert_allclose(pred.grad, want, atol=1e-15)
+        np.testing.assert_allclose(pred.grad[0], want, atol=1e-15)
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(11)
         pred = rng.standard_normal((4, 3))
         targ = pred + np.where(rng.standard_normal((4, 3)) > 0, 0.3, -0.3)
         w = np.full(4, 1.0)
-        rep = grad_check(lambda p: jepa_loss(p, targ, w), [Tensor(pred)])
+        rep = grad_check(lambda p: jepa_loss(per_token_errors(p, targ[None]), w[None]),
+                         [Tensor(pred[None])])
         assert rep.ok(GC_TOL), rep.max_rel_err
 
 
@@ -159,14 +168,14 @@ class TestKinematic:
         start = rng.standard_normal((1, 2, 3))
         v = np.concatenate([start, start + np.cumsum(inc, axis=0)], axis=0)
         for kind in ("l1", "accel"):
-            rep = grad_check(lambda t: kinematic_loss(LatentGrid(t, (4, 1, 2)), kind), [Tensor(v)])
+            rep = grad_check(lambda t: kinematic_loss(one(t, (4, 1, 2)), kind), [Tensor(v)])
             assert rep.ok(GC_TOL), (kind, rep.max_rel_err)
 
     def test_huber_grad_matches_fd(self):
         rng = np.random.default_rng(6)
         v = np.cumsum(rng.uniform(0.3, 0.7, (3, 1, 4)), axis=0)  # |vel| well inside (0, delta)
         rep = grad_check(
-            lambda t: kinematic_loss(LatentGrid(t, (3, 1, 1)), "huber", huber_delta=1.0), [Tensor(v)]
+            lambda t: kinematic_loss(one(t, (3, 1, 1)), "huber", huber_delta=1.0), [Tensor(v)]
         )
         assert rep.ok(GC_TOL), rep.max_rel_err
 
@@ -190,38 +199,38 @@ class TestAnneal:
 class TestSigreg:
     def test_all_zero_latents_frozen_penalty(self):
         z = lat(np.zeros((4, 4, 6)), (4, 2, 2))
-        loss = sigreg_loss(z, 3, np.random.default_rng(1))
+        loss = sigreg_loss(z, 3, [np.random.default_rng(1)])
         assert abs(loss.item() - 10.0) <= 1e-12
 
     def test_gaussian_latents_small_penalty(self):
         rng = np.random.default_rng(2)
         z = lat(rng.standard_normal((8, 64, 6)), (8, 8, 8))
-        loss = sigreg_loss(z, 4, np.random.default_rng(3))
+        loss = sigreg_loss(z, 4, [np.random.default_rng(3)])
         assert loss.item() < 0.5
 
     def test_mean_shift_raises_penalty(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((4, 8, 4))
-        lo = sigreg_loss(lat(base, (4, 4, 2)), 4, np.random.default_rng(0)).item()
-        hi = sigreg_loss(lat(base + 5.0, (4, 4, 2)), 4, np.random.default_rng(0)).item()
+        lo = sigreg_loss(lat(base, (4, 4, 2)), 4, [np.random.default_rng(0)]).item()
+        hi = sigreg_loss(lat(base + 5.0, (4, 4, 2)), 4, [np.random.default_rng(0)]).item()
         assert hi > lo + 10.0  # mean^2 ~ 25 per direction
 
     def test_needs_eight_tokens(self):
         z = lat(np.ones((1, 4, 3)), (1, 2, 2))
         with pytest.raises(ValueError, match="at least 8 tokens"):
-            sigreg_loss(z, 2, np.random.default_rng(0))
+            sigreg_loss(z, 2, [np.random.default_rng(0)])
 
     def test_deterministic_given_rng(self):
         rng = np.random.default_rng(9)
         z = rng.standard_normal((2, 4, 5))
-        a = sigreg_loss(lat(z, (2, 2, 2)), 3, np.random.default_rng(7)).item()
-        b = sigreg_loss(lat(z, (2, 2, 2)), 3, np.random.default_rng(7)).item()
+        a = sigreg_loss(lat(z, (2, 2, 2)), 3, [np.random.default_rng(7)]).item()
+        b = sigreg_loss(lat(z, (2, 2, 2)), 3, [np.random.default_rng(7)]).item()
         assert a == b
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(10)
         z = rng.standard_normal((8, 4))
-        rep = grad_check(lambda t: sigreg_loss(t, 2, np.random.default_rng(5)), [Tensor(z)])
+        rep = grad_check(lambda t: sigreg_loss(t, 2, [np.random.default_rng(5)]), [Tensor(z[None])])
         assert rep.ok(GC_TOL), rep.max_rel_err
 
 
@@ -283,7 +292,7 @@ class TestHamiltonian:
 
         def f(v, a, b, c, q):
             ham = HamiltonianParams(w1=a, b1=b, w2=c, b2=Tensor(np.zeros(1)), quad=q)
-            return hamiltonian_loss(LatentGrid(v, (3, 1, 2)), ham)
+            return hamiltonian_loss(one(v, (3, 1, 2)), ham)
 
         rep = grad_check(f, [Tensor(vals), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(quad)])
         assert rep.ok(GC_TOL), rep.max_rel_err
@@ -309,7 +318,7 @@ class TestVelgate:
         v[:, 1, 0] = [0.0, 1.0, 2.0]
         z = lat(v, (3, 1, 2))
         backward(velgate_loss(z))
-        g = z.values.grad
+        g = z.grad[0]
         assert np.any(g[:, 0, :] != 0.0)
         assert np.all(g[:, 1, :] == 0.0)
 
@@ -326,7 +335,7 @@ class TestVelgate:
                                np.cumsum(rng.uniform(0.1, 0.3, (3, 2, 2)) * alt, axis=0)])
         fast = np.cumsum(rng.uniform(20.0, 30.0, (4, 2, 2)), axis=0)
         v = np.concatenate([slow, fast], axis=1)
-        rep = grad_check(lambda t: velgate_loss(LatentGrid(t, (4, 2, 2))), [Tensor(v)])
+        rep = grad_check(lambda t: velgate_loss(one(t, (4, 2, 2))), [Tensor(v)])
         assert rep.ok(GC_TOL), rep.max_rel_err
 
 
@@ -334,23 +343,23 @@ class TestDelta:
     def test_matching_velocity_zero(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((3, 2, 2))
-        assert delta_loss(lat(h.copy(), (3, 1, 2)), h).item() == 0.0
+        assert delta_loss(lat(h.copy(), (3, 1, 2)), h[None]).item() == 0.0
         # constant offsets cancel in the differences up to rounding
-        assert delta_loss(lat(h + 4.0, (3, 1, 2)), h).item() <= 1e-12
+        assert delta_loss(lat(h + 4.0, (3, 1, 2)), h[None]).item() <= 1e-12
 
     def test_frozen_constant_gap(self):
         h = np.zeros((3, 1, 1))
         z = np.cumsum(np.full((3, 1, 1), 0.3), axis=0)
-        assert abs(delta_loss(lat(z, (3, 1, 1)), h).item() - 0.3) <= 1e-12
+        assert abs(delta_loss(lat(z, (3, 1, 1)), h[None]).item() - 0.3) <= 1e-12
 
     def test_single_block_zero(self):
-        assert delta_loss(lat(np.ones((1, 1, 2)), (1, 1, 1)), np.ones((1, 1, 2))).item() == 0.0
+        assert delta_loss(lat(np.ones((1, 1, 2)), (1, 1, 1)), np.ones((1, 1, 1, 2))).item() == 0.0
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(13)
         h = rng.standard_normal((3, 2, 2))
         z = h + np.cumsum(np.full((3, 2, 2), 0.4), axis=0)
-        rep = grad_check(lambda t: delta_loss(LatentGrid(t, (3, 1, 2)), h), [Tensor(z)])
+        rep = grad_check(lambda t: delta_loss(one(t, (3, 1, 2)), h[None]), [Tensor(z)])
         assert rep.ok(GC_TOL), rep.max_rel_err
 
 
@@ -362,7 +371,7 @@ class TestLatentDynamics:
             t.data[...] = 0.0
         h = np.ones((3, 2, 4))
         z = lat(rng.standard_normal((3, 2, 4)), (3, 1, 2))
-        assert ld_loss(heads, z, h).item() == 0.0
+        assert ld_loss(heads, z, h[None]).item() == 0.0
 
     def test_zero_head_frozen_delta(self):
         rng = np.random.default_rng(1)
@@ -371,32 +380,32 @@ class TestLatentDynamics:
             t.data[...] = 0.0
         h = np.cumsum(np.full((3, 1, 2), 0.25), axis=0)
         z = lat(np.zeros((3, 1, 2)), (3, 1, 1))
-        assert abs(ld_loss(heads, z, h).item() - 0.25) <= 1e-12
+        assert abs(ld_loss(heads, z, h[None]).item() - 0.25) <= 1e-12
 
     def test_single_block_zero_and_no_errors(self):
         rng = np.random.default_rng(2)
         heads = mini_heads(rng, 2, 3, 2)
         z = lat(np.ones((1, 2, 2)), (1, 1, 2))
-        assert ld_errors(heads, z, np.ones((1, 2, 2)), False, 0.5) is None
-        assert ld_loss(heads, z, np.ones((1, 2, 2))).item() == 0.0
+        assert ld_errors(heads, z, np.ones((1, 1, 2, 2)), False, 0.5) is None
+        assert ld_loss(heads, z, np.ones((1, 1, 2, 2))).item() == 0.0
 
     def test_fwm_route_ignores_appearance_channels(self):
         rng = np.random.default_rng(3)
         heads = mini_heads(rng, 2, 3, 4)  # dyn head consumes the 2 dynamics channels
         base = rng.standard_normal((3, 2, 4))
         h = rng.standard_normal((3, 2, 4))
-        a = ld_loss(heads, lat(base, (3, 1, 2)), h, fwm=True, app_ratio=0.5).item()
+        a = ld_loss(heads, lat(base, (3, 1, 2)), h[None], fwm=True, app_ratio=0.5).item()
         poked = base.copy()
         poked[..., :2] += 100.0
-        b = ld_loss(heads, lat(poked, (3, 1, 2)), h, fwm=True, app_ratio=0.5).item()
+        b = ld_loss(heads, lat(poked, (3, 1, 2)), h[None], fwm=True, app_ratio=0.5).item()
         assert a == b
 
     def test_error_vector_length(self):
         rng = np.random.default_rng(4)
         heads = mini_heads(rng, 3, 4, 3)
         z = lat(rng.standard_normal((4, 2, 3)), (4, 1, 2))
-        e = ld_errors(heads, z, rng.standard_normal((4, 2, 3)), False, 0.5)
-        assert e.shape == (6,)
+        e = ld_errors(heads, z, rng.standard_normal((1, 4, 2, 3)), False, 0.5)
+        assert e.shape == (1, 6)
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(14)
@@ -409,7 +418,7 @@ class TestLatentDynamics:
         def f(v, a, b, c, e):
             heads = HeadParams(predictor=None, dyn_w1=a, dyn_b1=b, dyn_w2=c, dyn_b2=e,
                                act_w=Tensor(np.zeros((d, 1))), act_b=Tensor(np.zeros(1)))
-            return ld_loss(heads, LatentGrid(v, (3, 1, 2)), h)
+            return ld_loss(heads, one(v, (3, 1, 2)), h[None])
 
         rep = grad_check(f, [Tensor(vals), Tensor(w1), Tensor(np.zeros(hid)),
                              Tensor(w2), Tensor(np.zeros(d))])
@@ -420,19 +429,19 @@ class TestSpectral:
     def test_matching_latents_zero(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((4, 2, 3))
-        assert spectral_loss(lat(h.copy(), (4, 1, 2)), h).item() == 0.0
+        assert spectral_loss(lat(h.copy(), (4, 1, 2)), h[None]).item() == 0.0
 
     def test_dc_shift_invisible(self):
         # constant offsets live entirely in bin 0, which carries weight 0
         rng = np.random.default_rng(1)
         h = rng.standard_normal((4, 2, 3))
-        assert spectral_loss(lat(h + 3.0, (4, 1, 2)), h).item() <= 1e-12
+        assert spectral_loss(lat(h + 3.0, (4, 1, 2)), h[None]).item() <= 1e-12
 
     def test_frozen_two_block_value(self):
         # T'=2: bins (sum, difference), weights (0, 1)
         h = np.zeros((2, 1, 1))
         z = np.array([0.2, -0.1]).reshape(2, 1, 1)
-        loss = spectral_loss(lat(z, (2, 1, 1)), h)
+        loss = spectral_loss(lat(z, (2, 1, 1)), h[None])
         assert abs(loss.item() - 0.15) <= 1e-12  # |0.2 - (-0.1)| / 2
 
     def test_oracle_via_fft(self):
@@ -441,7 +450,7 @@ class TestSpectral:
         tp, ns, d = 4, 2, 3
         zv = rng.standard_normal((tp, ns, d))
         h = rng.standard_normal((tp, ns, d))
-        loss = spectral_loss(lat(zv, (tp, 1, 2)), h).item()
+        loss = spectral_loss(lat(zv, (tp, 1, 2)), h[None]).item()
         fibers_z = zv.reshape(tp, ns * d).T
         fibers_h = h.reshape(tp, ns * d).T
         w = np.arange(tp) / (tp - 1)
@@ -454,15 +463,16 @@ class TestSpectral:
         assert abs(loss - want) <= 1e-9
 
     def test_single_block_zero(self):
-        assert spectral_loss(lat(np.ones((1, 2, 2)), (1, 1, 2)), np.ones((1, 2, 2))).item() == 0.0
+        assert spectral_loss(lat(np.ones((1, 2, 2)), (1, 1, 2)),
+                             np.ones((1, 1, 2, 2))).item() == 0.0
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(15)
         h = rng.standard_normal((4, 2, 2))
         z = h + rng.uniform(0.5, 1.0, (4, 2, 2))
-        zt = spectral_loss(lat(z, (4, 1, 2)), h)
+        zt = spectral_loss(lat(z, (4, 1, 2)), h[None])
         assert zt.item() > 0.01
-        rep = grad_check(lambda t: spectral_loss(LatentGrid(t, (4, 1, 2)), h), [Tensor(z)])
+        rep = grad_check(lambda t: spectral_loss(one(t, (4, 1, 2)), h[None]), [Tensor(z)])
         assert rep.ok(2e-4), rep.max_rel_err
 
 
@@ -470,18 +480,18 @@ class TestTemporalContrast:
     def test_equal_targets_pay_margin(self):
         rng = np.random.default_rng(0)
         h = rng.standard_normal((3, 2, 2))
-        loss = ltc_loss(lat(h.copy(), (3, 1, 2)), np.tile(h[0], (3, 1, 1)), margin=0.5)
+        loss = ltc_loss(lat(h.copy(), (3, 1, 2)), np.tile(h[0], (3, 1, 1))[None], margin=0.5)
         assert abs(loss.item() - 0.5) <= 1e-12
 
     def test_aligned_current_beats_zero_next(self):
         z = np.tile(np.array([1.0, 0.0]), (2, 1, 1))
         h = z.copy()
         h[1] = 0.0  # next-step target is the zero vector: cosine 0
-        assert ltc_loss(lat(z, (2, 1, 1)), h, margin=0.5).item() == 0.0
+        assert ltc_loss(lat(z, (2, 1, 1)), h[None], margin=0.5).item() == 0.0
 
     def test_zero_latents_pay_margin(self):
         h = np.tile(np.array([1.0, 0.0]), (2, 1, 1))
-        loss = ltc_loss(lat(np.zeros((2, 1, 2)), (2, 1, 1)), h, margin=0.5)
+        loss = ltc_loss(lat(np.zeros((2, 1, 2)), (2, 1, 1)), h[None], margin=0.5)
         assert abs(loss.item() - 0.5) <= 1e-12
 
     def test_frozen_partial_alignment(self):
@@ -490,21 +500,21 @@ class TestTemporalContrast:
         h[0] = [1.0, 0.0]
         h[1] = [1.0, 1.0]
         want = 1.0 / np.sqrt(2.0) - 1.0 + 0.5
-        loss = ltc_loss(lat(z, (2, 1, 1)), h, margin=0.5)
+        loss = ltc_loss(lat(z, (2, 1, 1)), h[None], margin=0.5)
         assert abs(loss.item() - want) <= 1e-12
 
     def test_margin_validation_and_single_block(self):
         with pytest.raises(ValueError, match="margin"):
-            ltc_loss(lat(np.ones((2, 1, 2)), (2, 1, 1)), np.ones((2, 1, 2)), margin=0.0)
-        assert ltc_loss(lat(np.ones((1, 1, 2)), (1, 1, 1)), np.ones((1, 1, 2))).item() == 0.0
+            ltc_loss(lat(np.ones((2, 1, 2)), (2, 1, 1)), np.ones((1, 2, 1, 2)), margin=0.0)
+        assert ltc_loss(lat(np.ones((1, 1, 2)), (1, 1, 1)), np.ones((1, 1, 1, 2))).item() == 0.0
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(16)
         z = rng.standard_normal((3, 2, 3)) + 1.0  # rows well away from the origin
         h = rng.standard_normal((3, 2, 3)) + 1.0
-        loss = ltc_loss(lat(z, (3, 1, 2)), h, margin=0.5)
+        loss = ltc_loss(lat(z, (3, 1, 2)), h[None], margin=0.5)
         assert loss.item() > 0.05  # hinge active somewhere, not grazing zero
-        rep = grad_check(lambda t: ltc_loss(LatentGrid(t, (3, 1, 2)), h, margin=0.5), [Tensor(z)])
+        rep = grad_check(lambda t: ltc_loss(one(t, (3, 1, 2)), h[None], margin=0.5), [Tensor(z)])
         assert rep.ok(2e-4), rep.max_rel_err
 
 
@@ -554,10 +564,10 @@ class TestFwm:
         v = np.concatenate([start, start + np.cumsum(inc, axis=0)], axis=0)
 
         def f_static(t):
-            return fwm_losses(LatentGrid(t, (3, 1, 2)), 0.5)[0]
+            return fwm_losses(one(t, (3, 1, 2)), 0.5)[0]
 
         def f_orth(t):
-            return fwm_losses(LatentGrid(t, (3, 1, 2)), 0.5)[1]
+            return fwm_losses(one(t, (3, 1, 2)), 0.5)[1]
 
         assert grad_check(f_static, [Tensor(v)]).ok(GC_TOL)
         assert grad_check(f_orth, [Tensor(v)]).ok(2e-4)
@@ -567,57 +577,57 @@ class TestHardWeights:
     def test_sum_equals_token_count(self):
         rng = np.random.default_rng(0)
         for n in (4, 16, 33):
-            w = hard_weights(rng.standard_normal(n), tau=1.0)
+            w = hard_weights(rng.standard_normal((1, n)), tau=1.0)
             assert abs(w.data.sum() - n) <= 1e-9
 
     def test_uniform_errors_give_unit_weights(self):
-        w = hard_weights(np.full(8, 0.37), tau=1.0)
-        np.testing.assert_allclose(w.data, np.ones(8), atol=1e-12)
+        w = hard_weights(np.full((1, 8), 0.37), tau=1.0)
+        np.testing.assert_allclose(w.data, np.ones((1, 8)), atol=1e-12)
 
     def test_frozen_two_token_values(self):
-        w = hard_weights(np.array([0.0, 20.0]), tau=1.0).data
+        w = hard_weights(np.array([[0.0, 20.0]]), tau=1.0).data[0]
         e20 = np.exp(20.0)
         np.testing.assert_allclose(w, [2.0 / (1.0 + e20), 2.0 * e20 / (1.0 + e20)], rtol=1e-12)
 
     def test_extreme_errors_stay_finite(self):
-        w = hard_weights(np.array([0.0, 1e6, -1e6]), tau=1.0).data
+        w = hard_weights(np.array([[0.0, 1e6, -1e6]]), tau=1.0).data
         assert np.all(np.isfinite(w))
         assert abs(w.sum() - 3.0) <= 1e-9
 
     def test_temperature_flattens(self):
-        e = np.array([0.0, 1.0, 2.0, 5.0])
+        e = np.array([[0.0, 1.0, 2.0, 5.0]])
         sharp = hard_weights(e, tau=0.5).data
         flat = hard_weights(e, tau=10.0).data
         assert sharp.max() > flat.max()
 
     def test_detached_from_graph(self):
-        e = Tensor(np.array([0.1, 0.9]), requires_grad=True)
+        e = Tensor(np.array([[0.1, 0.9]]), requires_grad=True)
         w = hard_weights(e, tau=1.0)
         assert not w.requires_grad
 
     def test_hw_loss_gradient_treats_weights_constant(self):
         # d/de of mean(w * e) with w detached is exactly w / N
-        e = Tensor(np.array([0.2, 0.4, 0.9]), requires_grad=True)
+        e = Tensor(np.array([[0.2, 0.4, 0.9]]), requires_grad=True)
         w = hard_weights(e, tau=1.0)
         backward(hw_jepa_loss(e, tau=1.0))
         np.testing.assert_allclose(e.grad, w.data / 3.0, atol=1e-15)
 
     def test_uniform_matches_unweighted(self):
-        e_data = np.full(5, 0.6)
+        e_data = np.full((1, 5), 0.6)
         e = Tensor(e_data, requires_grad=True)
         assert abs(hw_jepa_loss(e, tau=1.0).item() - 0.6) <= 1e-12
 
     def test_explicit_weights_respected(self):
-        e = Tensor(np.array([1.0, 3.0]), requires_grad=True)
-        loss = hw_jepa_loss(e, tau=1.0, weights=np.array([2.0, 0.0]))
+        e = Tensor(np.array([[1.0, 3.0]]), requires_grad=True)
+        loss = hw_jepa_loss(e, tau=1.0, weights=np.array([[2.0, 0.0]]))
         assert abs(loss.item() - 1.0) <= 1e-12
 
     def test_weight_shape_checked(self):
-        e = Tensor(np.array([1.0, 3.0]), requires_grad=True)
+        e = Tensor(np.array([[1.0, 3.0]]), requires_grad=True)
         with pytest.raises(ValueError, match="weights"):
-            hw_jepa_loss(e, weights=np.ones(3))
-        with pytest.raises(ValueError, match="flat"):
-            hard_weights(np.ones((2, 2)))
+            hw_jepa_loss(e, weights=np.ones((1, 3)))
+        with pytest.raises(ValueError, match="slab"):
+            hard_weights(np.ones(2))
 
 
 class TestActionConditioning:
@@ -642,7 +652,7 @@ class TestActionConditioning:
         heads.act_w.data[...] = 0.0
         clip = VideoClip(np.full((4, 4, 4, 1), 0.5))
         z = lat(rng.standard_normal((2, 4, 3)), (2, 2, 2))
-        assert ac_loss(heads, z, clip, patch=2, tubelet=2).item() == 0.0
+        assert ac_loss(heads, z, [clip], patch=2, tubelet=2).item() == 0.0
 
     def test_frozen_uniform_brightening(self):
         rng = np.random.default_rng(2)
@@ -651,7 +661,7 @@ class TestActionConditioning:
         pix = np.zeros((4, 4, 4, 1))
         pix[2:] = 0.5  # second block brighter by 0.5 everywhere
         z = lat(rng.standard_normal((2, 4, 3)), (2, 2, 2))
-        loss = ac_loss(heads, z, VideoClip(pix), patch=2, tubelet=2)
+        loss = ac_loss(heads, z, [VideoClip(pix)], patch=2, tubelet=2)
         assert abs(loss.item() - 0.5) <= 1e-12
 
     def test_single_block_zero(self):
@@ -659,17 +669,17 @@ class TestActionConditioning:
         heads = mini_heads(rng, 3, 2, 3)
         clip = VideoClip(np.zeros((2, 4, 4, 1)))
         z = lat(np.ones((1, 4, 3)), (1, 2, 2))
-        assert ac_loss(heads, z, clip, patch=2, tubelet=2).item() == 0.0
+        assert ac_loss(heads, z, [clip], patch=2, tubelet=2).item() == 0.0
 
     def test_fwm_route_uses_dynamics_slice(self):
         rng = np.random.default_rng(4)
         heads = mini_heads(rng, 2, 2, 2, channels=1, act_in=2)
         base = rng.standard_normal((2, 4, 4))
         clip = VideoClip(rng.uniform(0, 1, (4, 4, 4, 1)))
-        a = ac_loss(heads, lat(base, (2, 2, 2)), clip, 2, 2, fwm=True, app_ratio=0.5).item()
+        a = ac_loss(heads, lat(base, (2, 2, 2)), [clip], 2, 2, fwm=True, app_ratio=0.5).item()
         poked = base.copy()
         poked[..., :2] -= 9.0
-        b = ac_loss(heads, lat(poked, (2, 2, 2)), clip, 2, 2, fwm=True, app_ratio=0.5).item()
+        b = ac_loss(heads, lat(poked, (2, 2, 2)), [clip], 2, 2, fwm=True, app_ratio=0.5).item()
         assert a == b
 
     def test_grad_matches_fd(self):
@@ -683,7 +693,7 @@ class TestActionConditioning:
                                dyn_w1=Tensor(np.zeros((d, 2))), dyn_b1=Tensor(np.zeros(2)),
                                dyn_w2=Tensor(np.zeros((2, d))), dyn_b2=Tensor(np.zeros(d)),
                                act_w=aw, act_b=ab)
-            return ac_loss(heads, LatentGrid(v, (2, 2, 2)), clip, 2, 2)
+            return ac_loss(heads, one(v, (2, 2, 2)), [clip], 2, 2)
 
         aw = rng.standard_normal((d, c)) * 0.3
         ab = np.full(c, 2.0)  # bias pushes residuals away from the L1 kink
@@ -838,10 +848,10 @@ class TestVariantRegistry:
 class TestTimeDiff:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((5, 2, 3))
+        x = rng.standard_normal((2, 5, 2, 3))
         got = time_diff(Tensor(x, requires_grad=True))
-        np.testing.assert_allclose(got.data, np.diff(x, axis=0), atol=0)
+        np.testing.assert_allclose(got.data, np.diff(x, axis=1), atol=0)
 
     def test_needs_two_steps(self):
         with pytest.raises(ValueError, match="two steps"):
-            time_diff(Tensor(np.ones((1, 2)), requires_grad=True))
+            time_diff(Tensor(np.ones((2, 1, 2)), requires_grad=True))

@@ -8,13 +8,11 @@ from vjlab.tensor import (
     Tensor,
     backward,
     concat,
-    gather_rows,
     huber,
     log_softmax,
     matmul,
     no_grad,
     softmax,
-    stack_scalars,
     tensor,
 )
 from vjlab.gradcheck import grad_check
@@ -71,6 +69,21 @@ class TestMatmulReduce:
     def test_matmul_inner_mismatch(self):
         with pytest.raises(ValueError, match="inner-dimension"):
             matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((4, 2))))
+        with pytest.raises(ValueError, match="batch axes"):
+            matmul(tensor(np.zeros((2, 2, 3))), tensor(np.zeros((3, 3, 2))))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((2, 3, 4), (2, 4, 5)),
+                                                 ((2, 2, 3, 4), (4, 5)),
+                                                 ((3, 4), (2, 4, 5))],
+                             ids=["batched", "shared-right", "shared-left"])
+    def test_matmul_batch_axes(self, a_shape, b_shape):
+        # batched operands match per entry; a 2-d operand is shared by all
+        a, b = rng(30).standard_normal(a_shape), rng(31).standard_normal(b_shape)
+        got = matmul(tensor(a), tensor(b)).data
+        np.testing.assert_array_equal(got, np.matmul(a, b))
+        w = rng(32).standard_normal(got.shape)
+        rep = grad_check(lambda x, y: (matmul(x, y) * tensor(w)).sum(), [tensor(a), tensor(b)])
+        assert rep.ok(1e-4), rep.max_rel_err
 
     def test_mean_against_two_pass_sum(self):
         x = rng(5).standard_normal(1000) * 100.0
@@ -177,8 +190,7 @@ class TestBackward:
 
     def test_gather_concat_grads(self):
         def f(x):
-            picked = gather_rows(x, [0, 2, 2])
-            both = concat([picked, picked * 2.0], axis=0)
+            both = concat([x, x * 2.0, x], axis=0)
             return (both * both).sum()
 
         rep = grad_check(f, [tensor(rng(13).standard_normal((4, 3)))])
@@ -191,12 +203,6 @@ class TestBackward:
         rep = grad_check(f, [tensor(rng(15).standard_normal((1, 3)))])
         assert rep.ok(1e-4), rep.max_rel_err
 
-    def test_stack_scalars(self):
-        parts = [tensor(float(i), requires_grad=True) for i in range(3)]
-        out = stack_scalars(parts)
-        assert out.shape == (3,)
-        backward((out * out).sum())
-        assert parts[2].grad == pytest.approx(4.0)
 
 
 class TestDetach:

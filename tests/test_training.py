@@ -241,7 +241,7 @@ class TestClipParts:
             assert abs(val - want) <= 1e-12, name
 
 
-    @pytest.mark.parametrize("variant", ["Baseline", "Motion-Future", "FWM-HW-LD"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_padded_batch_matches_clips_run_alone(self, variant):
         # 64x64 clips give an 8x8 spatial grid, where visible counts differ
         # from mask to mask, so the batched slabs carry padding
@@ -255,7 +255,8 @@ class TestClipParts:
         assert len({m.n_targets for m in masks}) > 1 or variant == "Baseline"
 
         bundle = batch_bundle(st, clips, masks)
-        singles = [clip_parts(st, c, m) for c, m in zip(clips, masks)]
+        singles = [clip_parts(st, c, m, np.random.default_rng([cfg.seed, 3, 0, i]))
+                   for i, (c, m) in enumerate(zip(clips, masks))]
         assert set(bundle.components) == set(singles[0])
         for name, val in bundle.components.items():
             want = np.mean([s[name].item() for s in singles])
@@ -347,12 +348,16 @@ class TestGraphSize:
                     stack.append(parent)
         return len(seen)
 
-    @pytest.mark.parametrize("variant,limit", [("Baseline", 260), ("FWM-HW-LD", 720)])
-    def test_nodes_per_step_at_criterion_8_geometry(self, variant, limit):
+    LIMITS = {"Baseline": 139, "Kin.-L1": 175, "SIGReg": 202, "FWM-HW-LD": 215}
+
+    @pytest.mark.parametrize("variant", LIMITS)
+    def test_nodes_per_step_at_criterion_8_geometry(self, variant):
         # batch 8, 32x32x8 clips, a 4x4x4 token grid at dim 32; the graph
         # held about 3,800 (Baseline) and 6,200 (FWM-HW-LD) nodes before the
-        # fused linear, layer-norm, attention and column-slice ops, and 613
-        # and 1,237 before one token slab per batch
+        # fused linear, layer-norm, attention and column-slice ops, 613 and
+        # 1,237 before one token slab per batch, and 208, 304 (Kin.-L1),
+        # 2,312 (SIGReg) and 643 before the losses ran once per batch
+        limit = self.LIMITS[variant]
         cfg = dataclasses.replace(variant_defaults(variant), batch_size=8, n_per_class=2)
         state = init_state(cfg)
         clips = draw_batch(gen_motion_dataset(2, 0), 8, cfg.seed, 0)
