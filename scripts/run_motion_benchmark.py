@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vjlab.config import variant_defaults
+from vjlab.config import variant_defaults, variant_slug
 from vjlab.probing import synthetic_benchmark
 from vjlab.synth import gen_motion_dataset
 from vjlab.training import run_pretrain
@@ -32,7 +32,7 @@ def train_and_probe(variant, seed, args):
         seed=seed,
         steps=args.steps,
         n_per_class=args.n_per_class,
-        out=str(Path(args.out) / f"{variant.lower().replace('.', '')}-s{seed}"),
+        out=str(Path(args.out) / f"{variant_slug(variant)}-s{seed}"),
     ).validate()
     ds = gen_motion_dataset(cfg.n_per_class, cfg.seed,
                             t=cfg.frames, h=cfg.height, w=cfg.width)

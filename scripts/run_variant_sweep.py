@@ -11,6 +11,7 @@ Usage:
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,12 +30,11 @@ def main():
     ap.add_argument("--out", type=str, default="runs/variant-sweep")
     args = ap.parse_args()
 
+    cfg = dataclasses.replace(variant_defaults("Baseline"), steps=args.steps,
+                              n_per_class=args.n_per_class, seed=args.seed).validate()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     shared = out / "shared.lab"
-    cfg = variant_defaults("Baseline")
-    cfg = cfg.__class__(**{**cfg.__dict__, "steps": args.steps,
-                           "n_per_class": args.n_per_class, "seed": args.seed})
     save_config(cfg, shared)
 
     rc = lab_main(["sweep", "--config", str(shared), "--out", str(out),

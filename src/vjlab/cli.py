@@ -1,12 +1,13 @@
 """`lab` command line: gendata | pretrain | probe | verify | sweep | report.
 
-Every subcommand takes --config PATH (key = value file), --seed N and
---out DIR; flags override the config file, which overrides variant
-defaults. `--variant NAME`, and each entry of a sweep's --variants list,
-applies that variant's recipe fields (config.RECIPE_FIELDS: lambda_hw and
-the masking flags) over the config file. The sweep/report pair writes and
-reads one JSON summary per run directory so results survive across
-invocations.
+gendata, pretrain, probe and sweep take --config PATH (key = value file),
+--seed N and --out DIR; flags override the config file, which overrides
+variant defaults. verify takes only --seed and report only --out, so a flag
+that a subcommand would not read is rejected. `--variant NAME`, and each
+entry of a sweep's --variants list, applies that variant's recipe fields
+(config.RECIPE_FIELDS: lambda_hw and the masking flags) over the config
+file. The sweep/report pair writes and reads one JSON summary per run
+directory so results survive across invocations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .config import (
     RunConfig,
     apply_overrides,
     load_config,
-    save_config,
     variant_defaults,
     variant_slug,
     with_variant,
@@ -122,7 +122,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verify(args.seed if args.seed is not None else 0)
+    results = run_verify(args.seed)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -163,7 +163,6 @@ def cmd_sweep(args) -> int:
             "seed": cfg.seed,
         }
         rows.append(row)
-        save_config(cfg, Path(cfg.out) / "config.lab")
         print(f"{name:>14}: acc {rep.accuracy:.4f} "
               f"total {row['final_total']:.4f} ({row['seconds']}s)", flush=True)
     root.mkdir(parents=True, exist_ok=True)
@@ -183,7 +182,7 @@ def _collect_rows(root: Path) -> list[dict]:
 
 
 def cmd_report(args) -> int:
-    root = Path(args.out if args.out is not None else "runs")
+    root = Path(args.out)
     rows = _collect_rows(root)
     if not rows:
         print(f"no {SWEEP_NAME} or {PROBE_NAME} under {root}", file=sys.stderr)
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("verify", help="run the named self-check battery")
-    common(p, variant_flag=False)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="pretrain + probe a list of variants")
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="tabulate sweep/probe results under --out")
-    common(p, variant_flag=False)
+    p.add_argument("--out", type=str, default="runs")
     p.set_defaults(fn=cmd_report)
 
     return parser

@@ -1,8 +1,14 @@
 """Flat run configuration: one dataclass, `key = value` files, canonical dump.
 
-Parsing resolves variant-dependent defaults first (hard-weight coefficient,
-masking flags), then applies the remaining keys, so a file containing just
-``variant = AMG-JEPA`` picks up that recipe's sampler settings.
+`RunConfig` is the one config of a run. The model reads its geometry
+through `to_model`; masking, the losses and their composition read it
+directly, together with the variant's `objectives.VariantSpec`. A
+variant's recipe (its hard-weight coefficient and masking flags,
+`RECIPE_FIELDS`) is laid over a config by `with_variant`.
+
+Parsing resolves variant-dependent defaults first, then applies the
+remaining keys, so a file containing just ``variant = AMG-JEPA`` picks up
+that recipe's sampler settings.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import ModelConfig
-from .objectives import ObjectiveConfig, VARIANTS, resolve_objective
+from .objectives import VARIANTS
 
 
 @dataclass
@@ -84,10 +90,12 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant '{self.variant}'")
-        for name in ["seed"]:
+        for name in ["seed", "lambda_kin", "lambda_s", "lambda_o", "lambda_d", "lambda_hw",
+                     "lambda_ac", "lambda_delta", "lambda_spec", "lambda_ltc"]:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ["n_per_class", "steps", "batch_size", "probe_epochs", "probe_batch"]:
+        for name in ["n_per_class", "steps", "batch_size", "probe_epochs", "probe_batch",
+                     "anneal_horizon", "sigreg_projections"]:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if not 0.0 <= self.warmup_frac < 1.0:
@@ -111,10 +119,13 @@ class RunConfig:
                 f"clip {self.frames}x{self.height}x{self.width} not divisible by "
                 f"tubelet {self.tubelet} / patch {self.patch}"
             )
+        if self.tau <= 0.0 or self.huber_delta <= 0.0 or self.ltc_margin <= 0.0:
+            raise ValueError("tau, huber_delta and ltc_margin must be positive")
+        if not 0.0 < self.app_ratio < 1.0:
+            raise ValueError(f"app_ratio must be in (0, 1), got {self.app_ratio}")
         if self.probe_kind not in ("linear", "attentive"):
             raise ValueError(f"probe_kind must be linear or attentive, got '{self.probe_kind}'")
-        self.to_model()      # geometry invariants
-        self.to_objective()  # coefficient invariants
+        self.to_model()  # geometry invariants
         return self
 
     def to_model(self) -> ModelConfig:
@@ -125,13 +136,6 @@ class RunConfig:
             ham_hidden=self.ham_hidden, channels=self.channels,
         )
 
-    def to_objective(self) -> ObjectiveConfig:
-        shared = {name: getattr(self, name) for name in _OBJECTIVE_FIELDS}
-        return ObjectiveConfig(ema=VARIANTS[self.variant].ema, **shared)
-
-
-# Every ObjectiveConfig field but `ema`, which only the variant decides.
-_OBJECTIVE_FIELDS = tuple(f.name for f in fields(ObjectiveConfig) if f.name != "ema")
 
 # The RunConfig fields a variant's recipe sets.
 RECIPE_FIELDS = ("lambda_hw", "motion_guided", "motion_guided_strength",
@@ -139,9 +143,14 @@ RECIPE_FIELDS = ("lambda_hw", "motion_guided", "motion_guided_strength",
 
 
 def with_variant(cfg: RunConfig, variant: str) -> RunConfig:
-    """``cfg`` switched to ``variant``, its recipe fields overriding ``cfg``'s."""
-    obj = resolve_objective(variant)
-    recipe = {name: getattr(obj, name) for name in RECIPE_FIELDS}
+    """``cfg`` switched to ``variant``: every recipe field takes its
+    RunConfig default unless the variant's spec sets it."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant '{variant}'")
+    spec = VARIANTS[variant]
+    defaults = RunConfig()
+    recipe = {name: getattr(defaults, name) for name in RECIPE_FIELDS}
+    recipe.update(lambda_hw=spec.lambda_hw, **spec.masking)
     return dataclasses.replace(cfg, variant=variant, **recipe).validate()
 
 

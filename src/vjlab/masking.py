@@ -170,15 +170,19 @@ def _draw_spatial_pattern(gh: int, gw: int, mask_ratio: float,
     raise RuntimeError(f"no admissible mask after {_MAX_TRIES} tries")
 
 
+def _mask_spec(target: np.ndarray, visible: np.ndarray, centers: list[tuple[int, int]],
+               used_fallback: bool) -> MaskSpec:
+    """The validated MaskSpec of a boolean split, with its distance weights."""
+    return MaskSpec(target=target, visible=visible,
+                    distance_weight=distance_weights(visible, target),
+                    centers=centers, used_fallback=used_fallback).validate()
+
+
 def _tube_from_pattern(t_blocks: int, pattern: np.ndarray,
                        centers: list[tuple[int, int]],
                        used_fallback: bool = False) -> MaskSpec:
     target = np.broadcast_to(pattern, (t_blocks,) + pattern.shape).copy()
-    visible = ~target
-    spec = MaskSpec(target=target, visible=visible, centers=centers,
-                    used_fallback=used_fallback)
-    spec.distance_weight = distance_weights(spec.visible, spec.target)
-    return spec.validate()
+    return _mask_spec(target, ~target, centers, used_fallback)
 
 
 def sample_tube_mask(grid: tuple[int, int, int], mask_ratio: float,
@@ -256,7 +260,4 @@ def sample_future_predictive(grid: tuple[int, int, int], mask_ratio: float,
         target = ~visible
     else:
         target = np.broadcast_to(pattern, (t_blocks, gh, gw)).copy()
-    spec = MaskSpec(target=target, visible=visible, centers=centers,
-                    used_fallback=used_fallback)
-    spec.distance_weight = distance_weights(spec.visible, spec.target)
-    return spec.validate()
+    return _mask_spec(target, visible, centers, used_fallback)

@@ -11,12 +11,18 @@ shape; predictor errors arrive as a [B, K] slab whose padded rows carry
 weight exactly 0. The loss of a batch is the mean over its clips of each
 clip's own loss, so a batch of one is that clip's loss. Whatever the math
 takes per clip (centering, gating, moments, hard weights) stays per clip.
+
+There is no objective config of its own: composition reads the run's
+``config.RunConfig`` for the coefficients and ``VARIANTS[cfg.variant]`` for
+the parts and the kinematic kind. ``config.with_variant`` lays a spec's
+``lambda_hw`` and masking flags over the run config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +39,9 @@ from .model import (
 )
 from .synth import VideoClip
 from .tensor import Tensor, huber as huber_op
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 COMPONENTS = (
     "jepa", "hw_jepa", "static", "orth", "ld_hw", "kin", "sigreg", "ham",
@@ -89,63 +98,6 @@ VARIANTS: dict[str, VariantSpec] = {
         components=frozenset({"hw_jepa", "static", "orth", "ld_hw"}), fwm=True, lambda_hw=1.0
     ),
 }
-
-
-@dataclass
-class ObjectiveConfig:
-    variant: str = "Baseline"
-    lambda_kin: float = 0.1
-    lambda_s: float = 0.05
-    lambda_o: float = 0.01
-    lambda_d: float = 1.0
-    lambda_hw: float = 0.3
-    lambda_ac: float = 1.0
-    lambda_delta: float = 0.5
-    lambda_spec: float = 1.0
-    lambda_ltc: float = 0.5
-    tau: float = 1.0
-    huber_delta: float = 1.0
-    ltc_margin: float = 0.5
-    app_ratio: float = 0.5
-    anneal_horizon: int = 500
-    sigreg_projections: int = 8
-    ema: bool = True
-    mask_ratio: float = 0.5
-    motion_guided: bool = False
-    motion_guided_strength: float = 2.0
-    motion_guided_random_rate: float = 0.1
-    full_complement: bool = False
-    max_temporal_keep: float = 1.0
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant '{self.variant}'")
-        for name in ["lambda_kin", "lambda_s", "lambda_o", "lambda_d", "lambda_hw",
-                     "lambda_ac", "lambda_delta", "lambda_spec", "lambda_ltc"]:
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.tau <= 0.0 or self.huber_delta <= 0.0 or self.ltc_margin <= 0.0:
-            raise ValueError("tau, huber_delta and ltc_margin must be positive")
-        if not 0.0 < self.app_ratio < 1.0:
-            raise ValueError(f"app_ratio must be in (0, 1), got {self.app_ratio}")
-        if self.anneal_horizon < 1:
-            raise ValueError("anneal_horizon must be at least 1")
-        if self.sigreg_projections < 1:
-            raise ValueError("sigreg_projections must be at least 1")
-
-    @property
-    def spec(self) -> VariantSpec:
-        return VARIANTS[self.variant]
-
-
-def resolve_objective(variant: str, **overrides) -> ObjectiveConfig:
-    """Variant defaults (lambda_hw, EMA, masking flags) plus explicit overrides."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant '{variant}'")
-    spec = VARIANTS[variant]
-    cfg = ObjectiveConfig(variant=variant, lambda_hw=spec.lambda_hw, ema=spec.ema,
-                          **spec.masking)
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 # -- shared helpers ------------------------------------------------------
@@ -473,7 +425,7 @@ class LossBundle:
     total: float
     total_node: Tensor | None = None
 
-    def validate(self, cfg: ObjectiveConfig, step: int = 0) -> "LossBundle":
+    def validate(self, cfg: RunConfig, step: int = 0) -> "LossBundle":
         for name, val in self.components.items():
             if name not in COMPONENTS:
                 raise ValueError(f"unknown loss component '{name}'")
@@ -490,12 +442,12 @@ class LossBundle:
         return self
 
 
-def component_weight(cfg: ObjectiveConfig, name: str, step: int = 0) -> float:
+def component_weight(cfg: RunConfig, name: str, step: int = 0) -> float:
     if name in ("jepa", "sigreg", "ham", "velgate"):
         return 1.0
     if name == "kin":
         lam = cfg.lambda_kin
-        if cfg.spec.kin_kind == "anneal":
+        if VARIANTS[cfg.variant].kin_kind == "anneal":
             lam *= anneal_coeff(step, cfg.anneal_horizon)
         return lam
     return {
@@ -511,9 +463,9 @@ def component_weight(cfg: ObjectiveConfig, name: str, step: int = 0) -> float:
     }[name]
 
 
-def compose_total(cfg: ObjectiveConfig, parts: dict[str, Tensor], step: int = 0) -> LossBundle:
+def compose_total(cfg: RunConfig, parts: dict[str, Tensor], step: int = 0) -> LossBundle:
     """Weighted sum per the variant's recipe; part set must match exactly."""
-    required = {"jepa"} | set(cfg.spec.components)
+    required = {"jepa"} | VARIANTS[cfg.variant].components
     missing = required - parts.keys()
     if missing:
         raise ValueError(f"variant '{cfg.variant}' requires part '{sorted(missing)[0]}'")

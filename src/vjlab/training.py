@@ -44,7 +44,7 @@ from .model import (
     token_grid,
 )
 from .objectives import (
-    ObjectiveConfig,
+    VARIANTS,
     ac_loss,
     compose_total,
     delta_loss,
@@ -155,17 +155,16 @@ class TrainState:
 
 def init_state(cfg: RunConfig) -> TrainState:
     cfg.validate()
-    obj = cfg.to_objective()
-    spec = obj.spec
+    spec = VARIANTS[cfg.variant]
     mcfg = cfg.to_model()
     rng = np.random.default_rng([cfg.seed, STREAM_INIT])
     student = init_encoder(mcfg, rng)
-    head_in = mcfg.dim - app_width(obj.app_ratio, mcfg.dim) if spec.fwm else mcfg.dim
+    head_in = mcfg.dim - app_width(cfg.app_ratio, mcfg.dim) if spec.fwm else mcfg.dim
     heads = init_heads(mcfg, rng, dyn_in=head_in, act_in=head_in,
                        with_ham="ham" in spec.components)
     quantize_params(student.named("enc"))
     quantize_params(heads.named("heads"))
-    teacher = clone_frozen(student) if obj.ema else None
+    teacher = clone_frozen(student) if spec.ema else None
     opt = init_opt({**student.named("enc"), **heads.named("heads")})
     return TrainState(cfg=cfg, student=student, heads=heads, teacher=teacher, opt=opt)
 
@@ -179,21 +178,21 @@ def draw_batch(dataset: Dataset, batch_size: int, seed: int, step: int) -> list[
     return [dataset.clips[int(j)] for j in idx]
 
 
-def sample_clip_mask(obj: ObjectiveConfig, clip: VideoClip, grid: tuple[int, int, int],
-                     patch: int, rng: np.random.Generator) -> MaskSpec:
-    energy = motion_energy(clip, patch) if obj.motion_guided else None
-    if obj.full_complement or obj.max_temporal_keep < 1.0:
+def sample_clip_mask(cfg: RunConfig, clip: VideoClip, grid: tuple[int, int, int],
+                     rng: np.random.Generator) -> MaskSpec:
+    energy = motion_energy(clip, cfg.patch) if cfg.motion_guided else None
+    if cfg.full_complement or cfg.max_temporal_keep < 1.0:
         return sample_future_predictive(
-            grid, obj.mask_ratio, obj.max_temporal_keep, obj.full_complement, rng,
-            energy=energy, alpha=obj.motion_guided_strength,
-            motion_guided=obj.motion_guided,
-            fallback_rate=obj.motion_guided_random_rate,
+            grid, cfg.mask_ratio, cfg.max_temporal_keep, cfg.full_complement, rng,
+            energy=energy, alpha=cfg.motion_guided_strength,
+            motion_guided=cfg.motion_guided,
+            fallback_rate=cfg.motion_guided_random_rate,
         )
-    if obj.motion_guided:
-        return sample_motion_guided(grid, obj.mask_ratio, energy,
-                                    obj.motion_guided_strength,
-                                    obj.motion_guided_random_rate, rng)
-    return sample_tube_mask(grid, obj.mask_ratio, rng)
+    if cfg.motion_guided:
+        return sample_motion_guided(grid, cfg.mask_ratio, energy,
+                                    cfg.motion_guided_strength,
+                                    cfg.motion_guided_random_rate, rng)
+    return sample_tube_mask(grid, cfg.mask_ratio, rng)
 
 
 # -- loss assembly -------------------------------------------------------
@@ -208,16 +207,15 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
     teacher encode and, when a part needs it, one full-grid encode; each part
     is then computed once on those slabs.
     """
-    cfg = state.cfg
-    obj = cfg.to_objective()
-    spec, heads = obj.spec, state.heads
+    cfg, heads = state.cfg, state.heads
+    spec = VARIANTS[cfg.variant]
     bsz = len(clips)
     tp, gh, gw = token_grid(state.student, clips[0])
 
     z_vis, _ = encode(state.student, clips, [m.visible for m in masks])
     pred = predict_masked(heads.predictor, z_vis, masks)
     z = full_grid(state.student, clips) if spec.components else None
-    if obj.ema:
+    if spec.ema:
         h = teacher_targets(state.teacher, clips)
     elif spec.components:
         h = z.data  # the detached student
@@ -232,29 +230,29 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
         weights[b, :m.n_targets] = m.distance_weight
     valid = np.arange(pred.shape[1]) < np.array([m.n_targets for m in masks])[:, None]
     e = per_token_errors(pred, targets)
-    fwm = cache(lambda: fwm_losses(z, obj.app_ratio))
+    fwm = cache(lambda: fwm_losses(z, cfg.app_ratio))
 
     def ld_hw() -> Tensor:
-        e_ld = ld_errors(heads, z, h, spec.fwm, obj.app_ratio)
-        return Tensor(0.0) if e_ld is None else hw_jepa_loss(e_ld, obj.tau)
+        e_ld = ld_errors(heads, z, h, spec.fwm, cfg.app_ratio)
+        return Tensor(0.0) if e_ld is None else hw_jepa_loss(e_ld, cfg.tau)
 
     # One batched loss per component, in COMPONENTS order. The losses are
     # looked up in this module when called, so wrappers set on its names see them.
     losses = {
         "jepa": lambda: jepa_loss(e, weights, valid),
-        "hw_jepa": lambda: hw_jepa_loss(e, obj.tau, valid=valid),
+        "hw_jepa": lambda: hw_jepa_loss(e, cfg.tau, valid=valid),
         "static": lambda: fwm()[0],
         "orth": lambda: fwm()[1],
         "ld_hw": ld_hw,
-        "kin": lambda: kinematic_loss(z, spec.kin_kind, obj.huber_delta),
-        "sigreg": lambda: sigreg_loss(z, obj.sigreg_projections, sig_rngs),
+        "kin": lambda: kinematic_loss(z, spec.kin_kind, cfg.huber_delta),
+        "sigreg": lambda: sigreg_loss(z, cfg.sigreg_projections, sig_rngs),
         "ham": lambda: hamiltonian_loss(z, heads.ham),
         "velgate": lambda: velgate_loss(z),
         "delta": lambda: delta_loss(z, h),
-        "ld": lambda: ld_loss(heads, z, h, spec.fwm, obj.app_ratio),
+        "ld": lambda: ld_loss(heads, z, h, spec.fwm, cfg.app_ratio),
         "spectral": lambda: spectral_loss(z, h),
-        "ltc": lambda: ltc_loss(z, h, obj.ltc_margin),
-        "ac": lambda: ac_loss(heads, z, clips, cfg.patch, cfg.tubelet, spec.fwm, obj.app_ratio),
+        "ltc": lambda: ltc_loss(z, h, cfg.ltc_margin),
+        "ac": lambda: ac_loss(heads, z, clips, cfg.patch, cfg.tubelet, spec.fwm, cfg.app_ratio),
     }
     return {name: loss() for name, loss in losses.items()
             if name == "jepa" or name in spec.components}
@@ -270,15 +268,14 @@ def batch_bundle(state: TrainState, clips: list[VideoClip],
                  masks: list[MaskSpec] | None = None):
     """The batch's loss parts, composed once at this step."""
     cfg = state.cfg
-    obj = cfg.to_objective()
     step = state.step
     if masks is None:
-        masks = [sample_clip_mask(obj, clip, token_grid(state.student, clip), cfg.patch,
+        masks = [sample_clip_mask(cfg, clip, token_grid(state.student, clip),
                                   np.random.default_rng([cfg.seed, STREAM_MASK, step, i]))
                  for i, clip in enumerate(clips)]
     sig_rngs = [np.random.default_rng([cfg.seed, STREAM_SIGREG, step, i])
                 for i in range(len(clips))]
-    return compose_total(obj, batch_parts(state, clips, masks, sig_rngs), step)
+    return compose_total(cfg, batch_parts(state, clips, masks, sig_rngs), step)
 
 
 # -- steps and loop ------------------------------------------------------

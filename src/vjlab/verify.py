@@ -24,7 +24,6 @@ from .objectives import (
     hard_weights,
     jepa_loss,
     per_token_errors,
-    resolve_objective,
     sigreg_loss,
     spectral_loss,
 )
@@ -133,7 +132,7 @@ def _check_ema_formula(seed: int) -> None:
 
 
 def _check_compose_recipe(seed: int) -> None:
-    cfg = resolve_objective("FWM-HW-LD")
+    cfg = variant_defaults("FWM-HW-LD")
     parts = {"jepa": Tensor(0.1), "hw_jepa": Tensor(0.2), "static": Tensor(0.3),
              "orth": Tensor(0.4), "ld_hw": Tensor(0.5)}
     total = compose_total(cfg, parts).total

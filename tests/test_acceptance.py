@@ -337,13 +337,11 @@ def _np_gelu(x):
 def _recompute_fwm_hw_ld(state, clips, step):
     """Line-by-line re-execution of the composed training loss in numpy."""
     cfg = state.cfg
-    obj = cfg.to_objective()
-    app = int(round(obj.app_ratio * cfg.dim))
+    app = int(round(cfg.app_ratio * cfg.dim))
     parts = {k: [] for k in ("jepa", "hw_jepa", "static", "orth", "ld_hw")}
     for i, clip in enumerate(clips):
         rng = np.random.default_rng([cfg.seed, STREAM_MASK, step, i])
-        mask = sample_clip_mask(obj, clip, token_grid(state.student, clip),
-                                cfg.patch, rng)
+        mask = sample_clip_mask(cfg, clip, token_grid(state.student, clip), rng)
         z_vis, _ = encode(state.student, [clip], visible=[mask.visible])
         pred = predict_masked(state.heads.predictor, z_vis, [mask]).data[0]
         z = full_grid(state.student, [clip]).data[0]
@@ -352,7 +350,7 @@ def _recompute_fwm_hw_ld(state, clips, step):
 
         e = np.abs(pred - targets).mean(axis=1)
         parts["jepa"].append(float((mask.distance_weight * e).mean()))
-        parts["hw_jepa"].append(float((_np_softmax_weights(e, obj.tau) * e).mean()))
+        parts["hw_jepa"].append(float((_np_softmax_weights(e, cfg.tau) * e).mean()))
 
         tp, gh, gw = token_grid(state.student, clip)
         zg = z.reshape(tp, gh * gw, cfg.dim)
@@ -370,11 +368,11 @@ def _recompute_fwm_hw_ld(state, clips, step):
         hidden = _np_gelu(x @ state.heads.dyn_w1.data + state.heads.dyn_b1.data)
         dhat = hidden @ state.heads.dyn_w2.data + state.heads.dyn_b2.data
         e_ld = np.abs(dhat - np.diff(hg, axis=0).reshape(-1, cfg.dim)).mean(axis=1)
-        parts["ld_hw"].append(float((_np_softmax_weights(e_ld, obj.tau) * e_ld).mean()))
+        parts["ld_hw"].append(float((_np_softmax_weights(e_ld, cfg.tau) * e_ld).mean()))
 
     avg = {k: float(np.mean(v)) for k, v in parts.items()}
-    total = (avg["jepa"] + obj.lambda_hw * avg["hw_jepa"] + obj.lambda_s * avg["static"]
-             + obj.lambda_o * avg["orth"] + obj.lambda_d * avg["ld_hw"])
+    total = (avg["jepa"] + cfg.lambda_hw * avg["hw_jepa"] + cfg.lambda_s * avg["static"]
+             + cfg.lambda_o * avg["orth"] + cfg.lambda_d * avg["ld_hw"])
     return avg, total
 
 

@@ -99,6 +99,13 @@ class TestVerify:
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "checks passed" in out
 
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys):
+        for argv in (("verify", "--config", "x.lab"), ("report", "--seed", 1)):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSweepReport:
     def test_sweep_then_report(self, tiny_config, tmp_path, capsys):

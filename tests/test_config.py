@@ -13,7 +13,10 @@ from vjlab.config import (
     save_config,
     serialize_config,
     variant_defaults,
+    with_variant,
 )
+from vjlab.objectives import VARIANTS
+from vjlab.training import init_state
 
 
 class TestParse:
@@ -33,11 +36,12 @@ class TestParse:
         assert again.mask_ratio == cfg.mask_ratio
 
     def test_round_trip_every_variant(self):
-        from vjlab.objectives import VARIANTS, resolve_objective
-        for variant in VARIANTS:
+        for variant, spec in VARIANTS.items():
             cfg = variant_defaults(variant).validate()
             assert parse_config(serialize_config(cfg)) == cfg, variant
-            assert cfg.to_objective() == resolve_objective(variant), variant
+            assert cfg.lambda_hw == spec.lambda_hw, variant
+            for key, val in spec.masking.items():
+                assert getattr(cfg, key) == val, (variant, key)
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\n  \nseed = 3\n# another\n")
@@ -139,10 +143,19 @@ class TestDerived:
         m = dataclasses.replace(RunConfig(), dim=16, heads=2, layers=1).to_model()
         assert (m.dim, m.heads, m.layers) == (16, 2, 1)
 
-    def test_to_objective_ema_flag(self):
-        assert RunConfig().to_objective().ema
-        assert not variant_defaults("SIGReg-no-EMA").to_objective().ema
-        assert not variant_defaults("Kin.-L1").to_objective().ema
+    def test_variant_ema_flag_decides_teacher(self):
+        assert init_state(RunConfig()).teacher is not None
+        assert init_state(variant_defaults("SIGReg-no-EMA")).teacher is None
+        assert init_state(variant_defaults("Kin.-L1")).teacher is None
+
+    def test_with_variant_switches_between_any_two_recipes(self):
+        # every recipe field follows the new variant, so a masked recipe
+        # (AMG-JEPA) switched back to Baseline keeps none of its flags
+        for a in VARIANTS:
+            start = variant_defaults(a)
+            for b in VARIANTS:
+                got = dataclasses.replace(with_variant(start, b), out="")
+                assert got == dataclasses.replace(variant_defaults(b), out=""), (a, b)
 
     def test_out_slug(self):
         assert variant_defaults("Kin.-L1").out == "runs/kin-l1"

@@ -1,15 +1,17 @@
 """Loss zoo: frozen values, closed-form oracles, FD gradient checks, composition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from vjlab.config import RunConfig, variant_defaults
 from vjlab.gradcheck import grad_check
 from vjlab.fourier import fft_time
 from vjlab.model import HamiltonianParams, HeadParams
 from vjlab.objectives import (
     COMPONENTS,
     LossBundle,
-    ObjectiveConfig,
     VARIANTS,
     ac_loss,
     ac_targets,
@@ -27,7 +29,6 @@ from vjlab.objectives import (
     ld_loss,
     ltc_loss,
     per_token_errors,
-    resolve_objective,
     sigreg_loss,
     spectral_loss,
     time_diff,
@@ -703,7 +704,7 @@ class TestActionConditioning:
 
 class TestCompose:
     def test_frozen_recipe_total(self):
-        cfg = resolve_objective("FWM-HW-LD")
+        cfg = variant_defaults("FWM-HW-LD")
         parts = {"jepa": Tensor(0.1), "hw_jepa": Tensor(0.2), "static": Tensor(0.3),
                  "orth": Tensor(0.4), "ld_hw": Tensor(0.5)}
         bundle = compose_total(cfg, parts)
@@ -712,45 +713,45 @@ class TestCompose:
                                      "orth": 0.4, "ld_hw": 0.5}
 
     def test_baseline_total_is_jepa(self):
-        cfg = resolve_objective("Baseline")
+        cfg = variant_defaults("Baseline")
         bundle = compose_total(cfg, {"jepa": Tensor(0.42)})
         assert bundle.total == 0.42
 
     def test_missing_part_named(self):
-        cfg = resolve_objective("HW-LD-JEPA")
+        cfg = variant_defaults("HW-LD-JEPA")
         with pytest.raises(ValueError, match="requires part 'hw_jepa'"):
             compose_total(cfg, {"jepa": Tensor(0.1), "ld_hw": Tensor(0.1)})
 
     def test_extra_part_named(self):
-        cfg = resolve_objective("Baseline")
+        cfg = variant_defaults("Baseline")
         with pytest.raises(ValueError, match="does not use part 'kin'"):
             compose_total(cfg, {"jepa": Tensor(0.1), "kin": Tensor(0.1)})
 
     def test_anneal_schedule_applied(self):
-        cfg = resolve_objective("Kin.-Anneal", anneal_horizon=100)
+        cfg = dataclasses.replace(variant_defaults("Kin.-Anneal"), anneal_horizon=100).validate()
         parts = lambda: {"jepa": Tensor(1.0), "kin": Tensor(2.0)}
         assert abs(compose_total(cfg, parts(), step=0).total - 1.2) <= 1e-12
         assert abs(compose_total(cfg, parts(), step=50).total - 1.1) <= 1e-12
         assert abs(compose_total(cfg, parts(), step=100).total - 1.0) <= 1e-12
 
     def test_plain_kin_not_annealed(self):
-        cfg = resolve_objective("Kin.-L1")
+        cfg = variant_defaults("Kin.-L1")
         parts = lambda: {"jepa": Tensor(1.0), "kin": Tensor(2.0)}
         assert compose_total(cfg, parts(), step=0).total == \
             compose_total(cfg, parts(), step=10**6).total
 
     def test_non_finite_component_names_itself(self):
-        cfg = resolve_objective("Delta-JEPA")
+        cfg = variant_defaults("Delta-JEPA")
         with pytest.raises(FloatingPointError, match="'delta'"):
             compose_total(cfg, {"jepa": Tensor(0.1), "delta": Tensor(float("nan"))})
 
     def test_negative_component_rejected(self):
         bundle = LossBundle(components={"jepa": -0.1}, total=-0.1)
         with pytest.raises(ValueError, match="negative"):
-            bundle.validate(resolve_objective("Baseline"))
+            bundle.validate(variant_defaults("Baseline"))
 
     def test_total_node_carries_gradient(self):
-        cfg = resolve_objective("Delta-JEPA")
+        cfg = variant_defaults("Delta-JEPA")
         a = Tensor(np.array(0.3), requires_grad=True)
         b = Tensor(np.array(0.8), requires_grad=True)
         bundle = compose_total(cfg, {"jepa": a * 1.0, "delta": b * 1.0})
@@ -759,7 +760,7 @@ class TestCompose:
         assert b.grad == cfg.lambda_delta
 
     def test_component_order_is_fixed(self):
-        cfg = resolve_objective("FWM-HW-LD")
+        cfg = variant_defaults("FWM-HW-LD")
         parts = {k: Tensor(v) for k, v in
                  [("ld_hw", 0.5), ("orth", 0.4), ("static", 0.3), ("hw_jepa", 0.2), ("jepa", 0.1)]}
         again = compose_total(cfg, dict(reversed(list(parts.items()))))
@@ -786,27 +787,27 @@ class TestVariantRegistry:
                 assert spec.components == {"kin"}, label
 
     def test_masking_defaults(self):
-        mg = resolve_objective("Motion-Guided")
+        mg = variant_defaults("Motion-Guided")
         assert mg.motion_guided and mg.motion_guided_strength == 2.0
         assert mg.motion_guided_random_rate == 0.1
-        amg = resolve_objective("AMG-JEPA")
+        amg = variant_defaults("AMG-JEPA")
         assert amg.motion_guided_strength == 5.0
         assert amg.motion_guided_random_rate == 0.0
-        fp = resolve_objective("Future-Predictive")
+        fp = variant_defaults("Future-Predictive")
         assert fp.full_complement and fp.max_temporal_keep == 0.5
-        mf = resolve_objective("Motion-Future")
+        mf = variant_defaults("Motion-Future")
         assert mf.motion_guided and mf.full_complement
 
     def test_hw_coefficient_defaults(self):
-        assert resolve_objective("HW-JEPA").lambda_hw == 0.3
-        assert resolve_objective("AC+HW-JEPA").lambda_hw == 0.3
-        assert resolve_objective("Combo").lambda_hw == 0.3
-        assert resolve_objective("HW-LD-JEPA").lambda_hw == 1.0
-        assert resolve_objective("FWM-HW-LD").lambda_hw == 1.0
+        assert variant_defaults("HW-JEPA").lambda_hw == 0.3
+        assert variant_defaults("AC+HW-JEPA").lambda_hw == 0.3
+        assert variant_defaults("Combo").lambda_hw == 0.3
+        assert variant_defaults("HW-LD-JEPA").lambda_hw == 1.0
+        assert variant_defaults("FWM-HW-LD").lambda_hw == 1.0
 
     def test_combo_recipe_and_masking(self):
-        combo = resolve_objective("Combo")
-        assert combo.spec.components == {"delta", "hw_jepa"}
+        combo = variant_defaults("Combo")
+        assert VARIANTS["Combo"].components == {"delta", "hw_jepa"}
         assert combo.motion_guided_strength == 5.0
 
     def test_fwm_flag(self):
@@ -815,33 +816,34 @@ class TestVariantRegistry:
         assert not VARIANTS["HW-JEPA"].fwm
 
     def test_overrides_win(self):
-        cfg = resolve_objective("Motion-Guided", motion_guided_strength=7.0, lambda_kin=0.2)
+        cfg = dataclasses.replace(variant_defaults("Motion-Guided"),
+                                  motion_guided_strength=7.0, lambda_kin=0.2).validate()
         assert cfg.motion_guided_strength == 7.0
         assert cfg.lambda_kin == 0.2
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
-            resolve_objective("Baseline2")
+            variant_defaults("Baseline2")
         with pytest.raises(ValueError, match="unknown variant"):
-            ObjectiveConfig(variant="nope")
+            RunConfig(variant="nope").validate()
 
     def test_config_invariants(self):
         with pytest.raises(ValueError, match="lambda_kin"):
-            ObjectiveConfig(lambda_kin=-0.1)
+            RunConfig(lambda_kin=-0.1).validate()
         with pytest.raises(ValueError, match="positive"):
-            ObjectiveConfig(tau=0.0)
+            RunConfig(tau=0.0).validate()
         with pytest.raises(ValueError, match="app_ratio"):
-            ObjectiveConfig(app_ratio=1.0)
+            RunConfig(app_ratio=1.0).validate()
         with pytest.raises(ValueError, match="anneal_horizon"):
-            ObjectiveConfig(anneal_horizon=0)
+            RunConfig(anneal_horizon=0).validate()
         with pytest.raises(ValueError, match="sigreg_projections"):
-            ObjectiveConfig(sigreg_projections=0)
+            RunConfig(sigreg_projections=0).validate()
 
     def test_component_weights(self):
-        cfg = resolve_objective("SIGReg")
+        cfg = variant_defaults("SIGReg")
         assert component_weight(cfg, "sigreg") == 1.0
         assert component_weight(cfg, "jepa") == 1.0
-        cfg = resolve_objective("Spectral-JEPA", lambda_spec=0.25)
+        cfg = dataclasses.replace(variant_defaults("Spectral-JEPA"), lambda_spec=0.25).validate()
         assert component_weight(cfg, "spectral") == 0.25
 
 

@@ -162,8 +162,7 @@ class TestBatchAndMasks:
         st = init_state(cfg)
         clip = gen_motion_dataset(1, 0).clips[0]
         grid = token_grid(st.student, clip)
-        mask = sample_clip_mask(cfg.to_objective(), clip, grid, cfg.patch,
-                                np.random.default_rng(0))
+        mask = sample_clip_mask(cfg, clip, grid, np.random.default_rng(0))
         assert np.array_equal(mask.visible, ~mask.target)
 
     def test_future_predictive_confines_visible(self):
@@ -171,8 +170,7 @@ class TestBatchAndMasks:
         st = init_state(cfg)
         clip = gen_motion_dataset(1, 0).clips[0]
         grid = token_grid(st.student, clip)
-        mask = sample_clip_mask(cfg.to_objective(), clip, grid, cfg.patch,
-                                np.random.default_rng(0))
+        mask = sample_clip_mask(cfg, clip, grid, np.random.default_rng(0))
         keep = int(np.ceil(cfg.max_temporal_keep * grid[0]))
         assert not mask.visible[keep:].any()
         assert np.array_equal(mask.target, ~mask.visible)  # full complement
@@ -182,8 +180,7 @@ class TestBatchAndMasks:
         st = init_state(cfg)
         clip = gen_motion_dataset(1, 0).clips[0]
         grid = token_grid(st.student, clip)
-        mask = sample_clip_mask(cfg.to_objective(), clip, grid, cfg.patch,
-                                np.random.default_rng(0))
+        mask = sample_clip_mask(cfg, clip, grid, np.random.default_rng(0))
         mask.validate()
 
 
@@ -248,7 +245,7 @@ class TestClipParts:
         cfg = small_cfg(variant, height=64, width=64, batch_size=4)
         st = init_state(cfg)
         clips = draw_batch(gen_motion_dataset(1, 0, h=64, w=64), 4, cfg.seed, 0)
-        masks = [sample_clip_mask(cfg.to_objective(), c, token_grid(st.student, c), cfg.patch,
+        masks = [sample_clip_mask(cfg, c, token_grid(st.student, c),
                                   np.random.default_rng([cfg.seed, 2, 0, i]))
                  for i, c in enumerate(clips)]
         assert len({int(m.visible.sum()) for m in masks}) > 1
@@ -267,11 +264,10 @@ class TestClipParts:
         batched = {k: np.zeros_like(p.data) if p.grad is None else p.grad
                    for k, p in params.items()}
         alone = {k: np.zeros_like(p.data) for k, p in params.items()}
-        obj = cfg.to_objective()
         for parts in singles:
             for p in params.values():
                 p.grad = None
-            backward(compose_total(obj, parts).total_node)
+            backward(compose_total(cfg, parts).total_node)
             for k, p in params.items():
                 if p.grad is not None:
                     alone[k] += p.grad / len(clips)
