@@ -12,7 +12,8 @@ this file from each checkout.
 
 ``diff`` compares two trees written by ``run``: for each variant, whether
 both files are byte-identical, and the largest relative difference between
-the per-step ``total`` values of the two logs.
+the per-step ``total`` values of the two logs. Like diff(1), it exits 0 when
+no variant differs in a file and 1 when any does.
 """
 
 import argparse
@@ -62,7 +63,7 @@ def diff(old: Path, new: Path) -> int:
               f"ckpt {'same' if same[CHECKPOINT_NAME] else 'DIFF'}  "
               f"max rel total diff {rel:.2e}")
     print(f"{changed} of {len(VARIANTS)} variants differ in a file")
-    return 0
+    return 1 if changed else 0
 
 
 def main() -> int:

@@ -2,12 +2,12 @@
 
 gendata, pretrain, probe and sweep take --config PATH (key = value file),
 --seed N and --out DIR; flags override the config file, which overrides
-variant defaults. verify takes only --seed and report only --out, so a flag
-that a subcommand would not read is rejected. `--variant NAME`, and each
-entry of a sweep's --variants list, applies that variant's recipe fields
-(config.RECIPE_FIELDS: lambda_hw and the masking flags) over the config
-file. The sweep/report pair writes and reads one JSON summary per run
-directory so results survive across invocations.
+variant defaults. verify takes no flags and report only --out, so a flag
+that a subcommand would not read is rejected. pretrain and probe take
+`--variant NAME`, which, like each entry of a sweep's --variants list,
+applies that variant's recipe fields (config.RECIPE_FIELDS) over the config
+file. verify runs verify.CHECKS, the same functions the unit tests call.
+The sweep/report pair writes and reads one JSON summary per run directory.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .objectives import VARIANTS
 from .probing import synthetic_benchmark
 from .synth import gen_motion_dataset, load_dataset, save_dataset
 from .training import CHECKPOINT_NAME, METRICS_NAME, init_state, run_pretrain
-from .verify import run_verify
+from .verify import CHECKS
 
 DATASET_NAME = "dataset.synv"
 PROBE_NAME = "probe.json"
@@ -122,18 +122,17 @@ def cmd_probe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verify(args.seed)
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        tag = "PASS" if r.ok else "FAIL"
-        line = f"[{tag}] {r.name:<{width}}"
-        if r.detail:
-            line += f"  {r.detail}"
-        print(line)
-        failures += 0 if r.ok else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else 1
+    passed = 0
+    for check in CHECKS:
+        try:
+            check()
+        except Exception as err:  # noqa: BLE001 - every failure mode is a check failure
+            print(f"[FAIL] {check.__name__}  {type(err).__name__}: {err}")
+        else:
+            print(f"[PASS] {check.__name__}")
+            passed += 1
+    print(f"{passed}/{len(CHECKS)} checks passed")
+    return 0 if passed == len(CHECKS) else 1
 
 
 def cmd_sweep(args) -> int:
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=sorted(VARIANTS))
 
     p = sub.add_parser("gendata", help="write a synthetic motion dataset")
-    common(p)
+    common(p, variant_flag=False)
     p.set_defaults(fn=cmd_gendata)
 
     p = sub.add_parser("pretrain", help="train one variant")
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("verify", help="run the named self-check battery")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="pretrain + probe a list of variants")

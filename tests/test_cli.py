@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vjlab import cli
 from vjlab.cli import main
 from vjlab.config import RECIPE_FIELDS, load_config, variant_defaults, variant_slug
 from vjlab.synth import load_dataset
@@ -99,8 +100,22 @@ class TestVerify:
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "checks passed" in out
 
+    def test_failing_check_is_reported(self, monkeypatch, capsys):
+        def boom():
+            raise AssertionError("boom")
+
+        monkeypatch.setattr(cli, "CHECKS", cli.CHECKS[:5] + (boom,) + cli.CHECKS[6:])
+        assert run_cli("verify") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "[FAIL] boom  AssertionError: boom" in lines
+        assert lines[-1] == "12/13 checks passed"
+        passes = [line for line in lines if line.startswith("[PASS]")]
+        assert len(passes) == 12
+        assert all(line == line.rstrip() for line in passes)
+
     def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys):
-        for argv in (("verify", "--config", "x.lab"), ("report", "--seed", 1)):
+        for argv in (("verify", "--config", "x.lab"), ("verify", "--seed", "0"),
+                     ("report", "--seed", 1), ("gendata", "--variant", "Kin.-L1")):
             with pytest.raises(SystemExit) as exc:
                 run_cli(*argv)
             assert exc.value.code == 2, argv

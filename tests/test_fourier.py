@@ -1,20 +1,12 @@
-"""Transform checks against a naive DFT written independently here."""
+"""Transform checks against the naive textbook DFT in vjlab.verify."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vjlab.fourier import ComplexSeries, dft_matrices, fft_time, ifft_time
-
-
-def naive_dft(x):
-    """Direct textbook sum, the oracle route."""
-    n = len(x)
-    out = np.zeros(n, dtype=np.complex128)
-    for k in range(n):
-        for t in range(n):
-            out[k] += x[t] * np.exp(-2j * np.pi * k * t / n)
-    return out
+from vjlab import verify
+from vjlab.fourier import ComplexSeries, dft_matrices, fft_time
+from vjlab.verify import naive_dft
 
 
 def test_impulse_spectrum_flat():
@@ -33,12 +25,7 @@ def test_constant_fiber_dc_only():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 16])
 def test_matches_naive_dft_all_lengths(n):
-    g = np.random.default_rng(n)
-    x = g.standard_normal(n)
-    got = fft_time(x)
-    want = naive_dft(x)
-    assert np.max(np.abs(got.real - want.real)) <= 1e-9
-    assert np.max(np.abs(got.imag - want.imag)) <= 1e-9
+    verify.fft_vs_naive_dft(n=n)
 
 
 def test_many_random_fibers_radix2_vs_naive():
@@ -59,9 +46,7 @@ def test_many_random_fibers_radix2_vs_naive():
 @given(st.integers(0, 10_000), st.sampled_from([2, 4, 6, 8]))
 @settings(max_examples=40)
 def test_round_trip(seed, n):
-    x = np.random.default_rng(seed).standard_normal(n)
-    back = ifft_time(fft_time(x))
-    assert np.max(np.abs(back - x)) <= 1e-9
+    verify.fft_round_trip(seed=seed, lengths=(n,))
 
 
 def test_multifiber_axis_handling():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from vjlab import verify
 from vjlab.masking import (
     MaskSpec,
     MotionEnergy,
@@ -38,11 +39,7 @@ class TestTubeMask:
     @given(st.integers(0, 2000))
     @settings(max_examples=60, deadline=None)
     def test_coverage_band_and_extrusion(self, seed):
-        spec = sample_tube_mask(GRID, 0.5, np.random.default_rng(seed))
-        per_block = spec.target.sum(axis=(1, 2))
-        assert np.all(per_block == per_block[0])  # same spatial pattern per block
-        assert 6 <= per_block[0] <= 10
-        assert abs(per_block[0] / 16.0 - 0.5) <= 0.05 + 1e-12
+        verify.mask_coverage_band(seed=seed)
 
     @given(st.integers(0, 2000))
     @settings(max_examples=30, deadline=None)

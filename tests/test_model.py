@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vjlab import verify
 from vjlab.gradcheck import grad_check
 from vjlab.masking import MaskSpec, sample_tube_mask
 from vjlab.model import (
@@ -322,19 +323,7 @@ class TestPadding:
 
 class TestEMA:
     def test_exact_formula(self):
-        student = params(0)
-        teacher = clone_frozen(student)
-        rng = np.random.default_rng(9)
-        for t in teacher.named().values():
-            t.data = rng.standard_normal(t.data.shape)
-        before = {k: t.data.copy() for k, t in teacher.named().items()}
-        s_named, t_named = student.named(), teacher.named()
-        ema_update(t_named, s_named, 0.99925)
-        for k, t in t_named.items():
-            want = 0.99925 * before[k] + (1.0 - 0.99925) * s_named[k].data
-            assert np.array_equal(t.data, want)
-            approx = 0.99925 * before[k] + 0.00075 * s_named[k].data
-            assert np.max(np.abs(t.data - approx)) <= 1e-12
+        verify.ema_update_exact()
 
     def test_momentum_one_freezes(self):
         student = params(0)
@@ -394,16 +383,8 @@ class TestSplitAndHeads:
 
 
 class TestCheckpoint:
-    def test_round_trip_exact_after_quantize(self, tmp_path):
-        p = params(5)
-        quantize_params(p.named())
-        records = {k: t.data for k, t in p.named().items()}
-        path = tmp_path / "ck.jpck"
-        save_checkpoint(path, records)
-        back = load_checkpoint(path)
-        assert set(back) == set(records)
-        for k in records:
-            assert np.array_equal(back[k], records[k])
+    def test_round_trip_exact_after_quantize(self):
+        verify.checkpoint_round_trip()
 
     def test_write_is_deterministic(self, tmp_path):
         p = params(5)

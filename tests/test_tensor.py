@@ -15,6 +15,7 @@ from vjlab.tensor import (
     softmax,
     tensor,
 )
+from vjlab import verify
 from vjlab.gradcheck import grad_check
 
 
@@ -169,14 +170,7 @@ class TestBackward:
             backward(tensor(1.0))
 
     def test_grad_check_composite(self):
-        def f(a, b):
-            return ((a @ b).tanh() * a.sum()).mean()
-
-        rep = grad_check(
-            f,
-            [tensor(rng(10).standard_normal((3, 4))), tensor(rng(11).standard_normal((4, 3)))],
-        )
-        assert rep.ok(1e-4), rep.max_rel_err
+        verify.gradient_engine()
 
     def test_grad_check_nonlinearities(self):
         for name in ["exp", "tanh", "gelu", "sqrt", "log"]:

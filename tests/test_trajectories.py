@@ -1,0 +1,47 @@
+"""scripts/trajectories.py diff: its exit status gates on byte-identical runs."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from vjlab.config import variant_slug
+from vjlab.objectives import VARIANTS
+from vjlab.training import CHECKPOINT_NAME, METRICS_NAME
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "trajectories.py"
+
+
+def fake_run(root: Path) -> Path:
+    for i, name in enumerate(VARIANTS):
+        run_dir = root / variant_slug(name)
+        run_dir.mkdir(parents=True)
+        (run_dir / METRICS_NAME).write_text(
+            "".join(json.dumps({"step": s, "total": 1.0 + i + s}) + "\n" for s in (1, 2)))
+        (run_dir / CHECKPOINT_NAME).write_bytes(bytes(range(16)))
+    return root
+
+
+def diff_exit(monkeypatch, old: Path, new: Path) -> int:
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "diff", str(old), str(new)])
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script prepends its src tree
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    return exc.value.code
+
+
+def test_diff_exit_status(tmp_path, monkeypatch, capsys):
+    old, new = fake_run(tmp_path / "old"), fake_run(tmp_path / "new")
+    assert diff_exit(monkeypatch, old, new) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"0 of {len(VARIANTS)} variants differ in a file"
+    ckpt = new / variant_slug("Baseline") / CHECKPOINT_NAME
+    data = bytearray(ckpt.read_bytes())
+    data[3] ^= 1
+    ckpt.write_bytes(bytes(data))
+    assert diff_exit(monkeypatch, old, new) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"1 of {len(VARIANTS)} variants differ in a file"
+    assert sum("ckpt DIFF" in line for line in out) == 1
