@@ -13,7 +13,9 @@ this file from each checkout.
 ``diff`` compares two trees written by ``run``: for each variant, whether
 both files are byte-identical, and the largest relative difference between
 the per-step ``total`` values of the two logs. Like diff(1), it exits 0 when
-no variant differs in a file and 1 when any does.
+no variant differs in a file, 1 when any does, and 2 when the trees cannot
+be compared: a file is missing, a log line does not parse, or the two logs
+of a variant hold different step counts.
 """
 
 import argparse
@@ -49,20 +51,34 @@ def totals(run_dir: Path) -> list[float]:
     return [json.loads(line)["total"] for line in lines]
 
 
+def compare(a: Path, b: Path) -> tuple[dict[str, bool], float]:
+    """Per-file byte identity of two run directories, and the largest
+    relative difference between their per-step totals."""
+    same = {f: sha256(a / f) == sha256(b / f) for f in (METRICS_NAME, CHECKPOINT_NAME)}
+    ta, tb = totals(a), totals(b)
+    if len(ta) != len(tb):
+        raise ValueError(f"{len(ta)} logged steps against {len(tb)}")
+    rel = max(abs(x - y) / max(abs(x), abs(y), 1e-300) for x, y in zip(ta, tb))
+    return same, rel
+
+
 def diff(old: Path, new: Path) -> int:
-    changed = 0
+    changed = broken = 0
     for name in VARIANTS:
-        a, b = old / variant_slug(name), new / variant_slug(name)
-        same = {f: sha256(a / f) == sha256(b / f) for f in (METRICS_NAME, CHECKPOINT_NAME)}
-        ta, tb = totals(a), totals(b)
-        if len(ta) != len(tb):
-            raise SystemExit(f"{name}: {len(ta)} logged steps against {len(tb)}")
-        rel = max(abs(x - y) / max(abs(x), abs(y), 1e-300) for x, y in zip(ta, tb))
+        try:
+            same, rel = compare(old / variant_slug(name), new / variant_slug(name))
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            broken += 1
+            print(f"{name:>18}  cannot compare: {type(err).__name__}: {err}")
+            continue
         changed += not all(same.values())
         print(f"{name:>18}  metrics {'same' if same[METRICS_NAME] else 'DIFF'}  "
               f"ckpt {'same' if same[CHECKPOINT_NAME] else 'DIFF'}  "
               f"max rel total diff {rel:.2e}")
     print(f"{changed} of {len(VARIANTS)} variants differ in a file")
+    if broken:
+        print(f"{broken} of {len(VARIANTS)} variants cannot be compared")
+        return 2
     return 1 if changed else 0
 
 

@@ -6,7 +6,9 @@ variant defaults. verify takes no flags and report only --out, so a flag
 that a subcommand would not read is rejected. pretrain and probe take
 `--variant NAME`, which, like each entry of a sweep's --variants list,
 applies that variant's recipe fields (config.RECIPE_FIELDS) over the config
-file. verify runs verify.CHECKS, the same functions the unit tests call.
+file. pretrain and sweep train on a run directory's dataset.synv when it
+has one, and refuse one whose clip count or clip shape does not fit the
+config. verify runs verify.CHECKS, the same functions the unit tests call.
 The sweep/report pair writes and reads one JSON summary per run directory.
 """
 
@@ -30,7 +32,7 @@ from .config import (
 from .model import load_checkpoint, load_into
 from .objectives import VARIANTS
 from .probing import synthetic_benchmark
-from .synth import gen_motion_dataset, load_dataset, save_dataset
+from .synth import N_CLASSES, Dataset, gen_motion_dataset, load_dataset, save_dataset
 from .training import CHECKPOINT_NAME, METRICS_NAME, init_state, run_pretrain
 from .verify import CHECKS
 
@@ -50,12 +52,24 @@ def _build_config(args) -> RunConfig:
     return apply_overrides(cfg, seed=args.seed, out=args.out)
 
 
-def _load_run_dataset(cfg: RunConfig):
+class DatasetMismatch(ValueError):
+    """A run directory's dataset.synv does not fit the run's config."""
+
+
+def _load_run_dataset(cfg: RunConfig) -> Dataset | None:
+    """The run's dataset.synv, or None to have run_pretrain generate the
+    config's own. SYNV v1 stores no seed, so only the clip count and the
+    clip shape are checked against the config."""
     path = Path(cfg.out) / DATASET_NAME
-    if path.exists():
-        return load_dataset(path)
-    return gen_motion_dataset(cfg.n_per_class, cfg.seed,
-                              t=cfg.frames, h=cfg.height, w=cfg.width)
+    if not path.exists():
+        return None
+    ds = load_dataset(path)
+    n, shape = N_CLASSES * cfg.n_per_class, (cfg.frames, cfg.height, cfg.width, cfg.channels)
+    if len(ds) != n or ds.clips[0].shape != shape:
+        raise DatasetMismatch(
+            f"{path} holds {len(ds)} clips of shape {ds.clips[0].shape}, but the config "
+            f"asks for {n} of shape {shape}; regenerate it with `lab gendata` or remove it")
+    return ds
 
 
 def cmd_gendata(args) -> int:
@@ -146,10 +160,11 @@ def cmd_sweep(args) -> int:
                 return 1
     base = _build_config(args)
     root = Path(base.out)
+    cfgs = [apply_overrides(with_variant(base, name), out=str(root / variant_slug(name)))
+            for name in names]
+    datasets = [_load_run_dataset(cfg) for cfg in cfgs]  # refuse a misfit before training
     rows = []
-    for name in names:
-        cfg = apply_overrides(with_variant(base, name), out=str(root / variant_slug(name)))
-        ds = _load_run_dataset(cfg)
+    for name, cfg, ds in zip(names, cfgs, datasets):
         t0 = time.time()
         state = run_pretrain(cfg, dataset=ds)
         rep = synthetic_benchmark(state.student, cfg,
@@ -251,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except DatasetMismatch as err:
+        print(err, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -141,12 +141,22 @@ def _feasible_counts(n_spatial: int, mask_ratio: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _categorical_sampler(probs: np.ndarray, rng: np.random.Generator):
+    """``lambda: int(rng.choice(len(probs), p=probs))`` with ``probs`` checked
+    and its CDF built once: each call draws the same single double as choice."""
+    rng.choice(len(probs), size=0, p=probs)  # choice's own checks of p; draws nothing
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _draw_spatial_pattern(gh: int, gw: int, mask_ratio: float,
                           rng: np.random.Generator,
                           probs: np.ndarray | None) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Union of 1-4 rectangles; retried until the covered fraction fits."""
     n_spatial = gh * gw
     lo, hi = _feasible_counts(n_spatial, mask_ratio)
+    guided = None if probs is None else _categorical_sampler(probs, rng)
     max_h = max(1, math.ceil(gh * 0.75))
     max_w = max(1, math.ceil(gw * 0.75))
     for _ in range(_MAX_TRIES):
@@ -154,10 +164,7 @@ def _draw_spatial_pattern(gh: int, gw: int, mask_ratio: float,
         centers: list[tuple[int, int]] = []
         n_blocks = int(rng.integers(1, 5))
         for _ in range(n_blocks):
-            if probs is None:
-                flat = int(rng.integers(0, n_spatial))
-            else:
-                flat = int(rng.choice(n_spatial, p=probs))
+            flat = int(rng.integers(0, n_spatial)) if guided is None else guided()
             cr, cc = divmod(flat, gw)
             centers.append((cr, cc))
             bh = int(rng.integers(1, max_h + 1))

@@ -1,9 +1,10 @@
 """Synthetic motion clips: a bright square on black, one motion class each.
 
 Eight classes (4 translations, 2 rotations, 2 scalings), rendered without
-anti-aliasing so exports are exact under float32. Per-clip RNG is derived
-from (seed, class, index), which makes datasets reproducible element by
-element and lets train/test splits be disjoint by construction.
+anti-aliasing so exports are exact under float32; all frames of a clip are
+rendered in one broadcast pass over [T, H, W]. Per-clip RNG is derived from
+(seed, class, index), which makes datasets reproducible element by element
+and lets train/test splits be disjoint by construction.
 """
 
 from __future__ import annotations
@@ -90,22 +91,14 @@ class MixtureSpec:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
 
 
-def _render_square(h: int, w: int, cx: float, cy: float, half: float,
-                   theta: float) -> np.ndarray:
-    """Binary image of a filled square, sampled at pixel centers."""
-    ys, xs = np.mgrid[0:h, 0:w]
-    dx = xs + 0.5 - cx
-    dy = ys + 0.5 - cy
-    c, s = np.cos(theta), np.sin(theta)
-    u = c * dx + s * dy
-    v = -s * dx + c * dy
-    inside = (np.abs(u) <= half) & (np.abs(v) <= half)
-    return inside.astype(np.float64)
-
-
 def gen_motion_clip(motion: MotionClass, rng: np.random.Generator,
                     t: int = 8, h: int = 32, w: int = 32) -> VideoClip:
-    """One clip of ``motion``; start pose jittered in the middle quarter."""
+    """One clip of ``motion``; start pose jittered in the middle quarter.
+
+    The T poses are scalar arithmetic per frame. One broadcast pass then
+    samples every frame's filled square at the pixel centers; the offsets
+    are separable ([T, 1, W] and [T, H, 1]), so only the rotated coordinates
+    and the inside test span the full [T, H, W] grid."""
     if t < 1 or h < 16 or w < 16:
         raise ValueError(f"clip dims too small: t={t}, h={h}, w={w}")
     cx = w / 2.0 - 8.0 + rng.uniform(0.0, 16.0)
@@ -113,7 +106,7 @@ def gen_motion_clip(motion: MotionClass, rng: np.random.Generator,
     theta = rng.uniform(0.0, np.pi / 2.0)
     half = SQUARE_SIDE / 2.0
 
-    frames = np.zeros((t, h, w, 1), dtype=np.float64)
+    poses = []
     for i in range(t):
         # Translation paths are centered on the jittered point so the square
         # never fully leaves the frame; centroid tracking stays well defined.
@@ -135,8 +128,14 @@ def gen_motion_clip(motion: MotionClass, rng: np.random.Generator,
             fhalf = half * SCALE_STEP ** i
         elif motion == MotionClass.SCALE_DOWN:
             fhalf = half * SCALE_STEP ** (-i)
-        frames[i, :, :, 0] = _render_square(h, w, fx, fy, fhalf, fth)
-    return VideoClip(pixels=frames, label=int(motion))
+        poses.append((fx, fy, fhalf, np.cos(fth), np.sin(fth)))
+    fx, fy, fhalf, c, s = (np.array(col)[:, None, None] for col in zip(*poses))
+    dx = np.arange(w) + 0.5 - fx               # [T, 1, W]
+    dy = np.arange(h)[:, None] + 0.5 - fy      # [T, H, 1]
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    inside = (np.abs(u) <= fhalf) & (np.abs(v) <= fhalf)
+    return VideoClip(pixels=inside[..., None].astype(np.float64), label=int(motion))
 
 
 def gen_motion_dataset(n_per_class: int, seed: int, t: int = 8, h: int = 32,

@@ -87,6 +87,30 @@ class TestPretrainProbe:
         assert snap.motion_guided_strength == 5.0
         assert snap.motion_guided_random_rate == 0.0
 
+    def test_pretrain_trains_on_a_fitting_dataset_file(self, tiny_config, tmp_path):
+        assert run_cli("gendata", "--config", tiny_config, "--seed", 5) == 0
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli("pretrain", "--config", tiny_config, "--out", fresh) == 0
+        # the seed-5 file, not the config's seed-0 data, is what the run saw
+        out = tmp_path / "run"
+        assert (out / "metrics.jsonl").read_bytes() != (fresh / "metrics.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("change", ["n_per_class = 1\n", "n_per_class = 2\nframes = 4\n"])
+    def test_pretrain_refuses_a_dataset_that_does_not_fit(self, tiny_config, tmp_path,
+                                                         capsys, change):
+        assert run_cli("gendata", "--config", tiny_config) == 0
+        other = tmp_path / "other.lab"
+        other.write_text(tiny_config.read_text().replace("n_per_class = 2\n", change))
+        assert run_cli("pretrain", "--config", other, "--seed", 7) == 1
+        err = capsys.readouterr().err
+        assert "dataset.synv holds 16 clips of shape (8, 32, 32, 1)" in err
+        assert "regenerate it with `lab gendata`" in err
+        out = tmp_path / "run"
+        assert not (out / "checkpoint.jpck").exists()
+        assert not (out / "metrics.jsonl").exists()
+        assert not (out / "config.lab").exists()
+
     def test_defaults_without_config_file(self, tmp_path):
         # no --config: variant defaults with explicit out; keep it tiny via config-less gendata only
         assert run_cli("gendata", "--out", tmp_path / "d", "--seed", 1) == 0
@@ -142,6 +166,20 @@ class TestSweepReport:
         assert run_cli("report", "--out", root) == 0
         out = capsys.readouterr().out
         assert "Baseline" in out and "Delta-JEPA" in out and "vs base" in out
+
+    def test_sweep_refuses_a_dataset_that_does_not_fit(self, tiny_config, tmp_path, capsys):
+        root = tmp_path / "sw"
+        assert run_cli("gendata", "--config", tiny_config,
+                       "--out", root / variant_slug("Delta-JEPA")) == 0
+        tiny_config.write_text(tiny_config.read_text() + "frames = 4\n")
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", "Baseline,Delta-JEPA",
+                       "--train-per-class", 2, "--test-per-class", 2) == 1
+        err = capsys.readouterr().err
+        assert "holds 16 clips of shape (8, 32, 32, 1)" in err
+        assert "asks for 16 of shape (4, 32, 32, 1)" in err
+        assert not (root / "sweep.json").exists()
+        assert not (root / variant_slug("Baseline")).exists()  # refused before any training
 
     def test_sweep_rejects_unknown_variant(self, tiny_config, tmp_path, capsys):
         assert run_cli("sweep", "--config", tiny_config,

@@ -9,6 +9,7 @@ from vjlab import verify
 from vjlab.masking import (
     MaskSpec,
     MotionEnergy,
+    _categorical_sampler,
     distance_weights,
     motion_energy,
     sample_future_predictive,
@@ -149,6 +150,27 @@ class TestMotionGuided:
             fallback_rate=0.0, rng=np.random.default_rng(0)
         )
         spec.validate()
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64).filter(lambda w: sum(w) > 0))
+    @settings(max_examples=80, deadline=None)
+    def test_categorical_sampler_matches_choice_draw_for_draw(self, seed, weights):
+        p = np.array(weights) / np.sum(weights)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _categorical_sampler(p, ours)
+        for _ in range(40):  # interleaved with other draws, as in the block loop
+            assert draw() == int(ref.choice(len(p), p=p))
+            assert ours.integers(1, 5) == ref.integers(1, 5)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_categorical_sampler_checks_p_like_choice(self):
+        for p in (np.full(4, 0.3), np.array([0.5, np.nan, 0.5, 0.0]),
+                  np.array([1.5, -0.5, 0.0, 0.0]), np.full((2, 2), 0.25)):
+            with pytest.raises(ValueError) as ours:
+                _categorical_sampler(p, np.random.default_rng(0))
+            with pytest.raises(ValueError) as ref:
+                np.random.default_rng(0).choice(len(p), p=p)
+            assert str(ours.value) == str(ref.value)
 
     def test_energy_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):

@@ -1,5 +1,7 @@
 """Generator checks: motion direction oracles, export round trip, mixtures."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,17 @@ class TestExport:
     def test_no_temp_file_left_behind(self, tmp_path):
         save_dataset(tmp_path / "x.synv", gen_motion_dataset(1, seed=0))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.synv"]
+
+    @pytest.mark.parametrize("n, seed, t, h, w, digest", [
+        (64, 0, 8, 32, 32, "d55168c8712654eab888619581f2f317988920e5a0b83200dad15d8e7b184ee8"),
+        (8, 1, 4, 16, 16, "77927170331d6e7d7e3d51583ed6c56ff67344eda90c6ac0ef41c0ac65acfb21"),
+        (4, 2, 6, 48, 40, "f1262f50a2dbab448461e00d3fedd2f827efc3f2b30628c69be46c74bb5c0a40"),
+        (2, 3, 1, 16, 16, "6deeefa1202133bf455f1670e86920b06b9b272a012cf158dd544a153bc17b13"),
+    ])
+    def test_rendered_bytes_pinned(self, tmp_path, n, seed, t, h, w, digest):
+        path = tmp_path / "clips.synv"
+        save_dataset(path, gen_motion_dataset(n, seed, t=t, h=h, w=w))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_mixed_dims_rejected(self, tmp_path):
         ds = Dataset(

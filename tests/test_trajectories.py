@@ -45,3 +45,24 @@ def test_diff_exit_status(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"1 of {len(VARIANTS)} variants differ in a file"
     assert sum("ckpt DIFF" in line for line in out) == 1
+
+    # trees that cannot be compared: a truncated log (whole lines or mid-line),
+    # a log line without a total, and a missing checkpoint
+    for damage in ("cut_lines", "cut_mid_line", "unparsable", "no_ckpt"):
+        old, new = fake_run(tmp_path / damage / "old"), fake_run(tmp_path / damage / "new")
+        run_dir = new / variant_slug("HW-JEPA")
+        log = run_dir / METRICS_NAME
+        text = log.read_text()
+        if damage == "cut_lines":
+            log.write_text(text.splitlines(keepends=True)[0])
+        elif damage == "cut_mid_line":
+            log.write_text(text[:-7])
+        elif damage == "unparsable":
+            log.write_text(text.replace("total", "tot", 1))
+        else:
+            (run_dir / CHECKPOINT_NAME).unlink()
+        assert diff_exit(monkeypatch, old, new) == 2, damage
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [f"0 of {len(VARIANTS)} variants differ in a file",
+                            f"1 of {len(VARIANTS)} variants cannot be compared"], damage
+        assert sum("cannot compare" in line for line in out) == 1, damage
