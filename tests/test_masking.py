@@ -1,11 +1,14 @@
 """Mask sampler checks: coverage bands, guidance distributions, weights."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from vjlab import verify
+from vjlab.config import variant_defaults
 from vjlab.masking import (
     MaskSpec,
     MotionEnergy,
@@ -16,7 +19,8 @@ from vjlab.masking import (
     sample_motion_guided,
     sample_tube_mask,
 )
-from vjlab.synth import MotionClass, gen_motion_clip, image_as_clip
+from vjlab.synth import MotionClass, gen_motion_clip, gen_motion_dataset, image_as_clip
+from vjlab.training import STREAM_MASK, sample_clip_mask
 
 GRID = (4, 4, 4)  # desk-scale token grid
 
@@ -284,3 +288,32 @@ class TestDistanceWeights:
         spec = MaskSpec(target=target, visible=~target)
         with pytest.raises(ValueError, match="no visible"):
             spec.validate()
+
+
+# sha256 over the masks that training.sample_clip_mask draws for every clip of
+# gen_motion_dataset(4, 0) under each masking recipe; see TestPinnedMasks.
+PINNED_MASK_DIGESTS = {
+    "Baseline": "1c345b48a188de5a7eda0ed879cdde2d0a9b7cd6505b8133e0cc02ea5d84d947",
+    "Motion-Guided": "67e02d519163036245f1523c46c74e1356ae8e5df765d457fbb89eb1912abe38",
+    "AMG-JEPA": "6faba905d9966b5e889c662f440e23f31aeba618a1c1e5d3003be58ae01386b0",
+    "Future-Predictive": "3001c91b917e580d7e502f129465f70ae6e81e42a241e6c92fa353e1c16f9842",
+    "Motion-Future": "a053abec89478be9b62c5696cee98ebdcdc368f3c47c23dc32a8bade6623d3cf",
+}
+
+
+class TestPinnedMasks:
+    @pytest.mark.parametrize("variant", PINNED_MASK_DIGESTS)
+    def test_sample_clip_mask_digest(self, variant):
+        """Masks, weights, centres and fallback flags stay byte for byte what
+        each recipe drew when the digests were recorded."""
+        cfg = variant_defaults(variant)
+        digest = hashlib.sha256()
+        for i, clip in enumerate(gen_motion_dataset(4, 0).clips):
+            m = sample_clip_mask(cfg, clip, (4, 4, 4),
+                                 np.random.default_rng([0, STREAM_MASK, 0, i]))
+            digest.update(m.target.tobytes())
+            digest.update(m.visible.tobytes())
+            digest.update(m.distance_weight.tobytes())
+            digest.update(np.array(m.centers, dtype=np.int64).tobytes())
+            digest.update(bytes([m.used_fallback]))
+        assert digest.hexdigest() == PINNED_MASK_DIGESTS[variant]
