@@ -171,7 +171,7 @@ def cmd_sweep(args) -> int:
                                   n_train_per_class=args.train_per_class,
                                   n_test_per_class=args.test_per_class)
         row = {
-            "variant": name, "accuracy": rep.accuracy,
+            "variant": name, "kind": rep.kind, "accuracy": rep.accuracy,
             "final_total": _final_total(cfg.out),
             "steps": state.step, "seconds": round(time.time() - t0, 1),
             "seed": cfg.seed,
@@ -204,12 +204,12 @@ def cmd_report(args) -> int:
     seen = {}
     for row in rows:  # later probe rows refresh earlier sweep entries
         seen[(row["variant"], row.get("kind", "linear"))] = row
-    ordered = sorted(seen.values(), key=lambda r: -r["accuracy"])
-    base = next((r["accuracy"] for r in ordered if r["variant"] == "Baseline"), None)
-    print(f"{'variant':>14}  {'top-1':>7}  {'vs base':>8}")
-    for row in ordered:
-        delta = "" if base is None else f"{100 * (row['accuracy'] - base):+8.2f}"
-        print(f"{row['variant']:>14}  {row['accuracy']:7.4f}  {delta:>8}")
+    base = {kind: row["accuracy"] for (variant, kind), row in seen.items()
+            if variant == "Baseline"}  # each probe kind is compared with its own Baseline
+    print(f"{'variant':>14}  {'kind':>9}  {'top-1':>7}  {'vs base':>8}")
+    for (variant, kind), row in sorted(seen.items(), key=lambda kv: -kv[1]["accuracy"]):
+        delta = f"{100 * (row['accuracy'] - base[kind]):+8.2f}" if kind in base else ""
+        print(f"{variant:>14}  {kind:>9}  {row['accuracy']:7.4f}  {delta:>8}")
     return 0
 
 

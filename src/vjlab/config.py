@@ -1,10 +1,10 @@
 """Flat run configuration: one dataclass, `key = value` files, canonical dump.
 
-`RunConfig` is the one config of a run. The model reads its geometry
-through `to_model`; masking, the losses and their composition read it
-directly, together with the variant's `objectives.VariantSpec`. A
-variant's recipe (its hard-weight coefficient and masking flags,
-`RECIPE_FIELDS`) is laid over a config by `with_variant`.
+`RunConfig` is the one config of a run. The model, masking, the losses and
+their composition all read it directly, the losses together with the
+variant's `objectives.VariantSpec`. A variant's recipe (its hard-weight
+coefficient and masking flags, `RECIPE_FIELDS`) is laid over a config by
+`with_variant`.
 
 Parsing resolves variant-dependent defaults first, then applies the
 remaining keys, so a file containing just ``variant = AMG-JEPA`` picks up
@@ -17,7 +17,6 @@ import dataclasses
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .model import ModelConfig
 from .objectives import VARIANTS
 
 
@@ -90,14 +89,21 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant '{self.variant}'")
-        for name in ["seed", "lambda_kin", "lambda_s", "lambda_o", "lambda_d", "lambda_hw",
-                     "lambda_ac", "lambda_delta", "lambda_spec", "lambda_ltc"]:
+        for name in ["seed", "layers", "pred_layers", "lambda_kin", "lambda_s", "lambda_o",
+                     "lambda_d", "lambda_hw", "lambda_ac", "lambda_delta", "lambda_spec",
+                     "lambda_ltc"]:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ["n_per_class", "steps", "batch_size", "probe_epochs", "probe_batch",
-                     "anneal_horizon", "sigreg_projections"]:
+        # the geometry fields first: the divisibility checks below take them modulo
+        for name in ["frames", "height", "width", "patch", "tubelet", "dim", "heads", "ff",
+                     "pred_heads", "dyn_hidden", "ham_hidden", "n_per_class", "steps",
+                     "batch_size", "probe_epochs", "probe_batch", "anneal_horizon",
+                     "sigreg_projections"]:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.channels != 1:
+            raise ValueError(f"channels must be 1, got {self.channels}: the synthetic "
+                             f"clips are rendered with one channel")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie in [0, 1)")
         if self.lr_start <= 0.0 or self.lr_peak <= 0.0 or self.probe_lr <= 0.0:
@@ -119,22 +125,17 @@ class RunConfig:
                 f"clip {self.frames}x{self.height}x{self.width} not divisible by "
                 f"tubelet {self.tubelet} / patch {self.patch}"
             )
+        if self.dim % 8:
+            raise ValueError(f"dim must be a multiple of 8 for position codes, got {self.dim}")
+        if self.dim % self.heads or self.dim % self.pred_heads:
+            raise ValueError("heads must divide dim")
         if self.tau <= 0.0 or self.huber_delta <= 0.0 or self.ltc_margin <= 0.0:
             raise ValueError("tau, huber_delta and ltc_margin must be positive")
         if not 0.0 < self.app_ratio < 1.0:
             raise ValueError(f"app_ratio must be in (0, 1), got {self.app_ratio}")
         if self.probe_kind not in ("linear", "attentive"):
             raise ValueError(f"probe_kind must be linear or attentive, got '{self.probe_kind}'")
-        self.to_model()  # geometry invariants
         return self
-
-    def to_model(self) -> ModelConfig:
-        return ModelConfig(
-            patch=self.patch, tubelet=self.tubelet, dim=self.dim, heads=self.heads,
-            layers=self.layers, ff=self.ff, pred_layers=self.pred_layers,
-            pred_heads=self.pred_heads, dyn_hidden=self.dyn_hidden,
-            ham_hidden=self.ham_hidden, channels=self.channels,
-        )
 
 
 # The RunConfig fields a variant's recipe sets.

@@ -1,6 +1,6 @@
-"""Tube, motion-guided, and future-predictive token masks.
+"""Token masks: one sampler for tube, motion-guided and future-predictive masks.
 
-All samplers place 1-4 rectangular spatial blocks by drawing block centers
+`sample_mask` places 1-4 rectangular spatial blocks by drawing block centers
 from a categorical distribution over patches (uniform, or softmax of
 scaled motion energy) and extruding across temporal blocks. A draw is
 retried until the achieved target fraction lands within +-10% (relative)
@@ -185,80 +185,37 @@ def _mask_spec(target: np.ndarray, visible: np.ndarray, centers: list[tuple[int,
                     centers=centers, used_fallback=used_fallback).validate()
 
 
-def _tube_from_pattern(t_blocks: int, pattern: np.ndarray,
-                       centers: list[tuple[int, int]],
-                       used_fallback: bool = False) -> MaskSpec:
-    target = np.broadcast_to(pattern, (t_blocks,) + pattern.shape).copy()
-    return _mask_spec(target, ~target, centers, used_fallback)
-
-
-def sample_tube_mask(grid: tuple[int, int, int], mask_ratio: float,
-                     rng: np.random.Generator) -> MaskSpec:
-    """Uniformly placed multi-block tube mask, extruded over all blocks."""
-    t_blocks, gh, gw = grid
-    pattern, centers = _draw_spatial_pattern(gh, gw, mask_ratio, rng, probs=None)
-    return _tube_from_pattern(t_blocks, pattern, centers)
-
-
-def _energy_probs(energy: MotionEnergy | None, grid_hw: tuple[int, int],
-                  alpha: float) -> np.ndarray:
-    gh, gw = grid_hw
-    if energy is None:
-        scores = np.zeros(gh * gw)
-    else:
-        if energy.scores.shape != (gh, gw):
-            raise ValueError(
-                f"energy grid {energy.scores.shape} does not match mask grid {(gh, gw)}"
-            )
-        scores = energy.scores.reshape(-1)
-    logits = np.clip(alpha * scores, -20.0, 20.0)
+def _energy_probs(energy: MotionEnergy, grid_hw: tuple[int, int], alpha: float) -> np.ndarray:
+    if energy.scores.shape != grid_hw:
+        raise ValueError(f"energy grid {energy.scores.shape} does not match mask grid {grid_hw}")
+    logits = np.clip(alpha * energy.scores.reshape(-1), -20.0, 20.0)
     logits = logits - logits.max()
     e = np.exp(logits)
     return e / e.sum()
 
 
-def sample_motion_guided(grid: tuple[int, int, int], mask_ratio: float,
-                         energy: MotionEnergy | None, alpha: float,
-                         fallback_rate: float,
-                         rng: np.random.Generator) -> MaskSpec:
-    """Centers ~ softmax(alpha * energy); falls back to uniform at the
-    configured rate. Zero energy (images, static clips) degrades to uniform."""
-    if not 0.0 <= fallback_rate <= 1.0:
-        raise ValueError(f"fallback rate must be in [0, 1], got {fallback_rate}")
-    t_blocks, gh, gw = grid
-    if rng.random() < fallback_rate:
-        pattern, centers = _draw_spatial_pattern(gh, gw, mask_ratio, rng, probs=None)
-        return _tube_from_pattern(t_blocks, pattern, centers, used_fallback=True)
-    probs = _energy_probs(energy, (gh, gw), alpha)
-    pattern, centers = _draw_spatial_pattern(gh, gw, mask_ratio, rng, probs=probs)
-    return _tube_from_pattern(t_blocks, pattern, centers)
+def sample_mask(grid: tuple[int, int, int], mask_ratio: float, rng: np.random.Generator,
+                max_temporal_keep: float = 1.0, full_complement: bool = False,
+                energy: MotionEnergy | None = None, alpha: float = 0.0,
+                fallback_rate: float = 0.0) -> MaskSpec:
+    """The one mask sampler; its defaults give a tube mask.
 
-
-def sample_future_predictive(grid: tuple[int, int, int], mask_ratio: float,
-                             max_temporal_keep: float, full_complement: bool,
-                             rng: np.random.Generator,
-                             energy: MotionEnergy | None = None,
-                             alpha: float = 0.0,
-                             motion_guided: bool = False,
-                             fallback_rate: float = 0.0) -> MaskSpec:
-    """Visible tokens confined to the leading temporal blocks.
-
-    With full_complement every non-visible token is a target; otherwise
-    only the sampled tube pattern is, and late-block tokens outside it
-    belong to neither set.
+    A spatial pattern is the target in every temporal block, and its
+    complement is visible in the leading ``max_temporal_keep`` share of the
+    blocks only. With full_complement every non-visible token is a target;
+    otherwise late-block tokens outside the pattern belong to neither set.
+    Given an ``energy``, block centers ~ softmax(alpha * energy), falling back
+    to uniform centers at ``fallback_rate``; zero energy (images, static
+    clips) degrades to uniform.
     """
     if not 0.0 < max_temporal_keep <= 1.0:
         raise ValueError(f"max_temporal_keep must be in (0, 1], got {max_temporal_keep}")
+    if not 0.0 <= fallback_rate <= 1.0:
+        raise ValueError(f"fallback rate must be in [0, 1], got {fallback_rate}")
     t_blocks, gh, gw = grid
     keep = math.ceil(max_temporal_keep * t_blocks)
-    used_fallback = False
-    if motion_guided and rng.random() < fallback_rate:
-        probs = None
-        used_fallback = True
-    elif motion_guided:
-        probs = _energy_probs(energy, (gh, gw), alpha)
-    else:
-        probs = None
+    used_fallback = energy is not None and rng.random() < fallback_rate
+    probs = None if energy is None or used_fallback else _energy_probs(energy, (gh, gw), alpha)
     pattern, centers = _draw_spatial_pattern(gh, gw, mask_ratio, rng, probs=probs)
 
     visible = np.zeros((t_blocks, gh, gw), dtype=bool)

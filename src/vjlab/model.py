@@ -6,7 +6,8 @@ transformer trunk; images enter through their own tubelet-1 embedding.
 Encoder, predictor and teacher run once per batch on [B, N, dim] token
 slabs. Masked encoding still drops non-visible tokens, so attention can only
 ever mix visible content; clips with fewer visible tokens are padded to the
-batch maximum, and padding never gets attention weight.
+batch maximum, and padding never gets attention weight. Parameters carry
+the run's `config.RunConfig`, which fixes their geometry.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,32 +24,12 @@ from .masking import MaskSpec
 from .synth import VideoClip
 from .tensor import Tensor, concat, no_grad
 
+if TYPE_CHECKING:  # config imports objectives, which imports this module
+    from .config import RunConfig
+
 LN_EPS = 1e-5
 INIT_SCALE = 0.02
 _ATTN_CLIP = (-30.0, 30.0)
-
-
-@dataclass
-class ModelConfig:
-    patch: int = 8
-    tubelet: int = 2
-    dim: int = 32
-    heads: int = 2
-    layers: int = 2
-    ff: int = 64
-    pred_layers: int = 2
-    pred_heads: int = 2
-    dyn_hidden: int = 64
-    ham_hidden: int = 32
-    channels: int = 1
-
-    def __post_init__(self):
-        if self.dim % 8:
-            raise ValueError(f"dim must be a multiple of 8 for position codes, got {self.dim}")
-        if self.dim % self.heads or self.dim % self.pred_heads:
-            raise ValueError("heads must divide dim")
-        if min(self.patch, self.tubelet, self.layers + 1, self.pred_layers + 1) < 1:
-            raise ValueError("bad model dims")
 
 
 # -- parameters ----------------------------------------------------------
@@ -100,7 +82,7 @@ def _init_block(rng: np.random.Generator, dim: int, ff: int, train: bool) -> Blo
 
 @dataclass
 class EncoderParams:
-    cfg: ModelConfig
+    cfg: RunConfig
     embed_w: Tensor
     embed_b: Tensor
     embed_img_w: Tensor
@@ -125,7 +107,7 @@ class EncoderParams:
 
 @dataclass
 class PredictorParams:
-    cfg: ModelConfig
+    cfg: RunConfig
     mask_token: Tensor
     blocks: list[Block]
     ln_g: Tensor
@@ -181,7 +163,7 @@ class HeadParams:
         return out
 
 
-def init_encoder(cfg: ModelConfig, rng: np.random.Generator, train: bool = True) -> EncoderParams:
+def init_encoder(cfg: RunConfig, rng: np.random.Generator, train: bool = True) -> EncoderParams:
     p_vid = cfg.tubelet * cfg.patch * cfg.patch * cfg.channels
     p_img = cfg.patch * cfg.patch * cfg.channels
     return EncoderParams(
@@ -196,7 +178,7 @@ def init_encoder(cfg: ModelConfig, rng: np.random.Generator, train: bool = True)
     )
 
 
-def init_heads(cfg: ModelConfig, rng: np.random.Generator, dyn_in: int | None = None,
+def init_heads(cfg: RunConfig, rng: np.random.Generator, dyn_in: int | None = None,
                act_in: int | None = None, with_ham: bool = False) -> HeadParams:
     d = cfg.dim
     dyn_in = d if dyn_in is None else dyn_in

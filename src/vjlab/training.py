@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config, save_config
-from .masking import (
-    MaskSpec,
-    motion_energy,
-    sample_future_predictive,
-    sample_motion_guided,
-    sample_tube_mask,
-)
+from .masking import MaskSpec, motion_energy, sample_mask
 from .model import (
     EncoderParams,
     HeadParams,
@@ -156,11 +150,10 @@ class TrainState:
 def init_state(cfg: RunConfig) -> TrainState:
     cfg.validate()
     spec = VARIANTS[cfg.variant]
-    mcfg = cfg.to_model()
     rng = np.random.default_rng([cfg.seed, STREAM_INIT])
-    student = init_encoder(mcfg, rng)
-    head_in = mcfg.dim - app_width(cfg.app_ratio, mcfg.dim) if spec.fwm else mcfg.dim
-    heads = init_heads(mcfg, rng, dyn_in=head_in, act_in=head_in,
+    student = init_encoder(cfg, rng)
+    head_in = cfg.dim - app_width(cfg.app_ratio, cfg.dim) if spec.fwm else cfg.dim
+    heads = init_heads(cfg, rng, dyn_in=head_in, act_in=head_in,
                        with_ham="ham" in spec.components)
     quantize_params(student.named("enc"))
     quantize_params(heads.named("heads"))
@@ -181,18 +174,8 @@ def draw_batch(dataset: Dataset, batch_size: int, seed: int, step: int) -> list[
 def sample_clip_mask(cfg: RunConfig, clip: VideoClip, grid: tuple[int, int, int],
                      rng: np.random.Generator) -> MaskSpec:
     energy = motion_energy(clip, cfg.patch) if cfg.motion_guided else None
-    if cfg.full_complement or cfg.max_temporal_keep < 1.0:
-        return sample_future_predictive(
-            grid, cfg.mask_ratio, cfg.max_temporal_keep, cfg.full_complement, rng,
-            energy=energy, alpha=cfg.motion_guided_strength,
-            motion_guided=cfg.motion_guided,
-            fallback_rate=cfg.motion_guided_random_rate,
-        )
-    if cfg.motion_guided:
-        return sample_motion_guided(grid, cfg.mask_ratio, energy,
-                                    cfg.motion_guided_strength,
-                                    cfg.motion_guided_random_rate, rng)
-    return sample_tube_mask(grid, cfg.mask_ratio, rng)
+    return sample_mask(grid, cfg.mask_ratio, rng, cfg.max_temporal_keep, cfg.full_complement,
+                       energy, cfg.motion_guided_strength, cfg.motion_guided_random_rate)
 
 
 # -- loss assembly -------------------------------------------------------
@@ -256,12 +239,6 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
     }
     return {name: loss() for name, loss in losses.items()
             if name == "jepa" or name in spec.components}
-
-
-def clip_parts(state: TrainState, clip: VideoClip, mask: MaskSpec,
-               sig_rng: np.random.Generator | None = None) -> dict[str, Tensor]:
-    """All loss parts for one clip: ``batch_parts`` over a batch of one."""
-    return batch_parts(state, [clip], [mask], [sig_rng])
 
 
 def batch_bundle(state: TrainState, clips: list[VideoClip],

@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import variant_defaults
+from .config import RunConfig, variant_defaults
 from .fourier import fft_time, ifft_time
 from .gradcheck import grad_check
-from .masking import sample_future_predictive, sample_tube_mask
+from .masking import sample_mask
 from .model import (
-    ModelConfig,
     clone_frozen,
     ema_update,
     init_encoder,
@@ -110,20 +109,20 @@ def jepa_distance_weighting() -> None:
 def mask_coverage_band(seed: int = 0) -> None:
     grid = (4, 4, 4)
     rng = np.random.default_rng(seed)
-    spec = sample_tube_mask(grid, 0.5, rng)
+    spec = sample_mask(grid, 0.5, rng)
     per_block = spec.target.sum(axis=(1, 2))
     assert np.all(per_block == per_block[0]), "spatial pattern differs between blocks"
     assert 6 <= per_block[0] <= 10
     # the band admits exactly 8 of the 16 spatial tokens
     assert abs(per_block[0] / 16.0 - 0.5) <= 0.05 + 1e-12, f"coverage {per_block[0]} outside band"
     assert np.array_equal(spec.visible, ~spec.target)
-    fp = sample_future_predictive(grid, 0.5, 0.5, True, rng)
+    fp = sample_mask(grid, 0.5, rng, max_temporal_keep=0.5, full_complement=True)
     assert not fp.visible[2:].any(), "future tokens visible"
     assert np.array_equal(fp.target, ~fp.visible)
 
 
 def ema_update_exact() -> None:
-    student = init_encoder(ModelConfig(), np.random.default_rng(0))
+    student = init_encoder(RunConfig(), np.random.default_rng(0))
     s_named, t_named = student.named(), clone_frozen(student).named()
     rng = np.random.default_rng(9)
     for t in t_named.values():
@@ -148,7 +147,7 @@ def compose_recipe_frozen() -> None:
 
 
 def checkpoint_round_trip() -> None:
-    params = init_encoder(ModelConfig(), np.random.default_rng(5))
+    params = init_encoder(RunConfig(), np.random.default_rng(5))
     quantize_params(params.named())
     records = {k: t.data for k, t in params.named().items()}
     with tempfile.TemporaryDirectory() as tmp:

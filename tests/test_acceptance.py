@@ -17,19 +17,13 @@ from scipy.special import erf
 from scipy.stats import chi2
 
 from vjlab.cli import main as lab_main
-from vjlab.config import variant_defaults
+from vjlab.config import RunConfig, variant_defaults
 from vjlab.fourier import fft_time, ifft_time
 from vjlab.gradcheck import grad_check
-from vjlab.masking import (
-    MotionEnergy,
-    sample_future_predictive,
-    sample_motion_guided,
-    sample_tube_mask,
-)
+from vjlab.masking import MotionEnergy, sample_mask
 from vjlab.model import (
     HamiltonianParams,
     HeadParams,
-    ModelConfig,
     encode,
     init_encoder,
     init_heads,
@@ -236,13 +230,13 @@ class TestCriterion1GradientOracle:
 
         # encoder -> predictor end to end: the gradients at both ends pass
         # back through every linear, layer-norm, attention, gather and concat
-        mcfg = ModelConfig(patch=4, tubelet=1, dim=8, heads=2, layers=1, ff=8,
-                           pred_layers=1, pred_heads=2)
+        mcfg = RunConfig(patch=4, tubelet=1, dim=8, heads=2, layers=1, ff=8,
+                         pred_layers=1, pred_heads=2)
         enc = init_encoder(mcfg, rng)
         predictor = init_heads(mcfg, rng).predictor
         for t in [*enc.named().values(), *predictor.named().values()]:
             t.data = rng.standard_normal(t.shape) * 0.5
-        mask = sample_tube_mask((2, 2, 2), 0.5, rng)
+        mask = sample_mask((2, 2, 2), 0.5, rng)
         w_out = rng.standard_normal((mask.n_targets, d))
 
         def enc_pred(ew, eb, token):
@@ -410,9 +404,8 @@ class TestCriterion5MaskingDistributions:
         zero_en = MotionEnergy(scores=np.zeros((4, 4)))
         for _ in range(n):
             for row, spec in enumerate([
-                sample_tube_mask(grid, 0.5, rng_a),
-                sample_motion_guided(grid, 0.5, zero_en, alpha=0.0,
-                                     fallback_rate=0.0, rng=rng_b),
+                sample_mask(grid, 0.5, rng_a),
+                sample_mask(grid, 0.5, rng_b, energy=zero_en, alpha=0.0, fallback_rate=0.0),
             ]):
                 for r, c in spec.centers:
                     counts[row, r * 4 + c] += 1
@@ -423,8 +416,8 @@ class TestCriterion5MaskingDistributions:
 
         rng = np.random.default_rng(42)
         en = MotionEnergy(scores=np.eye(4))
-        hits = sum(sample_motion_guided(grid, 0.5, en, alpha=2.0, fallback_rate=0.1,
-                                        rng=rng).used_fallback for _ in range(n))
+        hits = sum(sample_mask(grid, 0.5, rng, energy=en, alpha=2.0,
+                               fallback_rate=0.1).used_fallback for _ in range(n))
         fb = hits / n
         assert abs(fb - 0.10) <= 0.01, fb
 
@@ -433,15 +426,15 @@ class TestCriterion5MaskingDistributions:
         rng = np.random.default_rng(7)
         amg = variant_defaults("AMG-JEPA")
         assert (amg.motion_guided_strength, amg.motion_guided_random_rate) == (5.0, 0.0)
-        hit = sum((1, 2) in sample_motion_guided(
-            grid, 0.5, MotionEnergy(scores=scores), alpha=amg.motion_guided_strength,
-            fallback_rate=amg.motion_guided_random_rate, rng=rng).centers
+        hit = sum((1, 2) in sample_mask(
+            grid, 0.5, rng, energy=MotionEnergy(scores=scores), alpha=amg.motion_guided_strength,
+            fallback_rate=amg.motion_guided_random_rate).centers
             for _ in range(1000))
         assert hit >= 950, hit
 
         rng = np.random.default_rng(9)
         for _ in range(200):
-            fp = sample_future_predictive(grid, 0.5, 0.5, True, rng)
+            fp = sample_mask(grid, 0.5, rng, 0.5, True)
             assert not fp.visible[2:].any()
 
         conclude(5, "mask distributions: uniform equivalence, fallback rate, "

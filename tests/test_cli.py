@@ -167,6 +167,26 @@ class TestSweepReport:
         out = capsys.readouterr().out
         assert "Baseline" in out and "Delta-JEPA" in out and "vs base" in out
 
+    def test_report_files_sweep_rows_under_their_probe_kind(self, tiny_config, tmp_path,
+                                                             capsys):
+        root = tmp_path / "sw"
+        tiny_config.write_text(tiny_config.read_text() + "probe_kind = attentive\n")
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", "Baseline,Delta-JEPA",
+                       "--train-per-class", 2, "--test-per-class", 2) == 0
+        rows = json.loads((root / "sweep.json").read_text())
+        assert [r["kind"] for r in rows] == ["attentive", "attentive"]
+        assert run_cli("probe", "--out", root / "baseline", "--probe", "attentive",
+                       "--train-per-class", 2, "--test-per-class", 2) == 0
+        probed = json.loads((root / "baseline" / "probe.json").read_text())["accuracy"]
+        capsys.readouterr()
+        assert run_cli("report", "--out", root) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["variant", "kind", "top-1", "vs", "base"]
+        # the probe refreshes the sweep's Baseline row instead of adding a second one
+        base_rows = [line.split() for line in lines if line.split()[0] == "Baseline"]
+        assert base_rows == [["Baseline", "attentive", f"{probed:.4f}", "+0.00"]]
+
     def test_sweep_refuses_a_dataset_that_does_not_fit(self, tiny_config, tmp_path, capsys):
         root = tmp_path / "sw"
         assert run_cli("gendata", "--config", tiny_config,

@@ -137,12 +137,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="steps"):
             dataclasses.replace(RunConfig(), steps=0).validate()
 
+    @pytest.mark.parametrize("field", ["tubelet", "patch", "heads", "pred_heads"])
+    def test_zero_geometry_named_before_any_modulo(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+            parse_config(f"{field} = 0\n")
+
+    def test_channels_other_than_one_rejected(self):
+        # the synthetic clips have one channel, so a 3-channel model cannot train on them
+        with pytest.raises(ValueError, match="channels must be 1, got 3"):
+            parse_config("channels = 3\n")
+
 
 class TestDerived:
-    def test_to_model_carries_geometry(self):
-        m = dataclasses.replace(RunConfig(), dim=16, heads=2, layers=1).to_model()
-        assert (m.dim, m.heads, m.layers) == (16, 2, 1)
-
     def test_variant_ema_flag_decides_teacher(self):
         assert init_state(RunConfig()).teacher is not None
         assert init_state(variant_defaults("SIGReg-no-EMA")).teacher is None

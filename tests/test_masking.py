@@ -15,9 +15,7 @@ from vjlab.masking import (
     _categorical_sampler,
     distance_weights,
     motion_energy,
-    sample_future_predictive,
-    sample_motion_guided,
-    sample_tube_mask,
+    sample_mask,
 )
 from vjlab.synth import MotionClass, gen_motion_clip, gen_motion_dataset, image_as_clip
 from vjlab.training import STREAM_MASK, sample_clip_mask
@@ -49,22 +47,22 @@ class TestTubeMask:
     @given(st.integers(0, 2000))
     @settings(max_examples=30, deadline=None)
     def test_deterministic_given_seed(self, seed):
-        a = sample_tube_mask(GRID, 0.5, np.random.default_rng(seed))
-        b = sample_tube_mask(GRID, 0.5, np.random.default_rng(seed))
+        a = sample_mask(GRID, 0.5, np.random.default_rng(seed))
+        b = sample_mask(GRID, 0.5, np.random.default_rng(seed))
         assert np.array_equal(a.target, b.target)
         assert np.array_equal(a.distance_weight, b.distance_weight)
 
     def test_partition(self):
-        spec = sample_tube_mask(GRID, 0.5, np.random.default_rng(0))
+        spec = sample_mask(GRID, 0.5, np.random.default_rng(0))
         assert np.all(spec.target ^ spec.visible)
 
     def test_infeasible_ratio_rejected(self):
         with pytest.raises(ValueError, match="cannot hit"):
-            sample_tube_mask((1, 2, 2), 0.1, np.random.default_rng(0))
+            sample_mask((1, 2, 2), 0.1, np.random.default_rng(0))
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError, match="mask_ratio"):
-            sample_tube_mask(GRID, 1.5, np.random.default_rng(0))
+            sample_mask(GRID, 1.5, np.random.default_rng(0))
 
 
 class TestMotionEnergy:
@@ -114,8 +112,8 @@ class TestMotionGuided:
         for _ in range(n):
             for row, spec in enumerate(
                 [
-                    sample_tube_mask(GRID, 0.5, rng_a),
-                    sample_motion_guided(GRID, 0.5, en, alpha=0.0, fallback_rate=0.0, rng=rng_b),
+                    sample_mask(GRID, 0.5, rng_a),
+                    sample_mask(GRID, 0.5, rng_b, energy=en, alpha=0.0, fallback_rate=0.0),
                 ]
             ):
                 for r, c in spec.centers:
@@ -130,7 +128,7 @@ class TestMotionGuided:
         rng = np.random.default_rng(42)
         en = MotionEnergy(scores=np.eye(4))
         hits = sum(
-            sample_motion_guided(GRID, 0.5, en, alpha=2.0, fallback_rate=0.1, rng=rng).used_fallback
+            sample_mask(GRID, 0.5, rng, energy=en, alpha=2.0, fallback_rate=0.1).used_fallback
             for _ in range(10_000)
         )
         assert abs(hits / 10_000 - 0.10) <= 0.01
@@ -141,17 +139,17 @@ class TestMotionGuided:
         rng = np.random.default_rng(7)
         hit = 0
         for _ in range(1000):
-            spec = sample_motion_guided(
-                GRID, 0.5, MotionEnergy(scores=scores), alpha=5.0, fallback_rate=0.0, rng=rng
+            spec = sample_mask(
+                GRID, 0.5, rng, energy=MotionEnergy(scores=scores), alpha=5.0, fallback_rate=0.0
             )
             hit += (1, 2) in spec.centers
         assert hit >= 950
 
     def test_zero_energy_degrades_to_uniform(self):
         # images / static clips: sampler must still work
-        spec = sample_motion_guided(
-            (1, 4, 4), 0.5, MotionEnergy(scores=np.zeros((4, 4))), alpha=5.0,
-            fallback_rate=0.0, rng=np.random.default_rng(0)
+        spec = sample_mask(
+            (1, 4, 4), 0.5, np.random.default_rng(0), energy=MotionEnergy(scores=np.zeros((4, 4))),
+            alpha=5.0, fallback_rate=0.0
         )
         spec.validate()
 
@@ -178,9 +176,9 @@ class TestMotionGuided:
 
     def test_energy_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
-            sample_motion_guided(
-                GRID, 0.5, MotionEnergy(scores=np.zeros((2, 2))), alpha=1.0,
-                fallback_rate=0.0, rng=np.random.default_rng(0)
+            sample_mask(
+                GRID, 0.5, np.random.default_rng(0), energy=MotionEnergy(scores=np.zeros((2, 2))),
+                alpha=1.0, fallback_rate=0.0
             )
 
 
@@ -188,7 +186,7 @@ class TestFuturePredictive:
     @given(st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_visible_confined_to_leading_blocks(self, seed):
-        spec = sample_future_predictive(
+        spec = sample_mask(
             GRID, 0.5, max_temporal_keep=0.5, full_complement=True,
             rng=np.random.default_rng(seed)
         )
@@ -196,14 +194,14 @@ class TestFuturePredictive:
         assert spec.target[2:].all()
 
     def test_full_complement_partitions(self):
-        spec = sample_future_predictive(
+        spec = sample_mask(
             GRID, 0.5, max_temporal_keep=0.5, full_complement=True,
             rng=np.random.default_rng(3)
         )
         assert np.all(spec.target ^ spec.visible)
 
     def test_keep_one_no_complement_reduces_to_tube(self):
-        spec = sample_future_predictive(
+        spec = sample_mask(
             GRID, 0.5, max_temporal_keep=1.0, full_complement=False,
             rng=np.random.default_rng(5)
         )
@@ -212,7 +210,7 @@ class TestFuturePredictive:
         assert np.all(spec.target ^ spec.visible)
 
     def test_without_complement_leaves_gap_tokens(self):
-        spec = sample_future_predictive(
+        spec = sample_mask(
             GRID, 0.5, max_temporal_keep=0.5, full_complement=False,
             rng=np.random.default_rng(8)
         )
@@ -222,7 +220,7 @@ class TestFuturePredictive:
 
     def test_bad_keep_rejected(self):
         with pytest.raises(ValueError, match="max_temporal_keep"):
-            sample_future_predictive(
+            sample_mask(
                 GRID, 0.5, max_temporal_keep=0.0, full_complement=True,
                 rng=np.random.default_rng(0)
             )
@@ -252,7 +250,7 @@ class TestDistanceWeights:
         assert w[1] / w[0] == pytest.approx((1 / 3) / (1 / 2))
 
     def test_empty_block_falls_back_to_3d_distance(self):
-        spec = sample_future_predictive(
+        spec = sample_mask(
             GRID, 0.5, max_temporal_keep=0.5, full_complement=True,
             rng=np.random.default_rng(1)
         )
@@ -278,7 +276,7 @@ class TestDistanceWeights:
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_mean_one(self, seed):
-        spec = sample_tube_mask(GRID, 0.5, np.random.default_rng(seed))
+        spec = sample_mask(GRID, 0.5, np.random.default_rng(seed))
         assert abs(spec.distance_weight.mean() - 1.0) <= 1e-9
         np.testing.assert_array_equal(spec.distance_weight,
                                       loop_distance_weights(spec.visible, spec.target))

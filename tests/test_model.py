@@ -5,10 +5,10 @@ import pytest
 
 from vjlab import verify
 from vjlab.gradcheck import grad_check
-from vjlab.masking import MaskSpec, sample_tube_mask
+from vjlab.config import RunConfig
+from vjlab.masking import MaskSpec, sample_mask
 from vjlab.model import (
     HeadParams,
-    ModelConfig,
     action_head,
     attention_core,
     clone_frozen,
@@ -38,7 +38,7 @@ from vjlab.model import (
 from vjlab.synth import MotionClass, gen_motion_clip, image_as_clip
 from vjlab.tensor import Tensor, backward
 
-CFG = ModelConfig()
+CFG = RunConfig()
 
 
 def clip8(seed=0):
@@ -108,14 +108,14 @@ class TestEncoder:
 
     def test_masked_encode_returns_only_visible(self):
         p = params()
-        mask = sample_tube_mask((4, 4, 4), 0.5, np.random.default_rng(5))
+        mask = sample_mask((4, 4, 4), 0.5, np.random.default_rng(5))
         z, valid = encode(p, [clip8()], visible=[mask.visible])
         assert z.shape == (1, len(mask.visible_indices), CFG.dim)
         assert valid.shape == (1, len(mask.visible_indices)) and valid.all()
 
     def test_masked_latents_ignore_hidden_content(self):
         p = params()
-        mask = sample_tube_mask((4, 4, 4), 0.5, np.random.default_rng(6))
+        mask = sample_mask((4, 4, 4), 0.5, np.random.default_rng(6))
         a = clip8(7)
         b_pixels = a.pixels.copy()
         # repaint one fully-masked patch; visible latents must not move
@@ -151,7 +151,7 @@ class TestPredictor:
     def test_one_row_per_target(self):
         p = params()
         heads = init_heads(CFG, np.random.default_rng(3))
-        mask = sample_tube_mask((4, 4, 4), 0.5, np.random.default_rng(4))
+        mask = sample_mask((4, 4, 4), 0.5, np.random.default_rng(4))
         z, _ = encode(p, [clip8()], visible=[mask.visible])
         out = predict_masked(heads.predictor, z, [mask])
         assert out.shape == (1, mask.n_targets, CFG.dim)
@@ -159,7 +159,7 @@ class TestPredictor:
     def test_gradient_reaches_student_through_predictor(self):
         p = params()
         heads = init_heads(CFG, np.random.default_rng(3))
-        mask = sample_tube_mask((4, 4, 4), 0.5, np.random.default_rng(4))
+        mask = sample_mask((4, 4, 4), 0.5, np.random.default_rng(4))
         z, _ = encode(p, [clip8()], visible=[mask.visible])
         out = predict_masked(heads.predictor, z, [mask])
         backward((out * out).mean())
@@ -425,11 +425,11 @@ class TestCheckpoint:
             load_into(q.named(), load_checkpoint(tmp_path / "ck.jpck"))
 
 
-class TestModelConfigValidation:
+class TestGeometryValidation:
     def test_dim_multiple_of_eight(self):
         with pytest.raises(ValueError, match="multiple of 8"):
-            ModelConfig(dim=20)
+            RunConfig(dim=20).validate()
 
     def test_heads_divide_dim(self):
         with pytest.raises(ValueError, match="divide"):
-            ModelConfig(dim=32, heads=3)
+            RunConfig(dim=32, heads=3).validate()

@@ -189,7 +189,7 @@ class TestProbeTraining:
 class TestFeatureExtraction:
     def test_feature_shapes(self):
         cfg = small_cfg()
-        enc = init_encoder(cfg.to_model(), np.random.default_rng(0))
+        enc = init_encoder(cfg, np.random.default_rng(0))
         ds = gen_motion_dataset(1, 0, t=cfg.frames, h=cfg.height, w=cfg.width)
         tok = token_features(enc, ds.clips)
         assert tok.shape == (8, 64, cfg.dim)
@@ -199,7 +199,7 @@ class TestFeatureExtraction:
 
     def test_extraction_leaves_no_gradients(self):
         cfg = small_cfg()
-        enc = init_encoder(cfg.to_model(), np.random.default_rng(0))
+        enc = init_encoder(cfg, np.random.default_rng(0))
         ds = gen_motion_dataset(1, 0, t=cfg.frames, h=cfg.height, w=cfg.width)
         token_features(enc, ds.clips[:2])
         assert all(t.grad is None for t in enc.named().values())
@@ -219,7 +219,7 @@ class TestBenchmark:
 
     def test_untrained_encoder_report_well_formed(self):
         cfg = small_cfg(probe_epochs=2)
-        enc = init_encoder(cfg.to_model(), np.random.default_rng(1))
+        enc = init_encoder(cfg, np.random.default_rng(1))
         rep = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2)
         assert isinstance(rep, EvalReport)
         assert rep.variant == "Baseline" and rep.kind == "linear"
@@ -231,7 +231,7 @@ class TestBenchmark:
 
     def test_benchmark_deterministic_and_encoder_untouched(self):
         cfg = small_cfg(probe_epochs=2)
-        enc = init_encoder(cfg.to_model(), np.random.default_rng(2))
+        enc = init_encoder(cfg, np.random.default_rng(2))
         before = {k: t.data.copy() for k, t in enc.named().items()}
         r1 = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2)
         r2 = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2)
@@ -241,14 +241,14 @@ class TestBenchmark:
 
     def test_benchmark_seed_changes_partition(self):
         cfg = small_cfg(probe_epochs=2)
-        enc = init_encoder(cfg.to_model(), np.random.default_rng(3))
+        enc = init_encoder(cfg, np.random.default_rng(3))
         r1 = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2, seed=0)
         r2 = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2, seed=1)
         assert r1 != r2
 
     def test_attentive_benchmark_runs(self):
         cfg = small_cfg(probe_kind="attentive", probe_epochs=2)
-        enc = init_encoder(cfg.to_model(), np.random.default_rng(4))
+        enc = init_encoder(cfg, np.random.default_rng(4))
         rep = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2)
         assert rep.kind == "attentive"
         assert 0.0 <= rep.accuracy <= 1.0

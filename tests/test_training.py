@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vjlab.config import RunConfig, variant_defaults
-from vjlab.masking import sample_tube_mask
+from vjlab.masking import sample_mask
 from vjlab.model import token_grid
 from vjlab.objectives import VARIANTS, compose_total
 from vjlab.synth import gen_motion_dataset
@@ -16,7 +16,7 @@ from vjlab.training import (
     OptState,
     adamw_step,
     batch_bundle,
-    clip_parts,
+    batch_parts,
     draw_batch,
     init_opt,
     init_state,
@@ -196,8 +196,8 @@ class TestClipParts:
             st = init_state(small_cfg(variant))
             clip = ds.clips[0]
             grid = token_grid(st.student, clip)
-            mask = sample_tube_mask(grid, 0.5, np.random.default_rng(1))
-            parts = clip_parts(st, clip, mask, np.random.default_rng(2))
+            mask = sample_mask(grid, 0.5, np.random.default_rng(1))
+            parts = batch_parts(st, [clip], [mask], [np.random.default_rng(2)])
             assert set(parts) == want, variant
 
     def test_no_ema_targets_match_teacher_at_init(self):
@@ -207,9 +207,9 @@ class TestClipParts:
         st_t = init_state(small_cfg("Delta-JEPA"))
         st_s = init_state(small_cfg("Kin.-L1"))
         grid = token_grid(st_t.student, clip)
-        mask = sample_tube_mask(grid, 0.5, np.random.default_rng(3))
-        a = clip_parts(st_t, clip, mask)["jepa"].item()
-        b = clip_parts(st_s, clip, mask)["jepa"].item()
+        mask = sample_mask(grid, 0.5, np.random.default_rng(3))
+        a = batch_parts(st_t, [clip], [mask], [None])["jepa"].item()
+        b = batch_parts(st_s, [clip], [mask], [None])["jepa"].item()
         assert a == b
 
     def test_teacher_drift_changes_targets(self):
@@ -217,11 +217,11 @@ class TestClipParts:
         clip = ds.clips[0]
         st = init_state(small_cfg("Baseline"))
         grid = token_grid(st.student, clip)
-        mask = sample_tube_mask(grid, 0.5, np.random.default_rng(3))
-        before = clip_parts(st, clip, mask)["jepa"].item()
+        mask = sample_mask(grid, 0.5, np.random.default_rng(3))
+        before = batch_parts(st, [clip], [mask], [None])["jepa"].item()
         for t in st.teacher.named("enc").values():
             t.data = t.data + 0.05
-        after = clip_parts(st, clip, mask)["jepa"].item()
+        after = batch_parts(st, [clip], [mask], [None])["jepa"].item()
         assert before != after
 
     def test_batch_bundle_averages_parts(self):
@@ -230,9 +230,9 @@ class TestClipParts:
         ds = gen_motion_dataset(2, 0)
         clips = [ds.clips[0], ds.clips[5]]
         grid = token_grid(st.student, clips[0])
-        masks = [sample_tube_mask(grid, 0.5, np.random.default_rng(i)) for i in (0, 1)]
+        masks = [sample_mask(grid, 0.5, np.random.default_rng(i)) for i in (0, 1)]
         bundle = batch_bundle(st, clips, masks)
-        singles = [clip_parts(st, c, m) for c, m in zip(clips, masks)]
+        singles = [batch_parts(st, [c], [m], [None]) for c, m in zip(clips, masks)]
         for name, val in bundle.components.items():
             want = np.mean([s[name].item() for s in singles])
             assert abs(val - want) <= 1e-12, name
@@ -252,7 +252,7 @@ class TestClipParts:
         assert len({m.n_targets for m in masks}) > 1 or variant == "Baseline"
 
         bundle = batch_bundle(st, clips, masks)
-        singles = [clip_parts(st, c, m, np.random.default_rng([cfg.seed, 3, 0, i]))
+        singles = [batch_parts(st, [c], [m], [np.random.default_rng([cfg.seed, 3, 0, i])])
                    for i, (c, m) in enumerate(zip(clips, masks))]
         assert set(bundle.components) == set(singles[0])
         for name, val in bundle.components.items():
@@ -325,7 +325,7 @@ class TestTrainStep:
         ds = gen_motion_dataset(2, 0)
         clips = draw_batch(ds, 2, cfg.seed, 0)
         grid = token_grid(st.student, clips[0])
-        masks = [sample_tube_mask(grid, 0.5, np.random.default_rng(9)) for _ in clips]
+        masks = [sample_mask(grid, 0.5, np.random.default_rng(9)) for _ in clips]
         st2 = init_state(cfg)
         m1 = train_step(st, clips, masks)
         m2 = train_step(st2, clips, masks)
