@@ -4,7 +4,7 @@
     python3 scripts/trajectories.py run OUT
     python3 scripts/trajectories.py diff OLD NEW
 
-``run`` pretrains each of the variants in ``objectives.VARIANTS`` at batch 4,
+``run`` pretrains each of the variants in ``config.VARIANTS`` at batch 4,
 2 clips per class, 6 steps and seed 0 into ``OUT/<variant slug>`` and prints
 the sha256 of its ``metrics.jsonl`` and ``checkpoint.jpck``. It trains with
 the ``src`` tree next to this script, so to compare two commits, run a copy of
@@ -28,7 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vjlab.config import variant_defaults, variant_slug
-from vjlab.objectives import VARIANTS
+from vjlab.config import VARIANTS
 from vjlab.training import CHECKPOINT_NAME, METRICS_NAME, run_pretrain
 
 FIXED = dict(batch_size=4, n_per_class=2, steps=6, seed=0)

@@ -6,10 +6,12 @@ variant defaults. verify takes no flags and report only --out, so a flag
 that a subcommand would not read is rejected. pretrain and probe take
 `--variant NAME`, which, like each entry of a sweep's --variants list,
 applies that variant's recipe fields (config.RECIPE_FIELDS) over the config
-file. pretrain and sweep train on a run directory's dataset.synv when it
-has one, and refuse one whose clip count or clip shape does not fit the
-config. verify runs verify.CHECKS, the same functions the unit tests call.
-The sweep/report pair writes and reads one JSON summary per run directory.
+file; a config RunConfig.validate refuses exits 1 before anything is written.
+pretrain and sweep train on a run directory's dataset.synv when it has one
+(a sweep renders one shared set for the others), and refuse one whose clip
+count or clip shape does not fit the config. verify runs verify.CHECKS, the
+same functions the unit tests call. probe writes probe-<kind>.json; report
+reads the sweep.json and every probe*.json under --out.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import time
 from pathlib import Path
 
 from .config import (
+    VARIANTS,
     RunConfig,
     apply_overrides,
     load_config,
@@ -30,30 +33,34 @@ from .config import (
     with_variant,
 )
 from .model import load_checkpoint, load_into
-from .objectives import VARIANTS
 from .probing import synthetic_benchmark
 from .synth import N_CLASSES, Dataset, gen_motion_dataset, load_dataset, save_dataset
 from .training import CHECKPOINT_NAME, METRICS_NAME, init_state, run_pretrain
 from .verify import CHECKS
 
 DATASET_NAME = "dataset.synv"
-PROBE_NAME = "probe.json"
+PROBE_NAME = "probe-{kind}.json"
+PROBE_GLOB = "probe*.json"  # also the single probe.json of older runs
 SWEEP_NAME = "sweep.json"
 
 
-def _build_config(args) -> RunConfig:
-    variant = getattr(args, "variant", None)
-    if args.config is None:
-        cfg = variant_defaults(variant or "Baseline")
-    else:
-        cfg = load_config(args.config)
-        if variant is not None:
-            cfg = with_variant(cfg, variant)
-    return apply_overrides(cfg, seed=args.seed, out=args.out)
+class Refused(ValueError):
+    """A config, or a run directory's dataset.synv, that no run can start from."""
 
 
-class DatasetMismatch(ValueError):
-    """A run directory's dataset.synv does not fit the run's config."""
+def _build_config(args, variant: str | None = None, out: str | None = None) -> RunConfig:
+    """The flags' config; a sweep passes each entry's variant and directory."""
+    variant = variant or getattr(args, "variant", None)
+    try:
+        if args.config is None:
+            cfg = variant_defaults(variant or "Baseline")
+        else:
+            cfg = load_config(args.config)
+            if variant is not None:
+                cfg = with_variant(cfg, variant)
+        return apply_overrides(cfg, seed=args.seed, out=out or args.out)
+    except ValueError as err:
+        raise Refused(f"invalid config: {err}") from None
 
 
 def _load_run_dataset(cfg: RunConfig) -> Dataset | None:
@@ -66,7 +73,7 @@ def _load_run_dataset(cfg: RunConfig) -> Dataset | None:
     ds = load_dataset(path)
     n, shape = N_CLASSES * cfg.n_per_class, (cfg.frames, cfg.height, cfg.width, cfg.channels)
     if len(ds) != n or ds.clips[0].shape != shape:
-        raise DatasetMismatch(
+        raise Refused(
             f"{path} holds {len(ds)} clips of shape {ds.clips[0].shape}, but the config "
             f"asks for {n} of shape {shape}; regenerate it with `lab gendata` or remove it")
     return ds
@@ -127,7 +134,7 @@ def cmd_probe(args) -> int:
         "n_train": rep.n_train, "n_test": rep.n_test,
         "per_class": rep.per_class, "seed": cfg.seed,
     }
-    path = Path(cfg.out) / PROBE_NAME
+    path = Path(cfg.out) / PROBE_NAME.format(kind=rep.kind)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     per_class = " ".join(f"{name}={a:.2f}" for name, a in rep.per_class.items())
     print(f"{rep.variant} {rep.kind} probe: top-1 {rep.accuracy:.4f} "
@@ -158,11 +165,13 @@ def cmd_sweep(args) -> int:
             if name not in VARIANTS:
                 print(f"unknown variant {name!r}", file=sys.stderr)
                 return 1
-    base = _build_config(args)
-    root = Path(base.out)
-    cfgs = [apply_overrides(with_variant(base, name), out=str(root / variant_slug(name)))
-            for name in names]
+    root = Path(_build_config(args).out)
+    cfgs = [_build_config(args, name, str(root / variant_slug(name))) for name in names]
     datasets = [_load_run_dataset(cfg) for cfg in cfgs]  # refuse a misfit before training
+    if any(ds is None for ds in datasets):  # recipes leave the data alone: render it once
+        c = cfgs[0]
+        shared = gen_motion_dataset(c.n_per_class, c.seed, t=c.frames, h=c.height, w=c.width)
+        datasets = [shared if ds is None else ds for ds in datasets]
     rows = []
     for name, cfg, ds in zip(names, cfgs, datasets):
         t0 = time.time()
@@ -190,7 +199,7 @@ def _collect_rows(root: Path) -> list[dict]:
     sweep = root / SWEEP_NAME
     if sweep.exists():
         rows.extend(json.loads(sweep.read_text()))
-    for probe in sorted(root.glob(f"**/{PROBE_NAME}")):
+    for probe in sorted(root.glob(f"**/{PROBE_GLOB}")):
         rows.append(json.loads(probe.read_text()))
     return rows
 
@@ -199,7 +208,7 @@ def cmd_report(args) -> int:
     root = Path(args.out)
     rows = _collect_rows(root)
     if not rows:
-        print(f"no {SWEEP_NAME} or {PROBE_NAME} under {root}", file=sys.stderr)
+        print(f"no {SWEEP_NAME} or {PROBE_GLOB} under {root}", file=sys.stderr)
         return 1
     seen = {}
     for row in rows:  # later probe rows refresh earlier sweep entries
@@ -268,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DatasetMismatch as err:
+    except Refused as err:
         print(err, file=sys.stderr)
         return 1
 

@@ -1,10 +1,12 @@
-"""Flat run configuration: one dataclass, `key = value` files, canonical dump.
+"""Run configuration: `RunConfig`, the variant tables, `key = value` files.
 
-`RunConfig` is the one config of a run. The model, masking, the losses and
-their composition all read it directly, the losses together with the
-variant's `objectives.VariantSpec`. A variant's recipe (its hard-weight
-coefficient and masking flags, `RECIPE_FIELDS`) is laid over a config by
-`with_variant`.
+`RunConfig` is the one config of a run; the model, masking, the losses and
+their composition all read it directly. `VARIANTS` says what each variant
+is (loss parts, kinematic kind, EMA and FWM flags, recipe), and
+`PART_WEIGHTS` maps each loss part, in summation order, to the field that
+weights it. `with_variant` lays a variant's recipe (`RECIPE_FIELDS`) over a
+config; `validate` also refuses a token grid or channel split the variant
+cannot train on.
 
 Parsing resolves variant-dependent defaults first, then applies the
 remaining keys, so a file containing just ``variant = AMG-JEPA`` picks up
@@ -14,10 +16,68 @@ that recipe's sampler settings.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .objectives import VARIANTS
+from .masking import feasible_counts
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """What a named variant adds on top of the masked-prediction loss."""
+
+    components: frozenset[str] = frozenset()
+    kin_kind: str | None = None
+    ema: bool = True
+    fwm: bool = False            # dyn/action heads read the dynamics slice
+    lambda_hw: float = 0.3
+    masking: dict = field(default_factory=dict)
+
+
+_MG = {"motion_guided": True, "motion_guided_strength": 2.0, "motion_guided_random_rate": 0.1}
+_AMG = {"motion_guided": True, "motion_guided_strength": 5.0, "motion_guided_random_rate": 0.0}
+_FP = {"full_complement": True, "max_temporal_keep": 0.5}
+
+VARIANTS: dict[str, VariantSpec] = {
+    "Baseline": VariantSpec(),
+    "Motion-Guided": VariantSpec(masking=_MG),
+    "AMG-JEPA": VariantSpec(masking=_AMG),
+    "Future-Predictive": VariantSpec(masking=_FP),
+    "Motion-Future": VariantSpec(masking={**_MG, **_FP}),
+    "Kin.-L1": VariantSpec(components=frozenset({"kin"}), kin_kind="l1", ema=False),
+    "Kin.-Huber": VariantSpec(components=frozenset({"kin"}), kin_kind="huber", ema=False),
+    "Kin.-Accel": VariantSpec(components=frozenset({"kin"}), kin_kind="accel", ema=False),
+    "Kin.-Split": VariantSpec(components=frozenset({"kin"}), kin_kind="split", ema=False),
+    "Kin.-Anneal": VariantSpec(components=frozenset({"kin"}), kin_kind="anneal", ema=False),
+    "SIGReg": VariantSpec(components=frozenset({"sigreg"})),
+    "SIGReg-no-EMA": VariantSpec(components=frozenset({"sigreg"}), ema=False),
+    "Hamiltonian": VariantSpec(components=frozenset({"ham"})),
+    "VelGate": VariantSpec(components=frozenset({"velgate"})),
+    "Delta-JEPA": VariantSpec(components=frozenset({"delta"})),
+    "LD-JEPA": VariantSpec(components=frozenset({"ld"})),
+    "Spectral-JEPA": VariantSpec(components=frozenset({"spectral"})),
+    "LTC-JEPA": VariantSpec(components=frozenset({"ltc"})),
+    "FWM-JEPA": VariantSpec(components=frozenset({"static", "orth"}), fwm=True),
+    "HW-JEPA": VariantSpec(components=frozenset({"hw_jepa"}), lambda_hw=0.3),
+    "HW-LD-JEPA": VariantSpec(components=frozenset({"hw_jepa", "ld_hw"}), lambda_hw=1.0),
+    "FWM-LD-JEPA": VariantSpec(components=frozenset({"static", "orth", "ld"}), fwm=True),
+    "AC-JEPA": VariantSpec(components=frozenset({"ac"})),
+    "FAC-JEPA": VariantSpec(components=frozenset({"ac", "static", "orth"}), fwm=True),
+    "AC+HW-JEPA": VariantSpec(components=frozenset({"ac", "hw_jepa"}), lambda_hw=0.3),
+    "Combo": VariantSpec(components=frozenset({"delta", "hw_jepa"}), lambda_hw=0.3, masking=_AMG),
+    "FWM-HW-LD": VariantSpec(
+        components=frozenset({"hw_jepa", "static", "orth", "ld_hw"}), fwm=True, lambda_hw=1.0
+    ),
+}
+
+# Each loss part and the RunConfig field that weights it (None: weight 1). The
+# key order is the summation order, fixed so that float totals reproduce.
+PART_WEIGHTS: dict[str, str | None] = {
+    "jepa": None, "hw_jepa": "lambda_hw", "static": "lambda_s", "orth": "lambda_o",
+    "ld_hw": "lambda_d", "kin": "lambda_kin", "sigreg": None, "ham": None, "velgate": None,
+    "delta": "lambda_delta", "ld": "lambda_d", "spectral": "lambda_spec", "ltc": "lambda_ltc",
+    "ac": "lambda_ac",
+}
 
 
 @dataclass
@@ -135,12 +195,34 @@ class RunConfig:
             raise ValueError(f"app_ratio must be in (0, 1), got {self.app_ratio}")
         if self.probe_kind not in ("linear", "attentive"):
             raise ValueError(f"probe_kind must be linear or attentive, got '{self.probe_kind}'")
+        # the variant's masks and losses on this token grid (one block: temporal losses are 0)
+        spec = VARIANTS[self.variant]
+        tp = self.frames // self.tubelet
+        n_space = (self.height // self.patch) * (self.width // self.patch)
+        feasible_counts(n_space, self.mask_ratio)
+        if spec.kin_kind in ("accel", "split") and tp == 2:
+            raise ValueError(f"acceleration penalty needs >= 3 temporal blocks, got {tp}")
+        if "sigreg" in spec.components and tp * n_space < 8:
+            raise ValueError(f"sigreg needs at least 8 tokens, got {tp * n_space}")
+        if spec.fwm:
+            app_width(self.app_ratio, self.dim)
         return self
 
 
 # The RunConfig fields a variant's recipe sets.
 RECIPE_FIELDS = ("lambda_hw", "motion_guided", "motion_guided_strength",
                  "motion_guided_random_rate", "full_complement", "max_temporal_keep")
+
+
+def app_width(app_ratio: float, dim: int) -> int:
+    """Appearance channels of a ``dim``-wide latent; the rest are dynamics."""
+    d_app = app_ratio * dim
+    if abs(d_app - round(d_app)) > 1e-9:
+        raise ValueError(f"app_ratio {app_ratio} does not split {dim} channels integrally")
+    d_app = int(round(d_app))
+    if not 0 < d_app < dim:
+        raise ValueError(f"appearance split {d_app} of {dim} leaves an empty side")
+    return d_app
 
 
 def with_variant(cfg: RunConfig, variant: str) -> RunConfig:

@@ -7,31 +7,9 @@ inverse divides by T, so round trips are identity up to float error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Tensor
-
-
-@dataclass
-class ComplexSeries:
-    """Real/imag parts of a transform along the last axis."""
-
-    real: np.ndarray
-    imag: np.ndarray
-
-    def __post_init__(self):
-        self.real = np.asarray(self.real, dtype=np.float64)
-        self.imag = np.asarray(self.imag, dtype=np.float64)
-        if self.real.shape != self.imag.shape:
-            raise ValueError(
-                f"real/imag shape mismatch: {self.real.shape} vs {self.imag.shape}"
-            )
-
-    @property
-    def length(self) -> int:
-        return self.real.shape[-1]
 
 
 def _is_pow2(n: int) -> bool:
@@ -84,20 +62,20 @@ def dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang), -np.sin(ang)
 
 
-def fft_time(x, axis: int = 0) -> ComplexSeries:
-    """Unnormalized DFT of real data along ``axis`` (moved to the last axis)."""
+def fft_time(x, axis: int = 0) -> np.ndarray:
+    """Unnormalized DFT of real data along ``axis`` (moved to the last axis),
+    as a complex128 array."""
     data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if data.shape[axis] < 1:
         raise ValueError("fft_time needs a non-empty transform axis")
     moved = np.moveaxis(data, axis, -1).astype(np.complex128)
     n = moved.shape[-1]
-    out = _fft_radix2(moved, -1.0) if _is_pow2(n) else _dft_direct(moved, -1.0)
-    return ComplexSeries(real=out.real.copy(), imag=out.imag.copy())
+    return _fft_radix2(moved, -1.0) if _is_pow2(n) else _dft_direct(moved, -1.0)
 
 
-def ifft_time(series: ComplexSeries) -> np.ndarray:
-    """Inverse of fft_time along the last axis; returns the real part."""
-    z = series.real + 1j * series.imag
-    n = series.length
+def ifft_time(z: np.ndarray) -> np.ndarray:
+    """Inverse of fft_time along the last axis of a complex array; returns
+    the real part."""
+    n = z.shape[-1]
     out = _fft_radix2(z, 1.0) if _is_pow2(n) else _dft_direct(z, 1.0)
     return (out / n).real

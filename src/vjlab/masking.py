@@ -128,7 +128,8 @@ def distance_weights(visible: np.ndarray, target: np.ndarray) -> np.ndarray:
     return raw / raw.mean()
 
 
-def _feasible_counts(n_spatial: int, mask_ratio: float) -> tuple[float, float]:
+def feasible_counts(n_spatial: int, mask_ratio: float) -> tuple[float, float]:
+    """(lo, hi): the spatial target counts within 10% of ``mask_ratio``."""
     if not 0.0 < mask_ratio < 1.0:
         raise ValueError(f"mask_ratio must be in (0, 1), got {mask_ratio}")
     tol = 0.1 * mask_ratio
@@ -155,7 +156,7 @@ def _draw_spatial_pattern(gh: int, gw: int, mask_ratio: float,
                           probs: np.ndarray | None) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Union of 1-4 rectangles; retried until the covered fraction fits."""
     n_spatial = gh * gw
-    lo, hi = _feasible_counts(n_spatial, mask_ratio)
+    lo, hi = feasible_counts(n_spatial, mask_ratio)
     guided = None if probs is None else _categorical_sampler(probs, rng)
     max_h = max(1, math.ceil(gh * 0.75))
     max_w = max(1, math.ceil(gw * 0.75))

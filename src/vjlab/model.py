@@ -16,16 +16,13 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import RunConfig
 from .masking import MaskSpec
 from .synth import VideoClip
 from .tensor import Tensor, concat, no_grad
-
-if TYPE_CHECKING:  # config imports objectives, which imports this module
-    from .config import RunConfig
 
 LN_EPS = 1e-5
 INIT_SCALE = 0.02
@@ -336,11 +333,6 @@ def view(x: Tensor, index, shape: tuple[int, ...] | None = None) -> Tensor:
     return Tensor._node(out if shape is None else out.reshape(shape), (x,), vjp)
 
 
-def slice_cols(x: Tensor, a: int, b: int) -> Tensor:
-    """Columns [a, b) of the last axis, for any leading shape."""
-    return view(x, (Ellipsis, slice(a, b)))
-
-
 def gather_padded(x: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """The kept rows of each sequence of x [B, N, ...], packed in order to the
     front of a [B, K, ...] slab with K the largest kept count; padded slots
@@ -516,24 +508,6 @@ def teacher_targets(teacher: EncoderParams, clips: list[VideoClip]) -> np.ndarra
 
 
 # -- heads ---------------------------------------------------------------
-
-
-def app_width(app_ratio: float, dim: int) -> int:
-    """Appearance channels of a ``dim``-wide latent; the rest are dynamics."""
-    d_app = app_ratio * dim
-    if abs(d_app - round(d_app)) > 1e-9:
-        raise ValueError(f"app_ratio {app_ratio} does not split {dim} channels integrally")
-    d_app = int(round(d_app))
-    if not 0 < d_app < dim:
-        raise ValueError(f"appearance split {d_app} of {dim} leaves an empty side")
-    return d_app
-
-
-def split_channels(x: Tensor, app_ratio: float) -> tuple[Tensor, Tensor]:
-    """Split the channel axis into appearance/dynamics halves (last axis)."""
-    d = x.shape[-1]
-    d_app = app_width(app_ratio, d)
-    return slice_cols(x, 0, d_app), slice_cols(x, d_app, d)
 
 
 def dyn_head(heads: HeadParams, x: Tensor) -> Tensor:

@@ -1,4 +1,4 @@
-"""All pretraining losses and the per-variant composition recipes.
+"""All pretraining losses and their composition into a step's total.
 
 Every loss returns a scalar Tensor on the student graph; teacher-side
 inputs arrive as plain arrays (already detached). Gates and hard weights
@@ -12,92 +12,26 @@ weight exactly 0. The loss of a batch is the mean over its clips of each
 clip's own loss, so a batch of one is that clip's loss. Whatever the math
 takes per clip (centering, gating, moments, hard weights) stays per clip.
 
-There is no objective config of its own: composition reads the run's
-``config.RunConfig`` for the coefficients and ``VARIANTS[cfg.variant]`` for
-the parts and the kinematic kind. ``config.with_variant`` lays a spec's
-``lambda_hw`` and masking flags over the run config.
+This module holds the losses and their composition only. What a variant
+is lives in ``config``: composition reads ``config.VARIANTS[cfg.variant]``
+for the parts and the kinematic kind, and ``config.PART_WEIGHTS`` for the
+summation order and the ``RunConfig`` field that weights each part.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PART_WEIGHTS, VARIANTS, RunConfig, app_width
 from .fourier import dft_matrices
-from .model import (
-    HeadParams,
-    action_head,
-    app_width,
-    dyn_head,
-    linear,
-    slice_cols,
-    split_channels,
-    view,
-)
+from .model import HeadParams, action_head, dyn_head, linear, view
 from .synth import VideoClip
 from .tensor import Tensor, huber as huber_op
 
-if TYPE_CHECKING:  # config imports this module
-    from .config import RunConfig
-
-COMPONENTS = (
-    "jepa", "hw_jepa", "static", "orth", "ld_hw", "kin", "sigreg", "ham",
-    "velgate", "delta", "ld", "spectral", "ltc", "ac",
-)
-
 KIN_KINDS = ("l1", "huber", "accel", "split", "anneal")
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    """What a named variant adds on top of the masked-prediction loss."""
-
-    components: frozenset[str] = frozenset()
-    kin_kind: str | None = None
-    ema: bool = True
-    fwm: bool = False            # dyn/action heads read the dynamics slice
-    lambda_hw: float = 0.3
-    masking: dict = field(default_factory=dict)
-
-
-_MG = {"motion_guided": True, "motion_guided_strength": 2.0, "motion_guided_random_rate": 0.1}
-_AMG = {"motion_guided": True, "motion_guided_strength": 5.0, "motion_guided_random_rate": 0.0}
-_FP = {"full_complement": True, "max_temporal_keep": 0.5}
-
-VARIANTS: dict[str, VariantSpec] = {
-    "Baseline": VariantSpec(),
-    "Motion-Guided": VariantSpec(masking=_MG),
-    "AMG-JEPA": VariantSpec(masking=_AMG),
-    "Future-Predictive": VariantSpec(masking=_FP),
-    "Motion-Future": VariantSpec(masking={**_MG, **_FP}),
-    "Kin.-L1": VariantSpec(components=frozenset({"kin"}), kin_kind="l1", ema=False),
-    "Kin.-Huber": VariantSpec(components=frozenset({"kin"}), kin_kind="huber", ema=False),
-    "Kin.-Accel": VariantSpec(components=frozenset({"kin"}), kin_kind="accel", ema=False),
-    "Kin.-Split": VariantSpec(components=frozenset({"kin"}), kin_kind="split", ema=False),
-    "Kin.-Anneal": VariantSpec(components=frozenset({"kin"}), kin_kind="anneal", ema=False),
-    "SIGReg": VariantSpec(components=frozenset({"sigreg"})),
-    "SIGReg-no-EMA": VariantSpec(components=frozenset({"sigreg"}), ema=False),
-    "Hamiltonian": VariantSpec(components=frozenset({"ham"})),
-    "VelGate": VariantSpec(components=frozenset({"velgate"})),
-    "Delta-JEPA": VariantSpec(components=frozenset({"delta"})),
-    "LD-JEPA": VariantSpec(components=frozenset({"ld"})),
-    "Spectral-JEPA": VariantSpec(components=frozenset({"spectral"})),
-    "LTC-JEPA": VariantSpec(components=frozenset({"ltc"})),
-    "FWM-JEPA": VariantSpec(components=frozenset({"static", "orth"}), fwm=True),
-    "HW-JEPA": VariantSpec(components=frozenset({"hw_jepa"}), lambda_hw=0.3),
-    "HW-LD-JEPA": VariantSpec(components=frozenset({"hw_jepa", "ld_hw"}), lambda_hw=1.0),
-    "FWM-LD-JEPA": VariantSpec(components=frozenset({"static", "orth", "ld"}), fwm=True),
-    "AC-JEPA": VariantSpec(components=frozenset({"ac"})),
-    "FAC-JEPA": VariantSpec(components=frozenset({"ac", "static", "orth"}), fwm=True),
-    "AC+HW-JEPA": VariantSpec(components=frozenset({"ac", "hw_jepa"}), lambda_hw=0.3),
-    "Combo": VariantSpec(components=frozenset({"delta", "hw_jepa"}), lambda_hw=0.3, masking=_AMG),
-    "FWM-HW-LD": VariantSpec(
-        components=frozenset({"hw_jepa", "static", "orth", "ld_hw"}), fwm=True, lambda_hw=1.0
-    ),
-}
 
 
 # -- shared helpers ------------------------------------------------------
@@ -114,10 +48,6 @@ def time_diff(x: Tensor) -> Tensor:
 def _lead(x: Tensor) -> Tensor:
     """The states that start each transition: time steps [0, T'-1) of x."""
     return view(x, (slice(None), slice(0, x.shape[1] - 1)))
-
-
-def _zero() -> Tensor:
-    return Tensor(0.0)
 
 
 def per_token_errors(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -169,12 +99,12 @@ def kinematic_loss(z: Tensor, kind: str = "l1", huber_delta: float = 1.0) -> Ten
         raise ValueError(f"unknown kinematic kind '{kind}'")
     tp = z.shape[1]
     if tp == 1:
-        return _zero()  # image clips carry no temporal signal
+        return Tensor(0.0)  # image clips carry no temporal signal
     if kind == "split":
         d = z.shape[-1]
         if d % 2:
             raise ValueError("split kinematic needs an even channel count")
-        z = slice_cols(z, 0, d // 2)
+        z = view(z, (Ellipsis, slice(0, d // 2)))
     vel = time_diff(z)
     if kind in ("l1", "anneal"):
         return vel.abs().mean()
@@ -234,7 +164,7 @@ def hamiltonian_loss(z: Tensor, ham) -> Tensor:
     if d % 2:
         raise ValueError("hamiltonian split needs an even channel count")
     if tp < 2:
-        return _zero()
+        return Tensor(0.0)
     a = linear(z, ham.w1, ham.b1).tanh()
     gate = (1.0 - a * a) * ham.w2.broadcast_to(a.shape)
     dhdx = gate @ ham.w1.transpose() + z * ham.quad.broadcast_to(z.shape)
@@ -253,7 +183,7 @@ def velgate_loss(z: Tensor) -> Tensor:
     """
     bsz, tp, n_space, d = z.shape
     if tp < 2 or n_space < 2:
-        return _zero()
+        return Tensor(0.0)
     vel = np.abs(np.diff(z.data, axis=1)).mean(axis=(1, 3))  # [B, n_space]
     slow = np.argsort(vel, axis=1, kind="stable")[:, : n_space // 2]
     gate = np.zeros((bsz, 1, n_space, 1))
@@ -266,7 +196,7 @@ def velgate_loss(z: Tensor) -> Tensor:
 def delta_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     """Match student latent velocity to detached teacher velocity."""
     if z.shape[1] < 2:
-        return _zero()
+        return Tensor(0.0)
     return (time_diff(z) - Tensor(np.diff(h_values, axis=1))).abs().mean()
 
 
@@ -296,7 +226,7 @@ def ld_errors(heads: HeadParams, z: Tensor, h_values: np.ndarray,
 def ld_loss(heads: HeadParams, z: Tensor, h_values: np.ndarray,
             fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
     e = ld_errors(heads, z, h_values, fwm, app_ratio)
-    return _zero() if e is None else e.mean()
+    return Tensor(0.0) if e is None else e.mean()
 
 
 def spectral_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
@@ -308,7 +238,7 @@ def spectral_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     """
     bsz, tp = z.shape[:2]
     if tp < 2:
-        return _zero()
+        return Tensor(0.0)
     cmat, smat = dft_matrices(tp)
     series = z.reshape(bsz, tp, -1)  # one time series per column
     h_series = h_values.reshape(bsz, tp, -1)
@@ -325,7 +255,7 @@ def ltc_loss(z: Tensor, h_values: np.ndarray, margin: float = 0.5) -> Tensor:
     if margin <= 0.0:
         raise ValueError("ltc margin must be positive")
     if z.shape[1] < 2:
-        return _zero()
+        return Tensor(0.0)
     zz = _lead(z)
     h0 = h_values[:, :-1]
     h1 = h_values[:, 1:]
@@ -347,9 +277,10 @@ def ltc_loss(z: Tensor, h_values: np.ndarray, margin: float = 0.5) -> Tensor:
 def fwm_losses(z: Tensor, app_ratio: float = 0.5) -> tuple[Tensor, Tensor]:
     """(static, orth): freeze the appearance slice over time and keep each
     clip's centered appearance/dynamics subspaces uncorrelated."""
-    bsz, tp, n_space, _ = z.shape
-    app, dyn = split_channels(z, app_ratio)
-    static = time_diff(app).abs().mean() if tp >= 2 else _zero()
+    bsz, tp, n_space, d = z.shape
+    d_app = app_width(app_ratio, d)
+    app, dyn = view(z, (Ellipsis, slice(0, d_app))), view(z, (Ellipsis, slice(d_app, d)))
+    static = time_diff(app).abs().mean() if tp >= 2 else Tensor(0.0)
     n = tp * n_space
 
     def centered(x: Tensor) -> Tensor:
@@ -408,7 +339,7 @@ def ac_loss(heads: HeadParams, z: Tensor, clips: list[VideoClip], patch: int,
             tubelet: int, fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
     """L1 between the action head and per-patch frame-difference targets."""
     if z.shape[1] < 2:
-        return _zero()
+        return Tensor(0.0)
     pred = action_head(heads, _transition_inputs(z, fwm, app_ratio))
     targets = np.stack([ac_targets(c, patch, tubelet) for c in clips]).reshape(pred.shape)
     return per_token_errors(pred, targets).mean()
@@ -427,7 +358,7 @@ class LossBundle:
 
     def validate(self, cfg: RunConfig, step: int = 0) -> "LossBundle":
         for name, val in self.components.items():
-            if name not in COMPONENTS:
+            if name not in PART_WEIGHTS:
                 raise ValueError(f"unknown loss component '{name}'")
             if not np.isfinite(val):
                 raise FloatingPointError(f"non-finite loss component '{name}'")
@@ -443,24 +374,11 @@ class LossBundle:
 
 
 def component_weight(cfg: RunConfig, name: str, step: int = 0) -> float:
-    if name in ("jepa", "sigreg", "ham", "velgate"):
-        return 1.0
-    if name == "kin":
-        lam = cfg.lambda_kin
-        if VARIANTS[cfg.variant].kin_kind == "anneal":
-            lam *= anneal_coeff(step, cfg.anneal_horizon)
-        return lam
-    return {
-        "hw_jepa": cfg.lambda_hw,
-        "static": cfg.lambda_s,
-        "orth": cfg.lambda_o,
-        "ld_hw": cfg.lambda_d,
-        "ld": cfg.lambda_d,
-        "delta": cfg.lambda_delta,
-        "spectral": cfg.lambda_spec,
-        "ltc": cfg.lambda_ltc,
-        "ac": cfg.lambda_ac,
-    }[name]
+    weight = PART_WEIGHTS[name]
+    lam = 1.0 if weight is None else getattr(cfg, weight)
+    if name == "kin" and VARIANTS[cfg.variant].kin_kind == "anneal":
+        lam *= anneal_coeff(step, cfg.anneal_horizon)
+    return lam
 
 
 def compose_total(cfg: RunConfig, parts: dict[str, Tensor], step: int = 0) -> LossBundle:
@@ -474,7 +392,7 @@ def compose_total(cfg: RunConfig, parts: dict[str, Tensor], step: int = 0) -> Lo
         raise ValueError(f"variant '{cfg.variant}' does not use part '{sorted(extra)[0]}'")
     total = None
     comp: dict[str, float] = {}
-    for name in COMPONENTS:  # fixed order keeps float sums reproducible
+    for name in PART_WEIGHTS:
         if name not in parts:
             continue
         node = parts[name]

@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, save_config
+from .config import VARIANTS, RunConfig, app_width, load_config, save_config
 from .masking import MaskSpec, motion_energy, sample_mask
 from .model import (
     EncoderParams,
     HeadParams,
-    app_width,
     clone_frozen,
     ema_update,
     encode,
@@ -38,7 +37,6 @@ from .model import (
     token_grid,
 )
 from .objectives import (
-    VARIANTS,
     ac_loss,
     compose_total,
     delta_loss,
@@ -198,12 +196,8 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
     z_vis, _ = encode(state.student, clips, [m.visible for m in masks])
     pred = predict_masked(heads.predictor, z_vis, masks)
     z = full_grid(state.student, clips) if spec.components else None
-    if spec.ema:
-        h = teacher_targets(state.teacher, clips)
-    elif spec.components:
-        h = z.data  # the detached student
-    else:
-        h = teacher_targets(state.student, clips)
+    # without EMA the targets are the detached student; every such variant has a part
+    h = teacher_targets(state.teacher, clips) if spec.ema else z.data
     h = h.reshape(bsz, tp, gh * gw, cfg.dim)
 
     targets = np.zeros(pred.shape)
@@ -219,7 +213,7 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
         e_ld = ld_errors(heads, z, h, spec.fwm, cfg.app_ratio)
         return Tensor(0.0) if e_ld is None else hw_jepa_loss(e_ld, cfg.tau)
 
-    # One batched loss per component, in COMPONENTS order. The losses are
+    # One batched loss per part, in PART_WEIGHTS order. The losses are
     # looked up in this module when called, so wrappers set on its names see them.
     losses = {
         "jepa": lambda: jepa_loss(e, weights, valid),
@@ -305,13 +299,9 @@ def train_records(state: TrainState) -> dict[str, np.ndarray]:
     return records
 
 
-def save_train_state(state: TrainState, path) -> None:
-    save_checkpoint(path, train_records(state))
-
-
 def load_train_state(cfg: RunConfig, path) -> TrainState:
     """The state a checkpoint holds; it must carry exactly the records that
-    ``save_train_state`` writes under ``cfg``, no fewer and no others."""
+    ``train_records`` gives under ``cfg``, no fewer and no others."""
     state = init_state(cfg)
     records = load_checkpoint(path)
     expected = train_records(state)
@@ -388,5 +378,5 @@ def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
             if log is not None and (step + 1) % 50 == 0:
                 log(f"[{cfg.variant}] step {step + 1}/{cfg.steps} "
                     f"total {metrics['total']:.4f}")
-    save_train_state(state, ckpt)
+    save_checkpoint(ckpt, train_records(state))
     return state

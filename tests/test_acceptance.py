@@ -17,7 +17,7 @@ from scipy.special import erf
 from scipy.stats import chi2
 
 from vjlab.cli import main as lab_main
-from vjlab.config import RunConfig, variant_defaults
+from vjlab.config import VARIANTS, RunConfig, variant_defaults
 from vjlab.fourier import fft_time, ifft_time
 from vjlab.gradcheck import grad_check
 from vjlab.masking import MotionEnergy, sample_mask
@@ -33,7 +33,6 @@ from vjlab.model import (
     token_grid,
 )
 from vjlab.objectives import (
-    VARIANTS,
     ac_loss,
     delta_loss,
     fwm_losses,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vjlab import cli
+from vjlab import cli, training
 from vjlab.cli import main
 from vjlab.config import RECIPE_FIELDS, load_config, variant_defaults, variant_slug
 from vjlab.synth import load_dataset
@@ -55,7 +55,7 @@ class TestPretrainProbe:
         assert (out / "metrics.jsonl").exists()
         assert run_cli("probe", "--config", tiny_config,
                        "--train-per-class", 2, "--test-per-class", 2) == 0
-        payload = json.loads((out / "probe.json").read_text())
+        payload = json.loads((out / "probe-linear.json").read_text())
         assert payload["variant"] == "Baseline"
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert "top-1" in capsys.readouterr().out
@@ -66,12 +66,25 @@ class TestPretrainProbe:
                        "--out", out) == 0
         assert run_cli("probe", "--out", out, "--train-per-class", 2,
                        "--test-per-class", 2) == 0
-        assert json.loads((out / "probe.json").read_text())["variant"] == "Kin.-L1"
+        assert json.loads((out / "probe-linear.json").read_text())["variant"] == "Kin.-L1"
         capsys.readouterr()
         assert run_cli("probe", "--out", out, "--variant", "Baseline") == 1
         assert "holds a Kin.-L1 run, not Baseline" in capsys.readouterr().err
         assert run_cli("probe", "--config", tiny_config, "--out", out) == 1
         assert "not Baseline" in capsys.readouterr().err
+
+    def test_each_probe_kind_keeps_its_own_file(self, tiny_config, tmp_path, capsys):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        for kind in ("linear", "attentive"):
+            assert run_cli("probe", "--config", tiny_config, "--probe", kind,
+                           "--train-per-class", 2, "--test-per-class", 2) == 0
+        out = tmp_path / "run"
+        # report still reads the single probe.json that older runs wrote
+        (out / "probe-linear.json").rename(out / "probe.json")
+        capsys.readouterr()
+        assert run_cli("report", "--out", out) == 0
+        rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert sorted(rows) == [["Baseline", "attentive"], ["Baseline", "linear"]]
 
     def test_probe_without_checkpoint_fails(self, tiny_config, capsys):
         assert run_cli("probe", "--config", tiny_config) == 1
@@ -178,7 +191,7 @@ class TestSweepReport:
         assert [r["kind"] for r in rows] == ["attentive", "attentive"]
         assert run_cli("probe", "--out", root / "baseline", "--probe", "attentive",
                        "--train-per-class", 2, "--test-per-class", 2) == 0
-        probed = json.loads((root / "baseline" / "probe.json").read_text())["accuracy"]
+        probed = json.loads((root / "baseline" / "probe-attentive.json").read_text())["accuracy"]
         capsys.readouterr()
         assert run_cli("report", "--out", root) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -186,6 +199,31 @@ class TestSweepReport:
         # the probe refreshes the sweep's Baseline row instead of adding a second one
         base_rows = [line.split() for line in lines if line.split()[0] == "Baseline"]
         assert base_rows == [["Baseline", "attentive", f"{probed:.4f}", "+0.00"]]
+
+    def test_sweep_renders_the_training_set_once(self, tiny_config, tmp_path, monkeypatch):
+        renders = []
+
+        def counted(render):
+            def wrapper(*args, **kwargs):
+                renders.append(args)
+                return render(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, training):
+            monkeypatch.setattr(module, "gen_motion_dataset", counted(module.gen_motion_dataset))
+        root = tmp_path / "sw"
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", "Baseline,Delta-JEPA",
+                       "--train-per-class", 1, "--test-per-class", 1) == 0
+        assert len(renders) == 1
+        # each variant's log and checkpoint are those of a pretrain run of its own
+        for name in ("Baseline", "Delta-JEPA"):
+            alone = tmp_path / "alone" / variant_slug(name)
+            assert run_cli("pretrain", "--config", tiny_config, "--variant", name,
+                           "--out", alone) == 0
+            for file in ("metrics.jsonl", "checkpoint.jpck"):
+                assert (root / variant_slug(name) / file).read_bytes() == \
+                    (alone / file).read_bytes(), (name, file)
 
     def test_sweep_refuses_a_dataset_that_does_not_fit(self, tiny_config, tmp_path, capsys):
         root = tmp_path / "sw"
@@ -200,6 +238,15 @@ class TestSweepReport:
         assert "asks for 16 of shape (4, 32, 32, 1)" in err
         assert not (root / "sweep.json").exists()
         assert not (root / variant_slug("Baseline")).exists()  # refused before any training
+
+    def test_sweep_refuses_a_variant_the_geometry_cannot_train(self, tiny_config, tmp_path,
+                                                               capsys):
+        tiny_config.write_text(tiny_config.read_text() + "frames = 4\n")
+        root = tmp_path / "sw"
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", "Baseline,Kin.-Accel") == 1
+        assert "needs >= 3 temporal blocks, got 2" in capsys.readouterr().err
+        assert not root.exists()  # refused before any training
 
     def test_sweep_rejects_unknown_variant(self, tiny_config, tmp_path, capsys):
         assert run_cli("sweep", "--config", tiny_config,

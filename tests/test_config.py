@@ -1,11 +1,18 @@
 """Config parsing, variant defaults, canonical serialization."""
 
 import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vjlab.cli import main as lab_main
 from vjlab.config import (
+    VARIANTS,
     RunConfig,
     apply_overrides,
     load_config,
@@ -15,8 +22,9 @@ from vjlab.config import (
     variant_defaults,
     with_variant,
 )
-from vjlab.objectives import VARIANTS
 from vjlab.training import init_state
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParse:
@@ -146,6 +154,51 @@ class TestValidation:
         # the synthetic clips have one channel, so a 3-channel model cannot train on them
         with pytest.raises(ValueError, match="channels must be 1, got 3"):
             parse_config("channels = 3\n")
+
+    @pytest.mark.parametrize("variant, geometry, message", [
+        ("Kin.-Accel", {"frames": 4, "tubelet": 2},
+         "acceleration penalty needs >= 3 temporal blocks, got 2"),
+        ("Kin.-Split", {"frames": 4, "tubelet": 2},
+         "acceleration penalty needs >= 3 temporal blocks, got 2"),
+        ("SIGReg", {"frames": 2, "tubelet": 2, "height": 16, "width": 16},
+         "sigreg needs at least 8 tokens, got 4"),
+        ("Baseline", {"height": 16, "width": 16, "patch": 16},
+         "grid of 1 spatial tokens cannot hit ratio 0.5 within 10%"),
+        ("FWM-JEPA", {"app_ratio": 0.3}, "app_ratio 0.3 does not split 32 channels integrally"),
+    ])
+    def test_geometry_the_variant_cannot_train_on(self, tmp_path, capsys, variant, geometry,
+                                                  message):
+        # each of these used to crash at the first step, after config.lab was written
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(variant_defaults(variant), **geometry).validate()
+        path = tmp_path / "bad.lab"
+        path.write_text(f"variant = {variant}\n"
+                        + "".join(f"{key} = {val}\n" for key, val in geometry.items()))
+        out = tmp_path / "run"
+        assert lab_main(["pretrain", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_variants_without_ema_have_a_part(self):
+        # without a teacher, batch_parts takes the targets from the part's full-grid encode
+        for name, spec in VARIANTS.items():
+            assert spec.ema or spec.components, name
+
+    def test_single_temporal_block_needs_no_acceleration(self):
+        # one block has no motion: the kinematic loss is 0 rather than an error
+        for variant in ("Kin.-Accel", "Kin.-Split"):
+            dataclasses.replace(variant_defaults(variant), frames=2, tubelet=2).validate()
+
+
+def test_config_imports_no_model_losses_or_training():
+    code = "import sys, vjlab.config; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "vjlab.config" in loaded
+    for module in ("vjlab.model", "vjlab.objectives", "vjlab.training"):
+        assert module not in loaded, module
 
 
 class TestDerived:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vjlab import verify
-from vjlab.fourier import ComplexSeries, dft_matrices, fft_time
+from vjlab.fourier import dft_matrices, fft_time
 from vjlab.verify import naive_dft
 
 
@@ -68,11 +68,6 @@ def test_dft_matrices_agree_with_fft_time():
     got = fft_time(x)
     assert np.max(np.abs(x @ c - got.real)) <= 1e-12
     assert np.max(np.abs(x @ s - got.imag)) <= 1e-12
-
-
-def test_complex_series_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ComplexSeries(real=np.zeros(3), imag=np.zeros(4))
 
 
 def test_empty_axis_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 from vjlab import verify
 from vjlab.gradcheck import grad_check
-from vjlab.config import RunConfig
+from vjlab.config import RunConfig, app_width
 from vjlab.masking import MaskSpec, sample_mask
 from vjlab.model import (
     HeadParams,
@@ -30,8 +30,6 @@ from vjlab.model import (
     predict_masked,
     quantize_params,
     save_checkpoint,
-    slice_cols,
-    split_channels,
     teacher_targets,
     view,
 )
@@ -225,8 +223,9 @@ class TestFusedOps:
     def test_slice_cols_grad(self, shape):
         rng = np.random.default_rng(8)
         x = rand_t(rng, shape)
-        assert np.array_equal(slice_cols(x, 2, 5).data, x.data[..., 2:5])
-        rep = grad_check(lambda t: weighted_sum(slice_cols(t, 2, 5), 9), [x])
+        cols = (Ellipsis, slice(2, 5))
+        assert np.array_equal(view(x, cols).data, x.data[..., 2:5])
+        rep = grad_check(lambda t: weighted_sum(view(t, cols), 9), [x])
         assert rep.ok(1e-4), rep.per_input
 
 
@@ -347,21 +346,20 @@ class TestEMA:
 class TestSplitAndHeads:
     def test_split_concat_inverse(self):
         x = Tensor(np.random.default_rng(0).standard_normal((10, 32)))
-        app, dyn = split_channels(x, 0.5)
+        d_app = app_width(0.5, 32)
+        app, dyn = view(x, (Ellipsis, slice(0, d_app))), view(x, (Ellipsis, slice(d_app, 32)))
         assert app.shape == (10, 16) and dyn.shape == (10, 16)
         from vjlab.tensor import concat
 
         assert np.array_equal(concat([app, dyn], axis=1).data, x.data)
 
     def test_non_integral_split_rejected(self):
-        x = Tensor(np.zeros((4, 30)))
         with pytest.raises(ValueError, match="integrally"):
-            split_channels(x, 0.45)
+            app_width(0.45, 30)
 
     def test_degenerate_split_rejected(self):
-        x = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="empty side"):
-            split_channels(x, 0.0)
+            app_width(0.0, 2)
 
     def test_dyn_head_zero_weights_zero_output(self):
         heads = init_heads(CFG, np.random.default_rng(0))

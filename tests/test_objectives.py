@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from vjlab import verify
-from vjlab.config import RunConfig, variant_defaults
+from vjlab.config import PART_WEIGHTS, VARIANTS, RunConfig, variant_defaults
 from vjlab.gradcheck import grad_check
 from vjlab.fourier import fft_time
 from vjlab.model import HamiltonianParams, HeadParams
 from vjlab.objectives import (
-    COMPONENTS,
     LossBundle,
-    VARIANTS,
     ac_loss,
     ac_targets,
     anneal_coeff,
@@ -748,7 +746,7 @@ class TestCompose:
         again = compose_total(cfg, dict(reversed(list(parts.items()))))
         first = compose_total(cfg, parts)
         assert first.total == again.total
-        assert list(first.components) == [k for k in COMPONENTS if k in first.components]
+        assert list(first.components) == [k for k in PART_WEIGHTS if k in first.components]
 
 
 class TestVariantRegistry:

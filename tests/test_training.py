@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from vjlab.config import RunConfig, variant_defaults
+from vjlab.config import VARIANTS, RunConfig, variant_defaults
 from vjlab.masking import sample_mask
-from vjlab.model import token_grid
-from vjlab.objectives import VARIANTS, compose_total
+from vjlab.model import save_checkpoint, token_grid
+from vjlab.objectives import compose_total
 from vjlab.synth import gen_motion_dataset
 from vjlab.tensor import Tensor, backward
 from vjlab.training import (
@@ -24,7 +24,7 @@ from vjlab.training import (
     lr_at,
     run_pretrain,
     sample_clip_mask,
-    save_train_state,
+    train_records,
     train_step,
 )
 
@@ -386,7 +386,7 @@ class TestRunAndResume:
         for s in range(2):
             train_step(st, draw_batch(ds, 2, cfg.seed, s))
         path = tmp_path / "state.jpck"
-        save_train_state(st, path)
+        save_checkpoint(path, train_records(st))
         st2 = load_train_state(cfg, path)
         assert st2.step == st.step and st2.opt.step == st.opt.step
         for k, t in st.trainable().items():
@@ -402,7 +402,7 @@ class TestRunAndResume:
         cfg = small_cfg()
         st = init_state(cfg)
         path = tmp_path / "state.jpck"
-        save_train_state(st, path)
+        save_checkpoint(path, train_records(st))
         records = load_checkpoint(path)
         records.pop("opt.m.enc.embed_w")
         save_checkpoint(path, records)
@@ -413,7 +413,7 @@ class TestRunAndResume:
         from vjlab.model import load_checkpoint, save_checkpoint
         cfg = small_cfg()
         path = tmp_path / "state.jpck"
-        save_train_state(init_state(cfg), path)
+        save_checkpoint(path, train_records(init_state(cfg)))
         # a Baseline checkpoint carries teacher records that Kin.-L1 never writes
         with pytest.raises(ValueError, match=r"unknown records \['teacher\."):
             load_train_state(small_cfg("Kin.-L1"), path)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from vjlab.config import variant_slug
-from vjlab.objectives import VARIANTS
+from vjlab.config import VARIANTS
 from vjlab.training import CHECKPOINT_NAME, METRICS_NAME
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "trajectories.py"
