@@ -1,6 +1,7 @@
 """Probe training, top-1 scoring, and the frozen-encoder benchmark."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -252,3 +253,57 @@ class TestBenchmark:
         rep = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2)
         assert rep.kind == "attentive"
         assert 0.0 <= rep.accuracy <= 1.0
+
+
+def _pin_features(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # n = 40 at batch 16 leaves a short last minibatch of 8
+    rng = np.random.default_rng([77, seed])
+    shape = (40, 6) if kind == "linear" else (40, 5, 6)
+    feats = rng.standard_normal(shape) * np.arange(1.0, 7.0) + 3.0
+    return feats, np.arange(40) % 4
+
+
+def _probe_digest(probe) -> str:
+    digest = hashlib.sha256()
+    for name, t in sorted(probe.named().items()):
+        digest.update(name.encode())
+        digest.update(t.data.tobytes())
+    return digest.hexdigest()
+
+
+# train_probe on _pin_features(kind, seed) for 7 epochs; see TestPinnedProbe.
+PINNED_PROBE_DIGESTS = {
+    ("linear", 0): "e80d9604a75ae18be5803b644807602659b852669f89070620a61cd8113090d7",
+    ("linear", 1): "4cf120f505e9aea8b1bc4b684a92f75196d479f208ca2242f55ce03529507f99",
+    ("attentive", 0): "69cbb278d67086ee2c5c58794b5368c54c63a4bd94b1eb2b479a9ef3789d7125",
+    ("attentive", 1): "4c5d5a102718ca159eb90cf23424380793cf6f85511b74201626b55b8b7c3c9d",
+}
+
+# synthetic_benchmark on a fixed untrained encoder; see TestPinnedProbe.
+PINNED_BENCHMARK = {
+    "linear": (0.16666666666666666, {
+        "translate_up": 1 / 3, "translate_down": 1 / 3, "translate_left": 0.0,
+        "translate_right": 0.0, "rotate_cw": 1 / 3, "rotate_ccw": 0.0,
+        "scale_up": 0.0, "scale_down": 1 / 3}),
+    "attentive": (0.20833333333333334, {
+        "translate_up": 0.0, "translate_down": 1 / 3, "translate_left": 0.0,
+        "translate_right": 1 / 3, "rotate_cw": 0.0, "rotate_ccw": 0.0,
+        "scale_up": 1.0, "scale_down": 0.0}),
+}
+
+
+class TestPinnedProbe:
+    @pytest.mark.parametrize("kind,seed", [(k, s) for k in ("linear", "attentive") for s in (0, 1)])
+    def test_trained_probe_digest(self, kind, seed):
+        """probe.w, probe.b and probe.q stay byte for byte what train_probe
+        learned when the digests were recorded."""
+        feats, labels = _pin_features(kind, seed)
+        probe = train_probe(feats, labels, 4, kind=kind, epochs=7, seed=seed)
+        assert _probe_digest(probe) == PINNED_PROBE_DIGESTS[kind, seed]
+
+    @pytest.mark.parametrize("kind", ["linear", "attentive"])
+    def test_benchmark_accuracy(self, kind):
+        cfg = small_cfg(probe_kind=kind, probe_epochs=4)
+        enc = init_encoder(cfg, np.random.default_rng(11))
+        rep = synthetic_benchmark(enc, cfg, n_train_per_class=3, n_test_per_class=3)
+        assert (rep.accuracy, rep.per_class) == PINNED_BENCHMARK[kind]
