@@ -8,10 +8,11 @@ that a subcommand would not read is rejected. pretrain and probe take
 applies that variant's recipe fields (config.RECIPE_FIELDS) over the config
 file; a config RunConfig.validate refuses exits 1 before anything is written.
 pretrain and sweep train on a run directory's dataset.synv when it has one
-(a sweep renders one shared set for the others), and refuse one whose clip
-count or clip shape does not fit the config. verify runs verify.CHECKS, the
-same functions the unit tests call. probe writes probe-<kind>.json; report
-reads the sweep.json and every probe*.json under --out.
+(a sweep renders one shared set for the others, and one pair of probe sets
+for every variant), and refuse one whose clip count or clip shape does not
+fit the config. verify runs verify.CHECKS, the same functions the unit
+tests call. probe writes probe-<kind>.json; report reads the sweep.json and
+every probe*.json under --out.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .config import (
     with_variant,
 )
 from .model import load_checkpoint, load_into
-from .probing import synthetic_benchmark
+from .probing import evaluate, probe_datasets, synthetic_benchmark
 from .synth import N_CLASSES, Dataset, gen_motion_dataset, load_dataset, save_dataset
 from .training import CHECKPOINT_NAME, METRICS_NAME, init_state, run_pretrain
 from .verify import CHECKS
@@ -172,13 +173,12 @@ def cmd_sweep(args) -> int:
         c = cfgs[0]
         shared = gen_motion_dataset(c.n_per_class, c.seed, t=c.frames, h=c.height, w=c.width)
         datasets = [shared if ds is None else ds for ds in datasets]
+    probe_sets = probe_datasets(cfgs[0], args.train_per_class, args.test_per_class)
     rows = []
     for name, cfg, ds in zip(names, cfgs, datasets):
         t0 = time.time()
         state = run_pretrain(cfg, dataset=ds)
-        rep = synthetic_benchmark(state.student, cfg,
-                                  n_train_per_class=args.train_per_class,
-                                  n_test_per_class=args.test_per_class)
+        rep = evaluate(state.student, cfg, *probe_sets)
         row = {
             "variant": name, "kind": rep.kind, "accuracy": rep.accuracy,
             "final_total": _final_total(cfg.out),

@@ -2,7 +2,16 @@
 
 Features are standardized per channel with training-set statistics before
 the probe sees them, so variants whose latent scales differ wildly (EMA
-versus no-EMA training) are compared on equal footing.
+versus no-EMA training) are compared on equal footing. ``train_probe``
+standardizes its features once, into one buffer, checks the labels once,
+and indexes each minibatch from there.
+
+A probe step is three graph nodes: ``attentive_pool`` (attentive probes
+only), ``model.linear`` and ``cross_entropy``. The two fused nodes here
+replay the arithmetic of the composed ``tensor`` graph they replace
+(matmul, ``tensor.softmax``, broadcast product and sum; ``log_softmax``
+and a one-hot product), so probes train to the same bytes; the composed
+ops stay in ``tensor.py`` as the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,12 +23,13 @@ import numpy as np
 from .config import RunConfig
 from .model import EncoderParams, encode, linear
 from .synth import Dataset, MotionClass, VideoClip, gen_motion_dataset
-from .tensor import Tensor, backward, log_softmax, matmul, no_grad, softmax
+from .tensor import Tensor, backward, no_grad
 from .training import OptState, adamw_step, init_opt
 
 TRAIN_TAG = 101
 TEST_TAG = 202
 FEATURE_CHUNK = 8
+POOL_CLIP = (-20.0, 20.0)  # attentive-pool scores, as tensor.softmax's default clip
 
 
 def _child_seed(seed: int, tag: int) -> int:
@@ -61,7 +71,10 @@ def standardize_stats(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_standardize(feats: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return (feats - mean) / std
+    """``(feats - mean) / std`` in one fresh buffer."""
+    x = feats - mean
+    x /= std
+    return x
 
 
 # -- probes --------------------------------------------------------------
@@ -102,43 +115,95 @@ def init_probe(kind: str, dim: int, n_classes: int, rng: np.random.Generator,
     )
 
 
-def probe_logits(probe: ProbeParams, feats: np.ndarray) -> Tensor:
-    """Logits from standardized features.
+def probe_logits(probe: ProbeParams, x: np.ndarray) -> Tensor:
+    """Logits from standardized features (``apply_standardize``).
 
     Linear probes take [n, dim]; attentive probes take [n, tokens, dim] and
     pool with a learned softmax query before the linear map.
     """
-    x = apply_standardize(feats, probe.feat_mean, probe.feat_std)
     if probe.kind == "linear":
         if x.ndim != 2:
             raise ValueError(f"linear probe wants [n, dim] features, got {x.shape}")
         return linear(Tensor(x), probe.w, probe.b)
     if x.ndim != 3:
         raise ValueError(f"attentive probe wants [n, tokens, dim] features, got {x.shape}")
-    n, k, d = x.shape
-    scores = matmul(Tensor(x.reshape(n * k, d)), probe.query.reshape(d, 1))
-    attn = softmax(scores.reshape(n, k) * (1.0 / np.sqrt(d)), axis=-1)
-    pooled = _attn_pool(attn, x)
-    return linear(pooled, probe.w, probe.b)
+    return linear(attentive_pool(Tensor(x), probe.query), probe.w, probe.b)
 
 
-def _attn_pool(attn: Tensor, x: np.ndarray) -> Tensor:
-    n, k, d = x.shape
-    # weighted sum per clip: [n, k] against constant tokens [n, k, d]
-    w3 = attn.reshape(n, k, 1).broadcast_to((n, k, d))
-    return (w3 * Tensor(x)).sum(axis=1)
+def attentive_pool(x: Tensor, query: Tensor) -> Tensor:
+    """Softmax-weighted token sum of x [n, k, d] under a query [d], one graph
+    node: scores x.q / sqrt(d), clamped to ``POOL_CLIP``, a max-shifted
+    softmax over the k tokens, then the weighted sum [n, d].
+
+    The VJP replays the composed graph's arithmetic term by term; a clamped
+    score passes no gradient back to x or the query.
+    """
+    xd, qd = x.data, query.data
+    if xd.ndim != 3 or qd.shape != (xd.shape[-1],):
+        raise ValueError(f"attentive pool wants x [n, k, d] and query [d], "
+                         f"got {xd.shape} and {qd.shape}")
+    n, k, d = xd.shape
+    x2, q2 = xd.reshape(n * k, d), qd.reshape(d, 1)
+    scale = 1.0 / np.sqrt(d)
+    s = (x2 @ q2).reshape(n, k)
+    s *= scale
+    inside = ((s >= POOL_CLIP[0]) & (s <= POOL_CLIP[1])).astype(np.float64)
+    np.clip(s, *POOL_CLIP, out=s)
+    s -= np.max(s, axis=-1, keepdims=True)
+    e = np.exp(s, out=s)
+    denom = np.sum(e, axis=-1, keepdims=True)
+    attn = e / denom
+
+    def vjp(g):
+        ga = np.sum(g[:, None, :] * xd, axis=2)
+        gs = ga / denom
+        gs += np.sum(-ga * e / (denom * denom), axis=-1, keepdims=True)
+        gs *= e
+        gs *= inside
+        gs *= scale
+        gs = gs.reshape(n * k, 1)
+        gx = None
+        if x.requires_grad:
+            gx = g[:, None, :] * attn[:, :, None]
+            gx += (gs @ q2.T).reshape(n, k, d)
+        return gx, (x2.T @ gs).reshape(d) if query.requires_grad else None
+
+    return Tensor._node(np.sum(attn[:, :, None] * xd, axis=1), (x, query), vjp)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    n, c = logits.shape
+def _one_hot(labels: np.ndarray, n: int, n_classes: int) -> np.ndarray:
+    """[n, n_classes] rows with a 1 at each label; refuses a label array that
+    is not [n] or holds a label outside [0, n_classes)."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError(f"labels {labels.shape} vs {n} rows")
-    if labels.min() < 0 or labels.max() >= c:
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError("label outside class range")
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
-    return (log_softmax(logits) * Tensor(onehot)).sum() * (-1.0 / n)
+    return onehot
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of the labels under softmax(logits)."""
+    return _nll(logits, _one_hot(labels, *logits.shape))
+
+
+def _nll(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """``cross_entropy`` on checked one-hot rows, one graph node: a max-shifted
+    log-softmax, the one-hot product summed, times -1/n. The VJP replays the
+    composed graph's arithmetic term by term."""
+    n = logits.shape[0]
+    s = logits.data - np.max(logits.data, axis=-1, keepdims=True)
+    es = np.exp(s)
+    sumexp = np.sum(es, axis=-1, keepdims=True)
+    logp = s - np.log(sumexp)
+
+    def vjp(g):
+        gd = onehot * (g * (-1.0 / n))
+        return (gd + (np.sum(-gd, axis=-1, keepdims=True) / sumexp) * es,)
+
+    return Tensor._node(np.sum(logp * onehot) * (-1.0 / n), (logits,), vjp)
 
 
 def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
@@ -148,17 +213,19 @@ def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
     labels = np.asarray(labels)
     if np.unique(labels).size < 2:
         raise ValueError("probe training needs at least two classes")
+    n = feats.shape[0]
+    onehot = _one_hot(labels, n, n_classes)
     mean, std = standardize_stats(feats)
-    dim = feats.shape[-1]
-    probe = init_probe(kind, dim, n_classes, np.random.default_rng([seed, 0]), mean, std)
+    x = apply_standardize(feats, mean, std)
+    probe = init_probe(kind, feats.shape[-1], n_classes, np.random.default_rng([seed, 0]),
+                       mean, std)
     params = probe.named()
     opt: OptState = init_opt(params)
-    n = feats.shape[0]
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 1 + epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo:lo + batch_size]
-            loss = cross_entropy(probe_logits(probe, feats[sel]), labels[sel])
+            loss = _nll(probe_logits(probe, x[sel]), onehot[sel])
             for p in params.values():
                 p.grad = None
             backward(loss)
@@ -169,8 +236,9 @@ def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
 
 def predict(probe: ProbeParams, feats: np.ndarray) -> np.ndarray:
     """Top-1 class per row; ties resolve to the lowest class index."""
+    x = apply_standardize(feats, probe.feat_mean, probe.feat_std)
     with no_grad():
-        logits = probe_logits(probe, feats).data
+        logits = probe_logits(probe, x).data
     return np.argmax(logits, axis=1)
 
 
@@ -198,15 +266,27 @@ def dataset_features(encoder: EncoderParams, ds: Dataset, kind: str):
     return feats, labels
 
 
+def probe_datasets(cfg: RunConfig, n_train_per_class: int = 16, n_test_per_class: int = 8,
+                   seed: int | None = None) -> tuple[Dataset, Dataset]:
+    """The probes' train and test clips: two child-seed partitions of the seed."""
+    seed = cfg.seed if seed is None else seed
+    shape = dict(t=cfg.frames, h=cfg.height, w=cfg.width)
+    return (gen_motion_dataset(n_train_per_class, _child_seed(seed, TRAIN_TAG), **shape),
+            gen_motion_dataset(n_test_per_class, _child_seed(seed, TEST_TAG), **shape))
+
+
 def synthetic_benchmark(encoder: EncoderParams, cfg: RunConfig,
                         n_train_per_class: int = 16, n_test_per_class: int = 8,
                         seed: int | None = None) -> EvalReport:
     """Train a probe on one seed partition of synthetic clips, test on another."""
+    return evaluate(encoder, cfg, *probe_datasets(cfg, n_train_per_class, n_test_per_class, seed),
+                    seed)
+
+
+def evaluate(encoder: EncoderParams, cfg: RunConfig, train_ds: Dataset, test_ds: Dataset,
+             seed: int | None = None) -> EvalReport:
+    """Fit a ``cfg.probe_kind`` probe on train_ds's features and score it on test_ds."""
     seed = cfg.seed if seed is None else seed
-    train_ds = gen_motion_dataset(n_train_per_class, _child_seed(seed, TRAIN_TAG),
-                                  t=cfg.frames, h=cfg.height, w=cfg.width)
-    test_ds = gen_motion_dataset(n_test_per_class, _child_seed(seed, TEST_TAG),
-                                 t=cfg.frames, h=cfg.height, w=cfg.width)
     train_x, train_y = dataset_features(encoder, train_ds, cfg.probe_kind)
     test_x, test_y = dataset_features(encoder, test_ds, cfg.probe_kind)
     probe = train_probe(train_x, train_y, len(MotionClass), kind=cfg.probe_kind,

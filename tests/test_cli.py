@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vjlab import cli, training
+from vjlab import cli, probing, training
 from vjlab.cli import main
 from vjlab.config import RECIPE_FIELDS, load_config, variant_defaults, variant_slug
 from vjlab.synth import load_dataset
@@ -224,6 +224,32 @@ class TestSweepReport:
             for file in ("metrics.jsonl", "checkpoint.jpck"):
                 assert (root / variant_slug(name) / file).read_bytes() == \
                     (alone / file).read_bytes(), (name, file)
+
+    def test_sweep_renders_the_probe_sets_once(self, tiny_config, tmp_path, monkeypatch):
+        renders = []
+
+        def counted(render):
+            def wrapper(*args, **kwargs):
+                renders.append(args)
+                return render(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, training, probing):
+            monkeypatch.setattr(module, "gen_motion_dataset", counted(module.gen_motion_dataset))
+        root = tmp_path / "sw"
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", "Baseline,Delta-JEPA,HW-JEPA",
+                       "--train-per-class", 2, "--test-per-class", 2) == 0
+        assert len(renders) == 3  # one training set and two probe sets, shared by all variants
+        # each variant's accuracy is that of a probe run of its own
+        rows = json.loads((root / "sweep.json").read_text())
+        assert [row["variant"] for row in rows] == ["Baseline", "Delta-JEPA", "HW-JEPA"]
+        for row in rows:
+            run = root / variant_slug(row["variant"])
+            assert run_cli("probe", "--out", run,
+                           "--train-per-class", 2, "--test-per-class", 2) == 0
+            alone = json.loads((run / "probe-linear.json").read_text())
+            assert row["accuracy"] == alone["accuracy"], row["variant"]
 
     def test_sweep_refuses_a_dataset_that_does_not_fit(self, tiny_config, tmp_path, capsys):
         root = tmp_path / "sw"

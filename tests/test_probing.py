@@ -6,7 +6,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from vjlab import probing
 from vjlab.config import variant_defaults
+from vjlab.gradcheck import grad_check
 from vjlab.model import init_encoder
 from vjlab.probing import (
     EvalReport,
@@ -15,6 +17,7 @@ from vjlab.probing import (
     _child_seed,
     accuracy,
     apply_standardize,
+    attentive_pool,
     cross_entropy,
     init_probe,
     pooled_features,
@@ -26,7 +29,7 @@ from vjlab.probing import (
     train_probe,
 )
 from vjlab.synth import gen_motion_dataset
-from vjlab.tensor import Tensor
+from vjlab.tensor import Tensor, backward, log_softmax, matmul, softmax
 
 
 def small_cfg(**kw):
@@ -98,6 +101,85 @@ class TestCrossEntropy:
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]))
 
 
+def weighted_sum(out: Tensor, seed: int) -> Tensor:
+    """A smooth scalar of every output entry, for finite differences."""
+    return (out * Tensor(np.random.default_rng(seed).standard_normal(out.shape))).sum()
+
+
+def composed_pool(x: Tensor, query: Tensor) -> Tensor:
+    """The tensor-op graph attentive_pool fuses: the oracle for its bytes."""
+    n, k, d = x.shape
+    scores = matmul(x.reshape(n * k, d), query.reshape(d, 1))
+    attn = softmax(scores.reshape(n, k) * (1.0 / np.sqrt(d)), axis=-1)
+    return (attn.reshape(n, k, 1).broadcast_to((n, k, d)) * x).sum(axis=1)
+
+
+def composed_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """The tensor-op graph cross_entropy fuses: the oracle for its bytes."""
+    n, c = logits.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    return (log_softmax(logits) * Tensor(onehot)).sum() * (-1.0 / n)
+
+
+def value_and_grads(f, arrays):
+    """f's value and each input's gradient, as bytes."""
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = f(*inputs)
+    backward(out if out.size == 1 else weighted_sum(out, 13))
+    return [np.asarray(out.data).tobytes()] + [t.grad.tobytes() for t in inputs]
+
+
+class TestFusedNodes:
+    def test_attentive_pool_grad_check(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
+        q = Tensor(rng.standard_normal(4), requires_grad=True)
+        rep = grad_check(lambda x, q: weighted_sum(attentive_pool(x, q), 1), [x, q])
+        assert rep.ok(1e-4), rep.per_input
+
+    def test_cross_entropy_grad_check(self):
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 5, 6)
+        rep = grad_check(lambda z: cross_entropy(z, labels),
+                         [Tensor(rng.standard_normal((6, 5)), requires_grad=True)])
+        assert rep.ok(1e-4), rep.per_input
+
+    def test_clamped_scores_pass_no_gradient_to_query(self):
+        # q picks channel 0, so a score is x[..., 0] / sqrt(4) = x[..., 0] / 2:
+        # every score of clip 0 lies beyond +-20, no score of clip 1 does
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 3, 4))
+        x[0, :, 0] = [50.0, -45.0, 60.0]
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+        for clip, zero in ((0, True), (1, False)):
+            xt, qt = Tensor(x, requires_grad=True), Tensor(q, requires_grad=True)
+            weights = np.zeros((2, 4))
+            weights[clip] = rng.standard_normal(4)
+            backward((attentive_pool(xt, qt) * Tensor(weights)).sum())
+            assert np.all(qt.grad == 0.0) == zero, clip
+            assert np.any(xt.grad[clip] != 0.0)  # the weighted token sum still passes gradient
+
+    def test_equal_logits_give_log_n_classes_exactly(self):
+        assert cross_entropy(Tensor(np.full((1, 8), 0.3)), np.array([5])).item() == np.log(8.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_match_the_composed_graph_bit_for_bit(self, seed):
+        rng = np.random.default_rng([14, seed])
+        # scores spread past +-20 on some tokens, so the clamp mask is exercised
+        x, q = rng.standard_normal((5, 7, 6)) * 5.0, rng.standard_normal(6) * 4.0
+        scores = x @ q / np.sqrt(6)
+        assert (np.abs(scores) > 20.0).any() and (np.abs(scores) < 20.0).any()
+        assert value_and_grads(attentive_pool, [x, q]) == value_and_grads(composed_pool, [x, q])
+        logits, labels = rng.standard_normal((9, 8)) * 4.0, rng.integers(0, 8, 9)
+        assert value_and_grads(lambda z: cross_entropy(z, labels), [logits]) == \
+            value_and_grads(lambda z: composed_cross_entropy(z, labels), [logits])
+
+    def test_attentive_pool_rejects_mismatched_query(self):
+        with pytest.raises(ValueError, match="attentive pool"):
+            attentive_pool(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(5)))
+
+
 class TestPredict:
     def test_all_zero_logits_tie_break_to_class_zero(self):
         # zero weights, zero bias: every logit row ties at zero
@@ -160,6 +242,20 @@ class TestProbeTraining:
         feats = np.random.default_rng(7).standard_normal((8, 4))
         with pytest.raises(ValueError, match="two classes"):
             train_probe(feats, np.zeros(8, dtype=int), 3)
+
+    @pytest.mark.parametrize("labels", [np.arange(40) % 5, np.arange(39) % 4,
+                                        np.arange(41) % 4],
+                             ids=["label_outside_classes", "too_few", "too_many"])
+    def test_bad_labels_raise_before_any_step(self, labels, monkeypatch):
+        with pytest.raises(ValueError) as want:
+            cross_entropy(Tensor(np.zeros((40, 4))), labels)
+        steps = []
+        monkeypatch.setattr(probing, "adamw_step", lambda *args, **kwargs: steps.append(args))
+        feats = np.random.default_rng(12).standard_normal((40, 6))
+        with pytest.raises(ValueError) as got:
+            train_probe(feats, labels, 4)
+        assert str(got.value) == str(want.value)
+        assert steps == []
 
     def test_bad_probe_kind_rejected(self):
         with pytest.raises(ValueError, match="linear or attentive"):
@@ -246,6 +342,21 @@ class TestBenchmark:
         r1 = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2, seed=0)
         r2 = synthetic_benchmark(enc, cfg, n_train_per_class=2, n_test_per_class=2, seed=1)
         assert r1 != r2
+
+    def test_default_call_renders_through_the_module_name(self, monkeypatch):
+        renders = []
+        render = probing.gen_motion_dataset
+
+        def counted(*args, **kwargs):
+            renders.append(args)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(probing, "gen_motion_dataset", counted)
+        cfg = small_cfg(probe_epochs=1)
+        synthetic_benchmark(init_encoder(cfg, np.random.default_rng(5)), cfg,
+                            n_train_per_class=1, n_test_per_class=1)
+        assert renders == [(1, _child_seed(cfg.seed, TRAIN_TAG)),
+                           (1, _child_seed(cfg.seed, TEST_TAG))]
 
     def test_attentive_benchmark_runs(self):
         cfg = small_cfg(probe_kind="attentive", probe_epochs=2)
