@@ -1,11 +1,14 @@
 """Encoder/predictor wiring, EMA arithmetic, channel split, checkpoints."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from vjlab import verify
 from vjlab.gradcheck import grad_check
-from vjlab.config import RunConfig, app_width
+from vjlab.config import VARIANTS, RunConfig, app_width, variant_defaults
 from vjlab.masking import MaskSpec, sample_mask
 from vjlab.model import (
     HeadParams,
@@ -33,8 +36,10 @@ from vjlab.model import (
     teacher_targets,
     view,
 )
+from vjlab.probing import train_probe
 from vjlab.synth import MotionClass, gen_motion_clip, image_as_clip
 from vjlab.tensor import Tensor, backward
+from vjlab.training import init_state, train_records
 
 CFG = RunConfig()
 
@@ -431,3 +436,51 @@ class TestGeometryValidation:
     def test_heads_divide_dim(self):
         with pytest.raises(ValueError, match="divide"):
             RunConfig(dim=32, heads=3).validate()
+
+
+# A small geometry on the default 4x4x4 token grid, where every variant validates.
+PIN_GEOMETRY = dict(dim=16, heads=2, layers=1, ff=16, pred_layers=1, pred_heads=2,
+                    dyn_hidden=16, ham_hidden=8)
+
+# sha256 over train_records(init_state(cfg)) at PIN_GEOMETRY; see TestPinnedRecords.
+# Variants share a digest when they share a record set: EMA teacher or not,
+# Hamiltonian net or not, and the FWM heads reading only the dynamics channels.
+_EMA = "0d01107c2af1e41151cade477a59352b7aa142e03bbfaa245a53a1495fa9955e"
+_NO_EMA = "3c5a4d0939ee7d0f6d68c32f876dfae5efa4eadae1ec9ef0410d975342ecc474"
+_HAM = "86ea672e3317b065760a027bc66c65d693df74cdd3157265ab53a94a21e5f556"
+_FWM = "54ac5a5d439d677a32dd459e2111eeaa8a94914f58b4a2aa6e9be6273298f738"
+PINNED_RECORDS = {
+    "Baseline": _EMA, "Motion-Guided": _EMA, "AMG-JEPA": _EMA, "Future-Predictive": _EMA,
+    "Motion-Future": _EMA, "Kin.-L1": _NO_EMA, "Kin.-Huber": _NO_EMA, "Kin.-Accel": _NO_EMA,
+    "Kin.-Split": _NO_EMA, "Kin.-Anneal": _NO_EMA, "SIGReg": _EMA, "SIGReg-no-EMA": _NO_EMA,
+    "Hamiltonian": _HAM, "VelGate": _EMA, "Delta-JEPA": _EMA, "LD-JEPA": _EMA,
+    "Spectral-JEPA": _EMA, "LTC-JEPA": _EMA, "FWM-JEPA": _FWM, "HW-JEPA": _EMA,
+    "HW-LD-JEPA": _EMA, "FWM-LD-JEPA": _FWM, "AC-JEPA": _EMA, "FAC-JEPA": _FWM,
+    "AC+HW-JEPA": _EMA, "Combo": _EMA, "FWM-HW-LD": _FWM,
+}
+
+
+class TestPinnedRecords:
+    """The checkpoint record set (names, shapes and values of the student,
+    heads, teacher and Adam moments) stays what it was when pinned."""
+
+    def test_every_variant_is_pinned(self):
+        assert sorted(PINNED_RECORDS) == sorted(VARIANTS)
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_RECORDS))
+    def test_initial_records_digest(self, variant):
+        cfg = dataclasses.replace(variant_defaults(variant), **PIN_GEOMETRY)
+        digest = hashlib.sha256()
+        for name, arr in sorted(train_records(init_state(cfg)).items()):
+            digest.update(name.encode())
+            digest.update(str(arr.shape).encode())
+            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == PINNED_RECORDS[variant]
+
+    @pytest.mark.parametrize("kind,names", [("linear", ["probe.w", "probe.b"]),
+                                            ("attentive", ["probe.w", "probe.b", "probe.q"])])
+    def test_probe_record_names(self, kind, names):
+        rng = np.random.default_rng(0)
+        feats = rng.standard_normal((8, 6) if kind == "linear" else (8, 3, 6))
+        probe = train_probe(feats, np.arange(8) % 2, 2, kind=kind, epochs=1)
+        assert list(probe.named()) == names

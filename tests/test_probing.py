@@ -418,3 +418,35 @@ class TestPinnedProbe:
         enc = init_encoder(cfg, np.random.default_rng(11))
         rep = synthetic_benchmark(enc, cfg, n_train_per_class=3, n_test_per_class=3)
         assert (rep.accuracy, rep.per_class) == PINNED_BENCHMARK[kind]
+
+
+# One step's raw gradients of train_probe on _pin_features(kind, 0); see
+# TestPinnedProbeGradient.
+PINNED_FIRST_GRADIENTS = {
+    "linear": "6a40e0917c7be7085c241d354bc856cc3b0c0229b5e1c61a5041eb3137851353",
+    "attentive": "5fec28d682023727a6e8dabfbdd85a42ad671d898379c37d64411e71a2292965",
+}
+
+
+class TestPinnedProbeGradient:
+    @pytest.mark.parametrize("kind", ["linear", "attentive"])
+    def test_first_step_gradient_digest(self, kind, monkeypatch):
+        """The float64 gradients of probe.w, probe.b and probe.q, taken before
+        adamw_step rounds the parameters to float32, so a last-bit change in
+        the probe's graph shows here even where TestPinnedProbe cannot see it."""
+        steps = []
+        step = probing.adamw_step
+
+        def recorded(params, grads, *args, **kwargs):
+            steps.append({name: g.copy() for name, g in grads.items()})
+            step(params, grads, *args, **kwargs)
+
+        monkeypatch.setattr(probing, "adamw_step", recorded)
+        feats, labels = _pin_features(kind, 0)
+        train_probe(feats, labels, 4, kind=kind, epochs=1, seed=0)
+        digest = hashlib.sha256()
+        for name, g in sorted(steps[0].items()):
+            assert g.dtype == np.float64, name
+            digest.update(name.encode())
+            digest.update(g.tobytes())
+        assert digest.hexdigest() == PINNED_FIRST_GRADIENTS[kind]
