@@ -10,8 +10,10 @@ file; a config RunConfig.validate refuses exits 1 before anything is written.
 pretrain and sweep train on a run directory's dataset.synv when it has one
 (a sweep renders one shared set for the others, and one pair of probe sets
 for every variant), and refuse one whose clip count or clip shape does not
-fit the config. verify runs verify.CHECKS, the same functions the unit
-tests call. probe writes probe-<kind>.json; report reads the sweep.json and
+fit the config. probe and pretrain --resume load the checkpoint through
+training.load_train_state and refuse one that does not fit the config;
+--resume also refuses a missing or changed config.lab. verify runs
+verify.CHECKS, the same functions the unit tests call. probe writes probe-<kind>.json; report reads the sweep.json and
 every probe*.json under --out.
 """
 
@@ -33,20 +35,15 @@ from .config import (
     variant_slug,
     with_variant,
 )
-from .model import load_checkpoint, load_into
 from .probing import evaluate, probe_datasets, synthetic_benchmark
 from .synth import N_CLASSES, Dataset, gen_motion_dataset, load_dataset, save_dataset
-from .training import CHECKPOINT_NAME, METRICS_NAME, init_state, run_pretrain
+from .training import CHECKPOINT_NAME, METRICS_NAME, Refused, load_train_state, run_pretrain
 from .verify import CHECKS
 
 DATASET_NAME = "dataset.synv"
 PROBE_NAME = "probe-{kind}.json"
 PROBE_GLOB = "probe*.json"  # also the single probe.json of older runs
 SWEEP_NAME = "sweep.json"
-
-
-class Refused(ValueError):
-    """A config, or a run directory's dataset.synv, that no run can start from."""
 
 
 def _build_config(args, variant: str | None = None, out: str | None = None) -> RunConfig:
@@ -124,10 +121,9 @@ def cmd_probe(args) -> int:
     if not ck.exists():
         print(f"no checkpoint at {ck}; run `lab pretrain` first", file=sys.stderr)
         return 1
-    state = init_state(cfg)
-    load_into(state.student.named(), load_checkpoint(ck))
+    student = load_train_state(cfg, ck).student
     cfg = dataclasses.replace(cfg, probe_kind=args.probe or cfg.probe_kind)
-    rep = synthetic_benchmark(state.student, cfg,
+    rep = synthetic_benchmark(student, cfg,
                               n_train_per_class=args.train_per_class,
                               n_test_per_class=args.test_per_class)
     payload = {

@@ -7,15 +7,17 @@ Encoder, predictor and teacher run once per batch on [B, N, dim] token
 slabs. Masked encoding still drops non-visible tokens, so attention can only
 ever mix visible content; clips with fewer visible tokens are padded to the
 batch maximum, and padding never gets attention weight. Parameters carry
-the run's `config.RunConfig`, which fixes their geometry.
+the run's `config.RunConfig`, which fixes their geometry; a parameter's
+checkpoint record name is its field path (``Params.named``).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,8 +34,35 @@ _ATTN_CLIP = (-30.0, 30.0)
 # -- parameters ----------------------------------------------------------
 
 
+class Params:
+    """A dataclass of parameters whose record names are its field paths.
+
+    ``named`` walks the fields in order: a Tensor field is ``prefix.field``,
+    a list of blocks is ``prefix.block{i}.*`` and a nested ``Params`` goes
+    under its own ``PREFIX``. Other fields (the config, plain arrays) and
+    absent heads hold no record. These names are what AdamW steps, the EMA
+    teacher follows and a checkpoint stores.
+    """
+
+    PREFIX = ""
+
+    def named(self, prefix: str | None = None) -> dict[str, Tensor]:
+        prefix = self.PREFIX if prefix is None else prefix
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[f"{prefix}.{f.name}"] = value
+            elif isinstance(value, Params):
+                out.update(value.named(f"{prefix}.{value.PREFIX}"))
+            elif isinstance(value, list):
+                for i, blk in enumerate(value):
+                    out.update(blk.named(f"{prefix}.block{i}"))
+        return out
+
+
 @dataclass
-class Block:
+class Block(Params):
     ln1_g: Tensor
     ln1_b: Tensor
     wq: Tensor
@@ -51,19 +80,16 @@ class Block:
     w2: Tensor
     b2: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{k}": getattr(self, k) for k in self.__dataclass_fields__}
 
-
-def _init_block(rng: np.random.Generator, dim: int, ff: int, train: bool) -> Block:
+def _init_block(rng: np.random.Generator, dim: int, ff: int) -> Block:
     def w(shape):
-        return Tensor(rng.standard_normal(shape) * INIT_SCALE, requires_grad=train)
+        return Tensor(rng.standard_normal(shape) * INIT_SCALE, requires_grad=True)
 
     def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=train)
+        return Tensor(np.zeros(shape), requires_grad=True)
 
     def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=train)
+        return Tensor(np.ones(shape), requires_grad=True)
 
     return Block(
         ln1_g=ones(dim), ln1_b=zeros(dim),
@@ -78,7 +104,8 @@ def _init_block(rng: np.random.Generator, dim: int, ff: int, train: bool) -> Blo
 
 
 @dataclass
-class EncoderParams:
+class EncoderParams(Params):
+    PREFIX = "enc"
     cfg: RunConfig
     embed_w: Tensor
     embed_b: Tensor
@@ -88,22 +115,10 @@ class EncoderParams:
     ln_g: Tensor
     ln_b: Tensor
 
-    def named(self, prefix: str = "enc") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.embed_w": self.embed_w,
-            f"{prefix}.embed_b": self.embed_b,
-            f"{prefix}.embed_img_w": self.embed_img_w,
-            f"{prefix}.embed_img_b": self.embed_img_b,
-        }
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named(f"{prefix}.block{i}"))
-        out[f"{prefix}.ln_g"] = self.ln_g
-        out[f"{prefix}.ln_b"] = self.ln_b
-        return out
-
 
 @dataclass
-class PredictorParams:
+class PredictorParams(Params):
+    PREFIX = "pred"
     cfg: RunConfig
     mask_token: Tensor
     blocks: list[Block]
@@ -112,36 +127,23 @@ class PredictorParams:
     out_w: Tensor
     out_b: Tensor
 
-    def named(self, prefix: str = "pred") -> dict[str, Tensor]:
-        out = {f"{prefix}.mask_token": self.mask_token}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named(f"{prefix}.block{i}"))
-        out.update({
-            f"{prefix}.ln_g": self.ln_g,
-            f"{prefix}.ln_b": self.ln_b,
-            f"{prefix}.out_w": self.out_w,
-            f"{prefix}.out_b": self.out_b,
-        })
-        return out
-
 
 @dataclass
-class HamiltonianParams:
+class HamiltonianParams(Params):
     """Scalar energy net: two-layer tanh MLP plus a learned diagonal
     quadratic term, so hand-set kinetic-energy forms are representable."""
 
+    PREFIX = "ham"
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
     quad: Tensor
 
-    def named(self, prefix: str = "ham") -> dict[str, Tensor]:
-        return {f"{prefix}.{k}": getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass
-class HeadParams:
+class HeadParams(Params):
+    PREFIX = "heads"
     predictor: PredictorParams
     dyn_w1: Tensor
     dyn_b1: Tensor
@@ -151,27 +153,19 @@ class HeadParams:
     act_b: Tensor
     ham: HamiltonianParams | None = None
 
-    def named(self, prefix: str = "heads") -> dict[str, Tensor]:
-        out = self.predictor.named(f"{prefix}.pred")
-        for k in ["dyn_w1", "dyn_b1", "dyn_w2", "dyn_b2", "act_w", "act_b"]:
-            out[f"{prefix}.{k}"] = getattr(self, k)
-        if self.ham is not None:
-            out.update(self.ham.named(f"{prefix}.ham"))
-        return out
 
-
-def init_encoder(cfg: RunConfig, rng: np.random.Generator, train: bool = True) -> EncoderParams:
+def init_encoder(cfg: RunConfig, rng: np.random.Generator) -> EncoderParams:
     p_vid = cfg.tubelet * cfg.patch * cfg.patch * cfg.channels
     p_img = cfg.patch * cfg.patch * cfg.channels
     return EncoderParams(
         cfg=cfg,
-        embed_w=Tensor(rng.standard_normal((p_vid, cfg.dim)) * INIT_SCALE, requires_grad=train),
-        embed_b=Tensor(np.zeros(cfg.dim), requires_grad=train),
-        embed_img_w=Tensor(rng.standard_normal((p_img, cfg.dim)) * INIT_SCALE, requires_grad=train),
-        embed_img_b=Tensor(np.zeros(cfg.dim), requires_grad=train),
-        blocks=[_init_block(rng, cfg.dim, cfg.ff, train) for _ in range(cfg.layers)],
-        ln_g=Tensor(np.ones(cfg.dim), requires_grad=train),
-        ln_b=Tensor(np.zeros(cfg.dim), requires_grad=train),
+        embed_w=Tensor(rng.standard_normal((p_vid, cfg.dim)) * INIT_SCALE, requires_grad=True),
+        embed_b=Tensor(np.zeros(cfg.dim), requires_grad=True),
+        embed_img_w=Tensor(rng.standard_normal((p_img, cfg.dim)) * INIT_SCALE, requires_grad=True),
+        embed_img_b=Tensor(np.zeros(cfg.dim), requires_grad=True),
+        blocks=[_init_block(rng, cfg.dim, cfg.ff) for _ in range(cfg.layers)],
+        ln_g=Tensor(np.ones(cfg.dim), requires_grad=True),
+        ln_b=Tensor(np.zeros(cfg.dim), requires_grad=True),
     )
 
 
@@ -183,7 +177,7 @@ def init_heads(cfg: RunConfig, rng: np.random.Generator, dyn_in: int | None = No
     pred = PredictorParams(
         cfg=cfg,
         mask_token=Tensor(rng.standard_normal(d) * INIT_SCALE, requires_grad=True),
-        blocks=[_init_block(rng, d, cfg.ff, True) for _ in range(cfg.pred_layers)],
+        blocks=[_init_block(rng, d, cfg.ff) for _ in range(cfg.pred_layers)],
         ln_g=Tensor(np.ones(d), requires_grad=True),
         ln_b=Tensor(np.zeros(d), requires_grad=True),
         out_w=Tensor(rng.standard_normal((d, d)) * INIT_SCALE, requires_grad=True),
@@ -211,14 +205,11 @@ def init_heads(cfg: RunConfig, rng: np.random.Generator, dyn_in: int | None = No
 
 
 def clone_frozen(params: EncoderParams) -> EncoderParams:
-    """Value copy with gradients off; the teacher starts equal to the student."""
-    src = params.named("x")
-    cfg = params.cfg
-    frozen = init_encoder(cfg, np.random.default_rng(0), train=False)
-    dst = frozen.named("x")
-    for k, t in dst.items():
-        t.data = src[k].data.copy()
-        t.requires_grad = False
+    """Value copy with gradients off; the teacher starts equal to the student
+    and shares its config."""
+    frozen = copy.deepcopy(params, {id(params.cfg): params.cfg})
+    for t in frozen.named().values():
+        t.requires_grad, t.grad = False, None
     return frozen
 
 
@@ -583,13 +574,10 @@ def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
     return records
 
 
-def load_into(named: dict[str, Tensor], records: dict[str, np.ndarray], prefix: str = "") -> None:
+def load_into(named: dict[str, Tensor], records: dict[str, np.ndarray]) -> None:
     for k, t in named.items():
-        key = prefix + k
-        if key not in records:
-            raise ValueError(f"checkpoint missing record '{key}'")
-        if records[key].shape != t.data.shape:
-            raise ValueError(
-                f"checkpoint record '{key}' shape {records[key].shape} vs {t.data.shape}"
-            )
-        t.data = records[key].copy()
+        if k not in records:
+            raise ValueError(f"checkpoint missing record '{k}'")
+        if records[k].shape != t.data.shape:
+            raise ValueError(f"checkpoint record '{k}' shape {records[k].shape} vs {t.data.shape}")
+        t.data = records[k].copy()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .model import EncoderParams, encode, linear
+from .model import EncoderParams, Params, encode, linear
 from .synth import Dataset, MotionClass, VideoClip, gen_motion_dataset
 from .tensor import Tensor, backward, no_grad
 from .training import OptState, adamw_step, init_opt
@@ -81,20 +81,15 @@ def apply_standardize(feats: np.ndarray, mean: np.ndarray, std: np.ndarray) -> n
 
 
 @dataclass
-class ProbeParams:
+class ProbeParams(Params):
+    PREFIX = "probe"
     kind: str                      # "linear" | "attentive"
     w: Tensor
     b: Tensor
-    query: Tensor | None
+    q: Tensor | None               # the attentive pool's query
     feat_mean: np.ndarray
     feat_std: np.ndarray
     n_classes: int
-
-    def named(self) -> dict[str, Tensor]:
-        out = {"probe.w": self.w, "probe.b": self.b}
-        if self.query is not None:
-            out["probe.q"] = self.query
-        return out
 
 
 def init_probe(kind: str, dim: int, n_classes: int, rng: np.random.Generator,
@@ -108,7 +103,7 @@ def init_probe(kind: str, dim: int, n_classes: int, rng: np.random.Generator,
         kind=kind,
         w=Tensor(rng.standard_normal((dim, n_classes)) * 0.02, requires_grad=True),
         b=Tensor(np.zeros(n_classes), requires_grad=True),
-        query=query,
+        q=query,
         feat_mean=feat_mean,
         feat_std=feat_std,
         n_classes=n_classes,
@@ -127,7 +122,7 @@ def probe_logits(probe: ProbeParams, x: np.ndarray) -> Tensor:
         return linear(Tensor(x), probe.w, probe.b)
     if x.ndim != 3:
         raise ValueError(f"attentive probe wants [n, tokens, dim] features, got {x.shape}")
-    return linear(attentive_pool(Tensor(x), probe.query), probe.w, probe.b)
+    return linear(attentive_pool(Tensor(x), probe.q), probe.w, probe.b)
 
 
 def attentive_pool(x: Tensor, query: Tensor) -> Tensor:

@@ -66,6 +66,10 @@ CHECKPOINT_NAME = "checkpoint.jpck"
 METRICS_NAME = "metrics.jsonl"
 
 
+class Refused(ValueError):
+    """A config, or a file of the run directory, that no run can start from."""
+
+
 def _q32(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
@@ -142,7 +146,7 @@ class TrainState:
     step: int = 0
 
     def trainable(self) -> dict[str, Tensor]:
-        return {**self.student.named("enc"), **self.heads.named("heads")}
+        return {**self.student.named(), **self.heads.named()}
 
 
 def init_state(cfg: RunConfig) -> TrainState:
@@ -153,11 +157,11 @@ def init_state(cfg: RunConfig) -> TrainState:
     head_in = cfg.dim - app_width(cfg.app_ratio, cfg.dim) if spec.fwm else cfg.dim
     heads = init_heads(cfg, rng, dyn_in=head_in, act_in=head_in,
                        with_ham="ham" in spec.components)
-    quantize_params(student.named("enc"))
-    quantize_params(heads.named("heads"))
+    trainable = {**student.named(), **heads.named()}
+    quantize_params(trainable)
     teacher = clone_frozen(student) if spec.ema else None
-    opt = init_opt({**student.named("enc"), **heads.named("heads")})
-    return TrainState(cfg=cfg, student=student, heads=heads, teacher=teacher, opt=opt)
+    return TrainState(cfg=cfg, student=student, heads=heads, teacher=teacher,
+                      opt=init_opt(trainable))
 
 
 # -- data / masks --------------------------------------------------------
@@ -273,8 +277,8 @@ def train_step(state: TrainState, clips: list[VideoClip],
     adamw_step(params, grads, state.opt, lr, weight_decay=cfg.weight_decay)
 
     if state.teacher is not None:
-        t_named = state.teacher.named("enc")
-        ema_update(t_named, state.student.named("enc"), cfg.ema_momentum)
+        t_named = state.teacher.named()
+        ema_update(t_named, state.student.named(), cfg.ema_momentum)
         quantize_params(t_named)
 
     state.step += 1
@@ -307,9 +311,12 @@ def load_train_state(cfg: RunConfig, path) -> TrainState:
     expected = train_records(state)
     missing = sorted(expected.keys() - records.keys())
     unknown = sorted(records.keys() - expected.keys())
-    if missing or unknown:
-        raise ValueError(f"checkpoint {path} does not fit this config: "
-                         f"missing records {missing}, unknown records {unknown}")
+    reshaped = [f"{k} {records[k].shape} vs {expected[k].shape}"
+                for k in sorted(expected.keys() & records.keys())
+                if records[k].shape != expected[k].shape]
+    if missing or unknown or reshaped:
+        raise Refused(f"checkpoint {path} does not fit this config: missing records "
+                      f"{missing}, unknown records {unknown}, other shapes {reshaped}")
     load_into(state.trainable(), records)
     if state.teacher is not None:
         load_into(state.teacher.named("teacher"), records)
@@ -326,19 +333,19 @@ def _truncate_metrics(path: Path, step: int) -> None:
     the checkpoint left behind; fail if those steps are not all there."""
     kept = path.read_text().splitlines(keepends=True)[:step] if path.exists() else []
     if [json.loads(line)["step"] for line in kept] != list(range(1, step + 1)):
-        raise ValueError(f"{path} does not hold steps 1..{step} of the checkpoint")
+        raise Refused(f"{path} does not hold steps 1..{step} of the checkpoint")
     path.write_text("".join(kept))
 
 
 def _check_resumed_config(cfg: RunConfig, path: Path) -> None:
     """Refuse to resume a run under any config but the one it was started with."""
     if not path.exists():
-        raise ValueError(f"cannot resume: {path} is missing")
+        raise Refused(f"cannot resume: {path} is missing")
     saved = load_config(path)
     changed = [f.name for f in fields(RunConfig)
                if f.name != "out" and getattr(saved, f.name) != getattr(cfg, f.name)]
     if changed:
-        raise ValueError(f"cannot resume under a config that differs from {path} in "
+        raise Refused(f"cannot resume under a config that differs from {path} in "
                          f"{', '.join(changed)}")
 
 

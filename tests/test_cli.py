@@ -1,6 +1,7 @@
 """End-to-end CLI coverage on tiny budgets."""
 
 import json
+import shutil
 
 import pytest
 
@@ -128,6 +129,63 @@ class TestPretrainProbe:
         # no --config: variant defaults with explicit out; keep it tiny via config-less gendata only
         assert run_cli("gendata", "--out", tmp_path / "d", "--seed", 1) == 0
         assert (tmp_path / "d" / "dataset.synv").exists()
+
+
+class TestRunFilesThatDoNotFit:
+    """A checkpoint or config.lab that does not fit the run is refused with
+    one line on stderr and exit status 1, before any file is written."""
+
+    @pytest.fixture
+    def fwm_run_with_baseline_checkpoint(self, tiny_config, tmp_path, capsys):
+        base, fwm = tmp_path / "base", tmp_path / "fwm"
+        assert run_cli("pretrain", "--config", tiny_config, "--out", base) == 0
+        assert run_cli("pretrain", "--config", tiny_config, "--variant", "FWM-HW-LD",
+                       "--out", fwm) == 0
+        shutil.copyfile(base / "checkpoint.jpck", fwm / "checkpoint.jpck")
+        capsys.readouterr()
+        return fwm
+
+    def test_probe_refuses_another_variants_checkpoint(self, fwm_run_with_baseline_checkpoint,
+                                                       capsys):
+        fwm = fwm_run_with_baseline_checkpoint
+        assert run_cli("probe", "--out", fwm, "--train-per-class", 1,
+                       "--test-per-class", 1) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "checkpoint.jpck does not fit this config" in err
+        assert "heads.dyn_w1" in err
+        assert not (fwm / "probe-linear.json").exists()
+
+    def test_resume_refuses_another_variants_checkpoint(self, fwm_run_with_baseline_checkpoint,
+                                                        tiny_config, capsys):
+        fwm = fwm_run_with_baseline_checkpoint
+        log = (fwm / "metrics.jsonl").read_bytes()
+        assert run_cli("pretrain", "--config", tiny_config, "--variant", "FWM-HW-LD",
+                       "--out", fwm, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "checkpoint.jpck does not fit this config" in err
+        assert "heads.dyn_w1" in err
+        assert (fwm / "metrics.jsonl").read_bytes() == log
+
+    def test_resume_refuses_a_run_without_config(self, tiny_config, tmp_path, capsys):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        (tmp_path / "run" / "config.lab").unlink()
+        capsys.readouterr()
+        assert run_cli("pretrain", "--config", tiny_config, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "config.lab is missing" in err
+        assert not (tmp_path / "run" / "config.lab").exists()
+
+    def test_resume_refuses_a_changed_config(self, tiny_config, tmp_path, capsys):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        capsys.readouterr()
+        assert run_cli("pretrain", "--config", tiny_config, "--seed", 3, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "differs from" in err and "in seed" in err
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from vjlab.config import VARIANTS, RunConfig, app_width, variant_defaults
 from vjlab.masking import MaskSpec, sample_mask
 from vjlab.model import (
     HeadParams,
+    Params,
     action_head,
     attention_core,
     clone_frozen,
@@ -342,6 +343,19 @@ class TestEMA:
         teacher = clone_frozen(params(0))
         assert all(not t.requires_grad for t in teacher.named().values())
 
+    def test_teacher_is_a_value_copy_sharing_the_config(self):
+        student = params(0)
+        student.embed_w.grad = np.ones(student.embed_w.shape)
+        teacher = clone_frozen(student)
+        assert teacher.cfg is student.cfg
+        s_named, t_named = student.named(), teacher.named()
+        assert list(t_named) == list(s_named)
+        for k, t in t_named.items():
+            assert t is not s_named[k] and t.grad is None
+            assert np.array_equal(t.data, s_named[k].data)
+        student.blocks[0].wq.data += 1.0
+        assert not np.array_equal(teacher.blocks[0].wq.data, student.blocks[0].wq.data)
+
     def test_teacher_targets_detached(self):
         p = params(0)
         h = teacher_targets(clone_frozen(p), [clip8()])
@@ -383,6 +397,36 @@ class TestSplitAndHeads:
         heads = init_heads(CFG, np.random.default_rng(0))
         out = action_head(heads, Tensor(np.zeros((7, 32))))
         assert out.shape == (7, 1)
+
+
+@dataclasses.dataclass
+class _Inner(Params):
+    PREFIX = "inner"
+    w: Tensor
+
+
+@dataclasses.dataclass
+class _Outer(Params):
+    PREFIX = "outer"
+    cfg: RunConfig
+    a: Tensor
+    blocks: list
+    inner: _Inner
+    stats: np.ndarray
+    absent: _Inner | None
+    z: Tensor
+
+
+class TestParamsNamed:
+    def test_record_names_are_field_paths(self):
+        t = [Tensor(np.full(2, float(i))) for i in range(5)]
+        outer = _Outer(cfg=CFG, a=t[0], blocks=[_Inner(w=t[1]), _Inner(w=t[2])],
+                       inner=_Inner(w=t[3]), stats=np.zeros(2), absent=None, z=t[4])
+        named = outer.named()
+        assert list(named) == ["outer.a", "outer.block0.w", "outer.block1.w",
+                               "outer.inner.w", "outer.z"]
+        assert [id(v) for v in named.values()] == [id(x) for x in t]
+        assert list(outer.named("x")) == ["x.a", "x.block0.w", "x.block1.w", "x.inner.w", "x.z"]
 
 
 class TestCheckpoint:

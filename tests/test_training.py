@@ -14,6 +14,7 @@ from vjlab.synth import gen_motion_dataset
 from vjlab.tensor import Tensor, backward
 from vjlab.training import (
     OptState,
+    Refused,
     adamw_step,
     batch_bundle,
     batch_parts,
@@ -422,6 +423,14 @@ class TestRunAndResume:
         save_checkpoint(path, records)
         with pytest.raises(ValueError, match=r"unknown records \['enc.stray'\]"):
             load_train_state(cfg, path)
+
+    def test_checkpoint_records_of_another_shape_refused(self, tmp_path):
+        path = tmp_path / "state.jpck"
+        save_checkpoint(path, train_records(init_state(small_cfg())))
+        # FWM heads read only the dynamics channels, so their input widths differ
+        with pytest.raises(Refused, match=r"missing records \[\], unknown records \[\], "
+                                          r"other shapes \['heads.act_w \(32, 1\) vs \(16, 1\)'"):
+            load_train_state(small_cfg("FWM-HW-LD"), path)
 
     def test_resume_is_bit_exact(self, tmp_path):
         ds = gen_motion_dataset(2, 0)
