@@ -17,7 +17,7 @@ import copy
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class Params:
     def named(self, prefix: str | None = None) -> dict[str, Tensor]:
         prefix = self.PREFIX if prefix is None else prefix
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
             if isinstance(value, Tensor):
-                out[f"{prefix}.{f.name}"] = value
+                out[f"{prefix}.{name}"] = value
             elif isinstance(value, Params):
                 out.update(value.named(f"{prefix}.{value.PREFIX}"))
             elif isinstance(value, list):
