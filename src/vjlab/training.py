@@ -307,7 +307,10 @@ def load_train_state(cfg: RunConfig, path) -> TrainState:
     """The state a checkpoint holds; it must carry exactly the records that
     ``train_records`` gives under ``cfg``, no fewer and no others."""
     state = init_state(cfg)
-    records = load_checkpoint(path)
+    try:
+        records = load_checkpoint(path)
+    except (OSError, ValueError) as err:
+        raise Refused(f"cannot read checkpoint {path}: {err}") from None
     expected = train_records(state)
     missing = sorted(expected.keys() - records.keys())
     unknown = sorted(records.keys() - expected.keys())

@@ -169,6 +169,21 @@ class TestRunFilesThatDoNotFit:
         assert "heads.dyn_w1" in err
         assert (fwm / "metrics.jsonl").read_bytes() == log
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_resume_refuses_a_checkpoint_it_cannot_read(self, tiny_config, tmp_path, capsys,
+                                                        damage):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        ck = tmp_path / "run" / "checkpoint.jpck"
+        if damage == "missing":
+            ck.unlink()
+        else:
+            ck.write_bytes(ck.read_bytes()[:100])
+        capsys.readouterr()
+        assert run_cli("pretrain", "--config", tiny_config, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot read checkpoint {ck}: ")
+
     def test_resume_refuses_a_run_without_config(self, tiny_config, tmp_path, capsys):
         assert run_cli("pretrain", "--config", tiny_config) == 0
         (tmp_path / "run" / "config.lab").unlink()
