@@ -9,8 +9,10 @@ applies that variant's recipe fields (config.RECIPE_FIELDS) over the config
 file; a config RunConfig.validate refuses exits 1 before anything is written.
 pretrain and sweep train on a run directory's dataset.synv when it has one
 (a sweep renders one shared set for the others, and one pair of probe sets
-for every variant), and refuse one whose clip count or clip shape does not
-fit the config. probe and pretrain --resume load the checkpoint through
+for every variant), and refuse one that cannot be read or whose clip count
+or clip shape does not fit the config. A sweep checks every directory's file
+from its header before any variant trains, and loads each when its variant
+trains. probe and pretrain --resume load the checkpoint through
 training.load_train_state and refuse one that does not fit the config;
 --resume also refuses a missing or changed config.lab. verify runs
 verify.CHECKS, the same functions the unit tests call. probe writes probe-<kind>.json; report reads the sweep.json and
@@ -36,7 +38,7 @@ from .config import (
     with_variant,
 )
 from .probing import evaluate, probe_datasets, synthetic_benchmark
-from .synth import N_CLASSES, Dataset, gen_motion_dataset, load_dataset, save_dataset
+from .synth import N_CLASSES, dataset_header, gen_motion_dataset, load_dataset, save_dataset
 from .training import CHECKPOINT_NAME, METRICS_NAME, Refused, load_train_state, run_pretrain
 from .verify import CHECKS
 
@@ -61,20 +63,28 @@ def _build_config(args, variant: str | None = None, out: str | None = None) -> R
         raise Refused(f"invalid config: {err}") from None
 
 
-def _load_run_dataset(cfg: RunConfig) -> Dataset | None:
+def _read(path: Path, reader):
+    """``reader(path)``, with a file it cannot read refused in one line."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as err:
+        raise Refused(f"cannot read {path}: {err}") from None
+
+
+def _run_dataset(cfg: RunConfig) -> Path | None:
     """The run's dataset.synv, or None to have run_pretrain generate the
     config's own. SYNV v1 stores no seed, so only the clip count and the
-    clip shape are checked against the config."""
+    clip shape, read from the file's header, are checked against the config."""
     path = Path(cfg.out) / DATASET_NAME
     if not path.exists():
         return None
-    ds = load_dataset(path)
+    count, clip_shape = _read(path, dataset_header)
     n, shape = N_CLASSES * cfg.n_per_class, (cfg.frames, cfg.height, cfg.width, cfg.channels)
-    if len(ds) != n or ds.clips[0].shape != shape:
+    if count != n or clip_shape != shape:
         raise Refused(
-            f"{path} holds {len(ds)} clips of shape {ds.clips[0].shape}, but the config "
+            f"{path} holds {count} clips of shape {clip_shape}, but the config "
             f"asks for {n} of shape {shape}; regenerate it with `lab gendata` or remove it")
-    return ds
+    return path
 
 
 def cmd_gendata(args) -> int:
@@ -98,7 +108,8 @@ def _final_total(out: str) -> float:
 
 def cmd_pretrain(args) -> int:
     cfg = _build_config(args)
-    ds = _load_run_dataset(cfg)
+    path = _run_dataset(cfg)
+    ds = None if path is None else _read(path, load_dataset)
     t0 = time.time()
     state = run_pretrain(cfg, dataset=ds, resume=args.resume,
                          log=print if args.verbose else None)
@@ -164,16 +175,17 @@ def cmd_sweep(args) -> int:
                 return 1
     root = Path(_build_config(args).out)
     cfgs = [_build_config(args, name, str(root / variant_slug(name))) for name in names]
-    datasets = [_load_run_dataset(cfg) for cfg in cfgs]  # refuse a misfit before training
-    if any(ds is None for ds in datasets):  # recipes leave the data alone: render it once
+    paths = [_run_dataset(cfg) for cfg in cfgs]  # refuse a misfit before training
+    shared = None
+    if None in paths:  # recipes leave the data alone: render it once
         c = cfgs[0]
         shared = gen_motion_dataset(c.n_per_class, c.seed, t=c.frames, h=c.height, w=c.width)
-        datasets = [shared if ds is None else ds for ds in datasets]
     probe_sets = probe_datasets(cfgs[0], args.train_per_class, args.test_per_class)
     rows = []
-    for name, cfg, ds in zip(names, cfgs, datasets):
+    for name, cfg, path in zip(names, cfgs, paths):
         t0 = time.time()
-        state = run_pretrain(cfg, dataset=ds)
+        # a directory's own file is loaded when its variant trains and freed after it
+        state = run_pretrain(cfg, dataset=shared if path is None else _read(path, load_dataset))
         rep = evaluate(state.student, cfg, *probe_sets)
         row = {
             "variant": name, "kind": rep.kind, "accuracy": rep.accuracy,

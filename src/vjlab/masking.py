@@ -102,7 +102,8 @@ def motion_energy(clip: VideoClip, patch: int) -> MotionEnergy:
     gh, gw = h // patch, w // patch
     if t < 2:
         return MotionEnergy(scores=np.zeros((gh, gw)))
-    diff = np.abs(np.diff(clip.pixels, axis=0)).mean(axis=(0, 3))  # [H, W]
+    pixels = clip.pixels.astype(np.float64, copy=False)
+    diff = np.abs(np.diff(pixels, axis=0)).mean(axis=(0, 3))  # [H, W]
     per_patch = diff.reshape(gh, patch, gw, patch).mean(axis=(1, 3))
     peak = per_patch.max()
     if peak > 0.0:

@@ -245,7 +245,7 @@ def pos_table(t_blocks: int, gh: int, gw: int, dim: int) -> np.ndarray:
 
 
 def extract_patches(pixels: np.ndarray, patch: int, tubelet: int) -> np.ndarray:
-    """[T, H, W, C] -> [T', gh, gw, tubelet*patch*patch*C], scan order."""
+    """[T, H, W, C] -> [T', gh, gw, tubelet*patch*patch*C] float64, scan order."""
     t, h, w, c = pixels.shape
     if t % tubelet or h % patch or w % patch:
         raise ValueError(
@@ -253,8 +253,9 @@ def extract_patches(pixels: np.ndarray, patch: int, tubelet: int) -> np.ndarray:
         )
     tp, gh, gw = t // tubelet, h // patch, w // patch
     x = pixels.reshape(tp, tubelet, gh, patch, gw, patch, c)
-    x = x.transpose(0, 2, 4, 1, 3, 5, 6)  # [T', gh, gw, tubelet, patch, patch, C]
-    return np.ascontiguousarray(x.reshape(tp, gh, gw, -1))
+    out = np.empty((tp, gh, gw, tubelet, patch, patch, c))
+    out[...] = x.transpose(0, 2, 4, 1, 3, 5, 6)  # one copy, widened to float64 as it goes
+    return out.reshape(tp, gh, gw, -1)
 
 
 def token_grid(params: EncoderParams, clip: VideoClip) -> tuple[int, int, int]:
@@ -550,26 +551,33 @@ def save_checkpoint(path: str | os.PathLike, records: dict[str, np.ndarray]) -> 
     os.replace(tmp, path)
 
 
+def _read_exact(f, size: int, end: int, what: str) -> bytes:
+    """The next ``size`` bytes of f, refused before the read when the file
+    ends (at byte ``end``) first, however large a size a damaged header declares."""
+    if size > end - f.tell():
+        raise ValueError(f"truncated checkpoint: cut inside {what}")
+    return f.read(size)
+
+
 def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
+    """The records of a checkpoint file; a cut anywhere is a ValueError."""
     records: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise ValueError("not a checkpoint file: bad magic")
-        (version,) = struct.unpack("<I", f.read(4))
+        end = os.fstat(f.fileno()).st_size
+        (version,) = struct.unpack("<I", _read_exact(f, 4, end, "the version"))
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        while True:
-            head = f.read(4)
-            if not head:
-                break
+        while head := f.read(4):
+            if len(head) < 4:
+                raise ValueError("truncated checkpoint: cut inside a record's name length")
             (name_len,) = struct.unpack("<I", head)
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
-            count = int(np.prod(shape)) if shape else 1
-            payload = f.read(4 * count)
-            if len(payload) < 4 * count:
-                raise ValueError(f"truncated checkpoint record '{name}'")
+            name = _read_exact(f, name_len, end, "a record name").decode("utf-8")
+            what = f"record '{name}'"
+            (rank,) = struct.unpack("<I", _read_exact(f, 4, end, what))
+            shape = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, end, what))
+            payload = _read_exact(f, 4 * math.prod(shape), end, what)
             records[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
     return records
 

@@ -329,7 +329,8 @@ def ac_targets(clip: VideoClip, patch: int, tubelet: int) -> np.ndarray:
     if t % tubelet or h % patch or w % patch:
         raise ValueError("clip not divisible by patch/tubelet")
     tp, gh, gw = t // tubelet, h // patch, w // patch
-    block_mean = clip.pixels.reshape(tp, tubelet, h, w, c).mean(axis=1)
+    pixels = clip.pixels.astype(np.float64, copy=False)
+    block_mean = pixels.reshape(tp, tubelet, h, w, c).mean(axis=1)
     d = np.diff(block_mean, axis=0)  # [tp-1, H, W, C]
     per_patch = d.reshape(tp - 1, gh, patch, gw, patch, c).mean(axis=(2, 4))
     return per_patch.reshape((tp - 1) * gh * gw, c)

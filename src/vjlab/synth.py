@@ -1,10 +1,13 @@
 """Synthetic motion clips: a bright square on black, one motion class each.
 
 Eight classes (4 translations, 2 rotations, 2 scalings), rendered without
-anti-aliasing so exports are exact under float32; all frames of a clip are
-rendered in one broadcast pass over [T, H, W]. Per-clip RNG is derived from
-(seed, class, index), which makes datasets reproducible element by element
-and lets train/test splits be disjoint by construction.
+anti-aliasing, so their 0/1 pixels are exact in float32. Clips are rendered
+and loaded as float32, the SYNV file's own precision; the readers that do
+arithmetic on pixels (``model.extract_patches``, ``masking.motion_energy``,
+``objectives.ac_targets``) widen them to float64 where they read them. All
+frames of a clip are rendered in one broadcast pass over [T, H, W]. Per-clip
+RNG is derived from (seed, class, index), which makes datasets reproducible
+element by element and lets train/test splits be disjoint by construction.
 """
 
 from __future__ import annotations
@@ -42,19 +45,23 @@ N_CLASSES = len(MotionClass)
 
 @dataclass
 class VideoClip:
-    """Pixels [T, H, W, C] in [0, 1], channel-last, optional class label."""
+    """Pixels [T, H, W, C] in [0, 1], channel-last, optional class label.
+
+    A float32 array is kept as it is; any other input becomes float64."""
 
     pixels: np.ndarray
     label: int | None = None
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        self.pixels = np.asarray(self.pixels)
+        if self.pixels.dtype != np.float32:
+            self.pixels = self.pixels.astype(np.float64, copy=False)
         if self.pixels.ndim != 4:
             raise ValueError(f"clip pixels must be [T, H, W, C], got {self.pixels.shape}")
         if self.pixels.size == 0:
             raise ValueError("empty clip")
         lo, hi = float(self.pixels.min()), float(self.pixels.max())
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):  # also false for a NaN, which min and max carry
             raise ValueError(f"pixel range [{lo}, {hi}] outside [0, 1]")
 
     @property
@@ -135,7 +142,7 @@ def gen_motion_clip(motion: MotionClass, rng: np.random.Generator,
     u = c * dx + s * dy
     v = -s * dx + c * dy
     inside = (np.abs(u) <= fhalf) & (np.abs(v) <= fhalf)
-    return VideoClip(pixels=inside[..., None].astype(np.float64), label=int(motion))
+    return VideoClip(pixels=inside[..., None].astype(np.float32), label=int(motion))
 
 
 def gen_motion_dataset(n_per_class: int, seed: int, t: int = 8, h: int = 32,
@@ -201,29 +208,40 @@ def save_dataset(path: str | os.PathLike, dataset: Dataset) -> None:
     os.replace(tmp, path)
 
 
-def load_dataset(path: str | os.PathLike, name: str | None = None) -> Dataset:
+def _read_header(f) -> tuple[int, tuple[int, int, int, int]]:
+    """The clip count and clip shape of an open SYNV file, checked against
+    the file's size, so a cut or padded file is refused before any clip is read."""
+    head = f.read(28)
+    if head[:4] != MAGIC:
+        raise ValueError(f"not a SYNV file: bad magic {head[:4]!r}")
+    if len(head) < 28:
+        raise ValueError("truncated SYNV file: cut inside its header")
+    version, n_clips, t, h, w, c = struct.unpack("<6I", head[4:])
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported SYNV version {version}")
+    size = 28 + n_clips * (4 + 4 * t * h * w * c)
+    actual = os.fstat(f.fileno()).st_size
+    if actual < size:
+        raise ValueError(f"truncated SYNV file: {actual} bytes, its header declares {size}")
+    if actual > size:
+        raise ValueError("trailing bytes after final clip")
+    return n_clips, (t, h, w, c)
+
+
+def dataset_header(path: str | os.PathLike) -> tuple[int, tuple[int, int, int, int]]:
+    """The clip count and clip shape a SYNV file holds, without reading its clips."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"not a SYNV file: bad magic {magic!r}")
-        version, n_clips, t, h, w, c = struct.unpack("<IIIIII", f.read(24))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported SYNV version {version}")
+        return _read_header(f)
+
+
+def load_dataset(path: str | os.PathLike, name: str | None = None) -> Dataset:
+    """The clips of a SYNV file, as float32 pixels read straight from it."""
+    with open(path, "rb") as f:
+        n_clips, shape = _read_header(f)
         clips = []
-        frame_bytes = 4 * t * h * w * c
         for _ in range(n_clips):
-            head = f.read(4)
-            payload = f.read(frame_bytes)
-            if len(head) < 4 or len(payload) < frame_bytes:
-                raise ValueError("truncated SYNV file")
-            (label,) = struct.unpack("<I", head)
-            pixels = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-            clips.append(
-                VideoClip(
-                    pixels=pixels.reshape(t, h, w, c),
-                    label=None if label == _NO_LABEL else int(label),
-                )
-            )
-        if f.read(1):
-            raise ValueError("trailing bytes after final clip")
+            (label,) = struct.unpack("<I", f.read(4))
+            pixels = np.empty(shape, dtype="<f4")
+            f.readinto(pixels)
+            clips.append(VideoClip(pixels=pixels, label=None if label == _NO_LABEL else label))
     return Dataset(clips=clips, name=name or os.path.basename(str(path)))

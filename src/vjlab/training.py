@@ -184,7 +184,7 @@ def sample_clip_mask(cfg: RunConfig, clip: VideoClip, grid: tuple[int, int, int]
 
 
 def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec],
-                sig_rngs: list[np.random.Generator | None]) -> dict[str, Tensor]:
+                sig_rngs: list[np.random.Generator | None] | None) -> dict[str, Tensor]:
     """Every loss part of the configured variant, each the mean over the
     batch of its per-clip values.
 
@@ -248,8 +248,10 @@ def batch_bundle(state: TrainState, clips: list[VideoClip],
         masks = [sample_clip_mask(cfg, clip, token_grid(state.student, clip),
                                   np.random.default_rng([cfg.seed, STREAM_MASK, step, i]))
                  for i, clip in enumerate(clips)]
-    sig_rngs = [np.random.default_rng([cfg.seed, STREAM_SIGREG, step, i])
-                for i in range(len(clips))]
+    sig_rngs = None
+    if "sigreg" in VARIANTS[cfg.variant].components:  # only SIGReg draws from these
+        sig_rngs = [np.random.default_rng([cfg.seed, STREAM_SIGREG, step, i])
+                    for i in range(len(clips))]
     return compose_total(cfg, batch_parts(state, clips, masks, sig_rngs), step)
 
 

@@ -2,7 +2,10 @@
 
 import json
 import shutil
+import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vjlab import cli, probing, training
@@ -26,6 +29,23 @@ def tiny_config(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# Where a cut leaves a checkpoint's first record: after magic and version
+# (8 bytes) come its name length (4), name, rank (4), shape and payload;
+# "truncated" cuts inside the payload.
+CHECKPOINT_CUTS = ["in name length", "in name", "in rank", "in shape", "truncated"]
+
+
+def damage_checkpoint(ck, damage):
+    if damage == "missing":
+        ck.unlink()
+        return
+    raw = ck.read_bytes()
+    name = 12 + struct.unpack("<I", raw[8:12])[0]
+    cut = {"in name length": 10, "in name": name - 2, "in rank": name + 2,
+           "in shape": name + 6, "truncated": 100}[damage]
+    ck.write_bytes(raw[:cut])
 
 
 class TestGendata:
@@ -125,6 +145,26 @@ class TestPretrainProbe:
         assert not (out / "metrics.jsonl").exists()
         assert not (out / "config.lab").exists()
 
+    @pytest.mark.parametrize("damage", ["cut", "nan pixel"])
+    def test_pretrain_refuses_a_dataset_it_cannot_read(self, tiny_config, tmp_path, capsys,
+                                                       damage):
+        assert run_cli("gendata", "--config", tiny_config) == 0
+        path = tmp_path / "run" / "dataset.synv"
+        raw = bytearray(path.read_bytes())
+        if damage == "cut":
+            del raw[1000:]
+        else:  # the first pixel of the third clip: 28 header bytes, 4 label bytes per clip
+            pixel = 28 + 2 * (4 + 4 * 8 * 32 * 32) + 4
+            raw[pixel:pixel + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run_cli("pretrain", "--config", tiny_config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot read {path}: ")
+        assert ("truncated SYNV file" if damage == "cut" else "[nan, nan]") in err
+        assert not (tmp_path / "run" / "config.lab").exists()
+
     def test_defaults_without_config_file(self, tmp_path):
         # no --config: variant defaults with explicit out; keep it tiny via config-less gendata only
         assert run_cli("gendata", "--out", tmp_path / "d", "--seed", 1) == 0
@@ -169,20 +209,33 @@ class TestRunFilesThatDoNotFit:
         assert "heads.dyn_w1" in err
         assert (fwm / "metrics.jsonl").read_bytes() == log
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing", *CHECKPOINT_CUTS])
     def test_resume_refuses_a_checkpoint_it_cannot_read(self, tiny_config, tmp_path, capsys,
                                                         damage):
         assert run_cli("pretrain", "--config", tiny_config) == 0
         ck = tmp_path / "run" / "checkpoint.jpck"
-        if damage == "missing":
-            ck.unlink()
-        else:
-            ck.write_bytes(ck.read_bytes()[:100])
+        damage_checkpoint(ck, damage)
+        log = (tmp_path / "run" / "metrics.jsonl").read_bytes()
         capsys.readouterr()
         assert run_cli("pretrain", "--config", tiny_config, "--resume") == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"cannot read checkpoint {ck}: ")
+        assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == log
+
+    @pytest.mark.parametrize("damage", CHECKPOINT_CUTS)
+    def test_probe_refuses_a_checkpoint_it_cannot_read(self, tiny_config, tmp_path, capsys,
+                                                       damage):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        ck = tmp_path / "run" / "checkpoint.jpck"
+        damage_checkpoint(ck, damage)
+        capsys.readouterr()
+        assert run_cli("probe", "--config", tiny_config,
+                       "--train-per-class", 1, "--test-per-class", 1) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"cannot read checkpoint {ck}: ")
+        assert not (tmp_path / "run" / "probe-linear.json").exists()
 
     def test_resume_refuses_a_run_without_config(self, tiny_config, tmp_path, capsys):
         assert run_cli("pretrain", "--config", tiny_config) == 0
@@ -337,6 +390,46 @@ class TestSweepReport:
         assert "asks for 16 of shape (4, 32, 32, 1)" in err
         assert not (root / "sweep.json").exists()
         assert not (root / variant_slug("Baseline")).exists()  # refused before any training
+
+    def test_sweep_refuses_a_dataset_it_cannot_read_before_training(self, tiny_config,
+                                                                     tmp_path, capsys):
+        root = tmp_path / "sw"
+        path = root / variant_slug("Delta-JEPA") / "dataset.synv"
+        assert run_cli("gendata", "--config", tiny_config, "--out", path.parent) == 0
+        path.write_bytes(path.read_bytes()[:1000])
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", "Baseline,Delta-JEPA",
+                       "--train-per-class", 1, "--test-per-class", 1) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot read {path}: truncated SYNV file")
+        assert not (root / variant_slug("Baseline")).exists()  # refused before any training
+
+    def test_sweep_loads_each_dataset_when_its_variant_trains(self, tiny_config, tmp_path,
+                                                              monkeypatch):
+        root = tmp_path / "sw"
+        names = ("Baseline", "Delta-JEPA")
+        for seed, name in enumerate(names):
+            assert run_cli("gendata", "--config", tiny_config, "--seed", seed,
+                           "--out", root / variant_slug(name)) == 0
+        events = []
+
+        def load(path):
+            events.append(("load", path.parent.name))
+            return load_dataset(path)
+
+        def pretrain(cfg, dataset):
+            events.append(("train", Path(cfg.out).name))
+            return training.run_pretrain(cfg, dataset=dataset)
+
+        monkeypatch.setattr(cli, "load_dataset", load)
+        monkeypatch.setattr(cli, "run_pretrain", pretrain)
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", ",".join(names),
+                       "--train-per-class", 1, "--test-per-class", 1) == 0
+        assert events == [(step, variant_slug(name)) for name in names
+                          for step in ("load", "train")]
 
     def test_sweep_refuses_a_variant_the_geometry_cannot_train(self, tiny_config, tmp_path,
                                                                capsys):

@@ -9,7 +9,7 @@ import pytest
 from vjlab import verify
 from vjlab.gradcheck import grad_check
 from vjlab.config import VARIANTS, RunConfig, app_width, variant_defaults
-from vjlab.masking import MaskSpec, sample_mask
+from vjlab.masking import MaskSpec, motion_energy, sample_mask
 from vjlab.model import (
     HeadParams,
     Params,
@@ -38,7 +38,8 @@ from vjlab.model import (
     view,
 )
 from vjlab.probing import train_probe
-from vjlab.synth import MotionClass, gen_motion_clip, image_as_clip
+from vjlab.objectives import ac_loss, ac_targets
+from vjlab.synth import MotionClass, VideoClip, gen_motion_clip, image_as_clip
 from vjlab.tensor import Tensor, backward
 from vjlab.training import init_state, train_records
 
@@ -51,6 +52,42 @@ def clip8(seed=0):
 
 def params(seed=0, cfg=CFG):
     return init_encoder(cfg, np.random.default_rng(seed))
+
+
+class TestPixelPrecision:
+    """Clips hold float32 pixels and every reader widens them to float64, so a
+    float32 clip and its float64 copy give the same bytes downstream."""
+
+    @pytest.fixture(params=list(MotionClass))
+    def pair(self, request):
+        c32 = gen_motion_clip(request.param, np.random.default_rng(4))
+        c64 = VideoClip(pixels=c32.pixels.astype(np.float64), label=c32.label)
+        assert c32.pixels.dtype == np.float32 and c64.pixels.dtype == np.float64
+        return c32, c64
+
+    def test_extract_patches(self, pair):
+        a, b = (extract_patches(c.pixels, CFG.patch, CFG.tubelet) for c in pair)
+        assert a.dtype == b.dtype == np.float64 and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+    def test_motion_energy(self, pair):
+        a, b = (motion_energy(c, CFG.patch).scores for c in pair)
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+    def test_ac_targets_and_loss(self, pair):
+        a, b = (ac_targets(c, CFG.patch, CFG.tubelet) for c in pair)
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        p, heads = params(1), init_heads(CFG, np.random.default_rng(2))
+        z = full_grid(p, [pair[0]])
+        a, b = (ac_loss(heads, z, [c], CFG.patch, CFG.tubelet) for c in pair)
+        assert a.data.tobytes() == b.data.tobytes()
+
+    def test_encode(self, pair):
+        p = params(3)
+        mask = sample_mask((4, 4, 4), 0.5, np.random.default_rng(5))
+        for visible in (None, [mask.visible]):
+            a, b = (encode(p, [c], visible=visible)[0].data for c in pair)
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPatchify:
@@ -125,8 +162,6 @@ class TestEncoder:
         # repaint one fully-masked patch; visible latents must not move
         t, r, c = np.argwhere(mask.target)[0]
         b_pixels[t * 2:(t + 1) * 2, r * 8:(r + 1) * 8, c * 8:(c + 1) * 8, :] = 0.5
-        from vjlab.synth import VideoClip
-
         za, _ = encode(p, [a], visible=[mask.visible])
         zb, _ = encode(p, [VideoClip(pixels=b_pixels)], visible=[mask.visible])
         assert np.array_equal(za.data, zb.data)
@@ -455,6 +490,27 @@ class TestCheckpoint:
         (tmp_path / "cut.jpck").write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(tmp_path / "cut.jpck")
+
+    def test_every_cut_inside_a_record_is_refused(self, tmp_path):
+        save_checkpoint(tmp_path / "ck.jpck", {"a.w": np.ones((2, 3)), "b": np.ones(())})
+        raw = (tmp_path / "ck.jpck").read_bytes()
+        # magic and version, then per record: name length, name, rank, shape, payload
+        ends = {8: [], 8 + 4 + 3 + 4 + 8 + 24: ["a.w"]}
+        for cut in range(len(raw)):
+            (tmp_path / "cut.jpck").write_bytes(raw[:cut])
+            if cut in ends:  # a cut between records leaves a shorter checkpoint
+                assert list(load_checkpoint(tmp_path / "cut.jpck")) == ends[cut]
+                continue
+            with pytest.raises(ValueError, match="magic" if cut < 4 else "truncated"):
+                load_checkpoint(tmp_path / "cut.jpck")
+
+    def test_a_declared_size_beyond_the_file_is_refused(self, tmp_path):
+        save_checkpoint(tmp_path / "ck.jpck", {"w": np.ones(3)})
+        raw = bytearray((tmp_path / "ck.jpck").read_bytes())
+        raw[8:12] = (2 ** 32 - 1).to_bytes(4, "little")  # the record's name length
+        (tmp_path / "big.jpck").write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(tmp_path / "big.jpck")
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "x.jpck").write_bytes(b"XXXX" + b"\x00" * 16)

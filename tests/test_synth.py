@@ -13,6 +13,7 @@ from vjlab.synth import (
     MixtureSpec,
     MotionClass,
     VideoClip,
+    dataset_header,
     gen_motion_clip,
     gen_motion_dataset,
     image_as_clip,
@@ -131,6 +132,27 @@ class TestDataset:
         with pytest.raises(ValueError, match="range"):
             VideoClip(pixels=np.full((1, 4, 4, 1), 2.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_refused(self, bad):
+        for dtype in (np.float32, np.float64):
+            pixels = np.zeros((2, 4, 4, 1), dtype=dtype)
+            pixels[1, 2, 3, 0] = bad
+            with pytest.raises(ValueError, match="range"):
+                VideoClip(pixels=pixels)
+
+    def test_float32_kept_and_other_input_widened(self):
+        f32 = np.zeros((1, 4, 4, 1), dtype=np.float32)
+        assert VideoClip(pixels=f32).pixels is f32
+        f64 = np.zeros((1, 4, 4, 1))
+        assert VideoClip(pixels=f64).pixels is f64
+        for other in (np.zeros((1, 4, 4, 1), dtype=np.uint8), np.zeros((1, 4, 4, 1), ">f4"),
+                      [[[[0.5]]]]):
+            assert VideoClip(pixels=other).pixels.dtype == np.float64
+
+    def test_rendered_clips_are_float32(self):
+        for motion in MotionClass:
+            assert gen_motion_clip(motion, np.random.default_rng(0)).pixels.dtype == np.float32
+
 
 class TestExport:
     def test_round_trip_identical(self, tmp_path):
@@ -142,6 +164,17 @@ class TestExport:
         for a, b in zip(ds.clips, back.clips):
             assert a.label == b.label
             assert np.array_equal(a.pixels, b.pixels)
+
+    def test_loaded_clips_are_float32_and_writable(self, tmp_path):
+        path = tmp_path / "clips.synv"
+        save_dataset(path, gen_motion_dataset(1, seed=4))
+        for clip in load_dataset(path).clips:
+            assert clip.pixels.dtype == np.float32 and clip.pixels.flags.writeable
+
+    def test_header_read_without_the_clips(self, tmp_path):
+        path = tmp_path / "clips.synv"
+        save_dataset(path, gen_motion_dataset(1, seed=0, t=4, h=16, w=24))
+        assert dataset_header(path) == (8, (4, 16, 24, 1))
 
     def test_header_fields(self, tmp_path):
         ds = gen_motion_dataset(1, seed=0, t=4)
@@ -164,6 +197,23 @@ class TestExport:
         (tmp_path / "cut.synv").write_bytes(path.read_bytes()[:-100])
         with pytest.raises(ValueError, match="truncated"):
             load_dataset(tmp_path / "cut.synv")
+
+    @pytest.mark.parametrize("cut", [6, 10, 27, 30, 1000])
+    def test_cut_anywhere_is_refused_by_header_and_load(self, tmp_path, cut):
+        path = tmp_path / "clips.synv"
+        save_dataset(path, gen_motion_dataset(1, seed=0))
+        path.write_bytes(path.read_bytes()[:cut])
+        for read in (dataset_header, load_dataset):
+            with pytest.raises(ValueError, match="truncated"):
+                read(path)
+
+    def test_trailing_bytes_refused_by_header_and_load(self, tmp_path):
+        path = tmp_path / "clips.synv"
+        save_dataset(path, gen_motion_dataset(1, seed=0))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        for read in (dataset_header, load_dataset):
+            with pytest.raises(ValueError, match="trailing"):
+                read(path)
 
     def test_no_temp_file_left_behind(self, tmp_path):
         save_dataset(tmp_path / "x.synv", gen_motion_dataset(1, seed=0))

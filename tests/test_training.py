@@ -13,6 +13,7 @@ from vjlab.objectives import compose_total
 from vjlab.synth import gen_motion_dataset
 from vjlab.tensor import Tensor, backward
 from vjlab.training import (
+    STREAM_SIGREG,
     OptState,
     Refused,
     adamw_step,
@@ -238,6 +239,23 @@ class TestClipParts:
             want = np.mean([s[name].item() for s in singles])
             assert abs(val - want) <= 1e-12, name
 
+
+    @pytest.mark.parametrize("variant", ["Baseline", "SIGReg", "SIGReg-no-EMA", "FWM-HW-LD"])
+    def test_sigreg_generators_only_for_sigreg_variants(self, variant, monkeypatch):
+        st = init_state(small_cfg(variant))
+        clips = gen_motion_dataset(1, 0).clips[:3]
+        built = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        batch_bundle(st, clips)
+        sigreg = [s for s in built if isinstance(s, list) and s[1] == STREAM_SIGREG]
+        want = len(clips) if "sigreg" in VARIANTS[variant].components else 0
+        assert sigreg == [[st.cfg.seed, STREAM_SIGREG, 0, i] for i in range(want)]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_padded_batch_matches_clips_run_alone(self, variant):
