@@ -12,7 +12,9 @@ pretrain and sweep train on a run directory's dataset.synv when it has one
 for every variant), and refuse one that cannot be read or whose clip count
 or clip shape does not fit the config. A sweep checks every directory's file
 from its header before any variant trains, and loads each when its variant
-trains. probe and pretrain --resume load the checkpoint through
+trains; it refuses a --variants list that names no variant. probe and
+sweep reject a --train-per-class or --test-per-class below 1 at parse time.
+probe and pretrain --resume load the checkpoint through
 training.load_train_state and refuse one that does not fit the config;
 --resume also refuses a missing or changed config.lab. verify runs
 verify.CHECKS, the same functions the unit tests call. probe writes probe-<kind>.json; report reads the sweep.json and
@@ -169,6 +171,9 @@ def cmd_sweep(args) -> int:
         names = list(VARIANTS)
     else:
         names = [v.strip() for v in args.variants.split(",") if v.strip()]
+        if not names:
+            print(f"--variants {args.variants!r} names no variant", file=sys.stderr)
+            return 1
         for name in names:
             if name not in VARIANTS:
                 print(f"unknown variant {name!r}", file=sys.stderr)
@@ -230,6 +235,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _per_class(text: str) -> int:
+    """A probe set's clips per class, refused at parse time below 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lab", description="desk-scale video representation laboratory")
@@ -259,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--probe", choices=("linear", "attentive"), default=None,
                    help="probe kind (default: the run's probe_kind)")
-    p.add_argument("--train-per-class", type=int, default=32)
-    p.add_argument("--test-per-class", type=int, default=16)
+    p.add_argument("--train-per-class", type=_per_class, default=32)
+    p.add_argument("--test-per-class", type=_per_class, default=16)
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("verify", help="run the named self-check battery")
@@ -270,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, variant_flag=False)
     p.add_argument("--variants", type=str, default="all",
                    help="comma-separated labels, or 'all'")
-    p.add_argument("--train-per-class", type=int, default=32)
-    p.add_argument("--test-per-class", type=int, default=16)
+    p.add_argument("--train-per-class", type=_per_class, default=32)
+    p.add_argument("--test-per-class", type=_per_class, default=16)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="tabulate sweep/probe results under --out")

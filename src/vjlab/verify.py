@@ -37,7 +37,7 @@ from .objectives import (
     spectral_loss,
 )
 from .synth import gen_motion_dataset
-from .tensor import Tensor
+from .tensor import Tensor, erf
 from .training import draw_batch, init_state, train_step
 
 
@@ -70,6 +70,49 @@ def gradient_engine() -> None:
     rep = grad_check(f, [Tensor(np.random.default_rng(10).standard_normal((3, 4))),
                          Tensor(np.random.default_rng(11).standard_normal((4, 3)))])
     assert rep.ok(1e-4), f"max rel err {rep.max_rel_err:.2e}"
+
+
+# (argument, erf) as float.hex, from scipy.special.erf: every branch of cephes'
+# erf, the signed zeros and subnormals, both sides of |x| = 1, the P/Q and R/S
+# halves of erfc and both sides of its underflow cut near |x| = 26.64. Past
+# |x| = 6 erfc is below half an ulp of 1, so erf is +-1 there whichever of R/S
+# or the cut gave erfc: those lanes pin the sign and the infinities only.
+ERF_REFERENCE = (
+    ("0x0.0p+0", "0x0.0p+0"),
+    ("-0x0.0p+0", "-0x0.0p+0"),
+    ("0x0.0000000000001p-1022", "0x0.0000000000001p-1022"),
+    ("-0x0.0000000000001p-1022", "-0x0.0000000000001p-1022"),
+    ("0x1.56e1fc2f8f359p-997", "0x1.82e6d98711d3ap-997"),
+    ("0x1.0000000000000p-1", "0x1.0a7ef5c18edd2p-1"),
+    ("-0x1.0000000000000p-1", "-0x1.0a7ef5c18edd2p-1"),
+    ("0x1.0000000000000p+0", "0x1.af767a741088ap-1"),
+    ("-0x1.0000000000000p+0", "-0x1.af767a741088ap-1"),
+    ("0x1.0000000000001p+0", "0x1.af767a741088cp-1"),
+    ("-0x1.0000000000001p+0", "-0x1.af767a741088cp-1"),
+    ("0x1.8000000000000p+0", "0x1.eea5557137ae0p-1"),
+    ("0x1.8000000000000p+1", "0x1.fffd1ac4135f9p-1"),
+    ("-0x1.8000000000000p+1", "-0x1.fffd1ac4135f9p-1"),
+    ("0x1.4000000000000p+2", "0x1.fffffffffc9e8p-1"),
+    ("0x1.ff5c28f5c28f6p+2", "0x1.0000000000000p+0"),
+    ("0x1.0000000000000p+3", "0x1.0000000000000p+0"),
+    ("0x1.4000000000000p+4", "0x1.0000000000000p+0"),
+    ("0x1.a99999999999ap+4", "0x1.0000000000000p+0"),
+    ("0x1.ab33333333333p+4", "0x1.0000000000000p+0"),
+    ("-0x1.a99999999999ap+4", "-0x1.0000000000000p+0"),
+    ("-0x1.ab33333333333p+4", "-0x1.0000000000000p+0"),
+    ("inf", "0x1.0000000000000p+0"),
+    ("-inf", "-0x1.0000000000000p+0"),
+    ("nan", "nan"),
+)
+
+
+def erf_reference_values() -> None:
+    args = np.array([float.fromhex(arg) for arg, _ in ERF_REFERENCE])
+    together = erf(args)
+    for i, (arg, want) in enumerate(ERF_REFERENCE):
+        # one lane alone takes the rational's fast path; the array takes the mixed one
+        for got in (float(together[i]), float(erf(args[i:i + 1])[0])):
+            assert got.hex() == want, f"erf({arg}) = {got.hex()}, pinned {want}"
 
 
 def loss_zero_identities() -> None:
@@ -183,6 +226,7 @@ CHECKS = (
     fft_round_trip,
     fft_vs_naive_dft,
     gradient_engine,
+    erf_reference_values,
     loss_zero_identities,
     sigreg_degenerate_penalty,
     hard_weight_normalization,

@@ -271,9 +271,9 @@ class TestVerify:
         assert run_cli("verify") == 1
         lines = capsys.readouterr().out.splitlines()
         assert "[FAIL] boom  AssertionError: boom" in lines
-        assert lines[-1] == "12/13 checks passed"
+        assert lines[-1] == "13/14 checks passed"
         passes = [line for line in lines if line.startswith("[PASS]")]
-        assert len(passes) == 12
+        assert len(passes) == 13
         assert all(line == line.rstrip() for line in passes)
 
     def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys):
@@ -444,6 +444,35 @@ class TestSweepReport:
         assert run_cli("sweep", "--config", tiny_config,
                        "--out", tmp_path / "x", "--variants", "Nope") == 1
         assert "unknown variant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variants", ["", " , "], ids=["empty", "blank entries"])
+    def test_sweep_refuses_an_empty_variant_list(self, tiny_config, tmp_path, capsys,
+                                                 variants):
+        root = tmp_path / "sw"
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", variants) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "names no variant" in err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("command", ["probe", "sweep"])
+    @pytest.mark.parametrize("flag", ["--train-per-class", "--test-per-class"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_a_per_class_count_below_one_is_rejected_before_any_work(
+            self, tiny_config, tmp_path, monkeypatch, capsys, command, flag, value):
+        if command == "probe":  # a trained run, so probe would get as far as its checkpoint
+            assert run_cli("pretrain", "--config", tiny_config) == 0
+            capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "load_train_state", no_work)
+        monkeypatch.setattr(cli, "gen_motion_dataset", no_work)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", tiny_config, flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
     def test_report_without_results_fails(self, tmp_path, capsys):
         assert run_cli("report", "--out", tmp_path / "empty") == 1

@@ -1,13 +1,22 @@
-"""Engine-level checks: elementwise ops, reductions, matmul, backward, detach."""
+"""Engine-level checks: elementwise ops, erf, reductions, matmul, backward, detach."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
+import vjlab
 from vjlab.tensor import (
     Tensor,
     backward,
     concat,
+    erf,
     huber,
     log_softmax,
     matmul,
@@ -53,6 +62,89 @@ class TestElementwise:
         x = tensor(vals)
         for out in [x + x, x * x, x - 1.0, x.abs(), x.tanh(), x.relu()]:
             assert np.all(np.isfinite(out.data))
+
+
+def assert_erf_is_scipys(x):
+    """``erf(x)`` equals scipy.special.erf bit for bit, nan where scipy gives nan."""
+    got, want = erf(x), scipy.special.erf(x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    differ = (got.view(np.int64) != want.view(np.int64)) & ~nan
+    assert not differ.any(), f"{differ.sum()} lanes differ, first at {x[differ][:4].tolist()}"
+
+
+# sqrt of cephes' MAXLOG: erfc's underflow cut
+ERFC_CUT = math.sqrt(7.09782712893383996843e2)
+ERF_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.5, -0.5,
+             1.0, -1.0, math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0), 3.0,
+             math.nextafter(8.0, 0.0), 7.99, 8.0, -8.0, 20.0, 26.6, -26.6, 26.7, -26.7,
+             ERFC_CUT, math.nextafter(ERFC_CUT, 30.0), 1e200, -1e200, 1.7976931348623157e308,
+             math.inf, -math.inf, math.nan]
+
+
+class TestErf:
+    @pytest.mark.parametrize("arg", ERF_EDGES, ids=repr)
+    def test_edge_cases_match_scipy(self, arg):
+        # alone (|x| <= 1 takes the rational's fast path) and amid lanes of every branch
+        assert_erf_is_scipys(np.array([arg]))
+        assert_erf_is_scipys(np.array([0.25, arg, -2.0, 9.0, math.nan]))
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300)
+    def test_any_bit_pattern_matches_scipy(self, bits):
+        assert_erf_is_scipys(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_a_million_arguments_over_every_branch_match_scipy(self):
+        g = rng(40)
+        n = 250_000
+        sign = np.where(g.random(n) < 0.5, -1.0, 1.0)
+        for x in (g.uniform(-1.0, 1.0, n),  # the rational only
+                  sign * g.uniform(1.0, 8.0, n),  # 1 - erfc, P / Q
+                  sign * g.uniform(8.0, 2.0 * ERFC_CUT, n),  # R / S, and past the cut
+                  g.standard_normal(n) * 3.0):  # mixed lanes in one array
+            assert_erf_is_scipys(x)
+
+    def test_out_may_be_the_input(self):
+        x = rng(41).standard_normal((4, 8, 16)) * 2.0
+        want = scipy.special.erf(x)
+        assert erf(x, out=x) is x
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
+
+    def test_tail_lanes_raise_no_warning(self):
+        with np.errstate(all="raise"):
+            erf(np.array([0.5, 2.0, 9.0, 1e200, math.inf, -math.inf, math.nan]))
+
+    def test_reference_values(self):
+        verify.erf_reference_values()
+
+    def test_gelu_values_and_gradient_are_the_scipy_formula(self):
+        x = rng(42).standard_normal((3, 5, 7)) * 1.5
+        g = rng(43).standard_normal(x.shape)
+        cdf = 0.5 * (scipy.special.erf(x / math.sqrt(2.0)) + 1.0)
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        with no_grad():
+            assert np.array_equal(tensor(x, requires_grad=True).gelu().data, x * cdf)
+        t = tensor(x, requires_grad=True)
+        y = t.gelu()
+        assert np.array_equal(y.data, x * cdf)
+        backward((y * tensor(g)).sum())
+        assert np.array_equal(t.grad, (x * pdf + cdf) * g)
+
+    def test_no_vjlab_module_imports_scipy(self):
+        src = Path(vjlab.__file__).resolve().parents[1]
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "import vjlab\n"
+            "for info in pkgutil.iter_modules(vjlab.__path__):\n"
+            "    importlib.import_module('vjlab.' + info.name)\n"
+            "    assert 'scipy' not in sys.modules, 'vjlab.' + info.name + ' imports scipy'\n"
+            "    print(info.name)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert {"cli", "tensor", "verify"} <= set(done.stdout.split())
 
 
 class TestMatmulReduce:
