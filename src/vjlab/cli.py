@@ -16,9 +16,11 @@ trains; it refuses a --variants list that names no variant. probe and
 sweep reject a --train-per-class or --test-per-class below 1 at parse time.
 probe and pretrain --resume load the checkpoint through
 training.load_train_state and refuse one that does not fit the config;
---resume also refuses a missing or changed config.lab. verify runs
+--resume also refuses a missing or changed config.lab, and both refuse one
+they cannot parse. verify runs
 verify.CHECKS, the same functions the unit tests call. probe writes probe-<kind>.json; report reads the sweep.json and
-every probe*.json under --out.
+every probe*.json under --out, and refuses one that is not JSON or holds no
+result rows.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def cmd_probe(args) -> int:
     cfg = _build_config(args)
     saved = Path(cfg.out) / "config.lab"
     if saved.exists():  # the run's own config fixes its variant, model and probe settings
-        run = load_config(saved)
+        run = _read(saved, load_config)
         if (args.variant or args.config) and cfg.variant != run.variant:
             print(f"{saved} holds a {run.variant} run, not {cfg.variant}", file=sys.stderr)
             return 1
@@ -207,13 +209,31 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _is_row(row) -> bool:
+    """A result row as sweep and probe write it, as far as report reads it."""
+    return (isinstance(row, dict) and isinstance(row.get("variant"), str)
+            and isinstance(row.get("kind", "linear"), str)
+            and isinstance(row.get("accuracy"), (int, float)))
+
+
+def _result_rows(path: Path, many: bool) -> list[dict]:
+    """The rows of a sweep.json (a list, ``many``) or of a probe file (one
+    row), with a file that is not such JSON refused in one line."""
+    data = _read(path, lambda p: json.loads(p.read_bytes()))
+    rows = data if many else [data]
+    if not (isinstance(rows, list) and all(_is_row(row) for row in rows)):
+        held = "a list of result rows" if many else "one result row"
+        raise Refused(f"cannot read {path}: it does not hold {held}")
+    return rows
+
+
 def _collect_rows(root: Path) -> list[dict]:
     rows = []
     sweep = root / SWEEP_NAME
     if sweep.exists():
-        rows.extend(json.loads(sweep.read_text()))
+        rows.extend(_result_rows(sweep, many=True))
     for probe in sorted(root.glob(f"**/{PROBE_GLOB}")):
-        rows.append(json.loads(probe.read_text()))
+        rows.extend(_result_rows(probe, many=False))
     return rows
 
 

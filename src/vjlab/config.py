@@ -5,8 +5,8 @@ their composition all read it directly. `VARIANTS` says what each variant
 is (loss parts, kinematic kind, EMA and FWM flags, recipe), and
 `PART_WEIGHTS` maps each loss part, in summation order, to the field that
 weights it. `with_variant` lays a variant's recipe (`RECIPE_FIELDS`) over a
-config; `validate` also refuses a token grid or channel split the variant
-cannot train on.
+config; `validate` refuses a non-finite float field, and a token grid or
+channel split the variant cannot train on.
 
 Parsing resolves variant-dependent defaults first, then applies the
 remaining keys, so a file containing just ``variant = AMG-JEPA`` picks up
@@ -16,6 +16,7 @@ that recipe's sampler settings.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -149,6 +150,10 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant '{self.variant}'")
+        # before the range checks, which a NaN passes: every comparison with it is false
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ["seed", "layers", "pred_layers", "lambda_kin", "lambda_s", "lambda_o",
                      "lambda_d", "lambda_hw", "lambda_ac", "lambda_delta", "lambda_spec",
                      "lambda_ltc"]:

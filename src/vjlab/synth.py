@@ -4,10 +4,15 @@ Eight classes (4 translations, 2 rotations, 2 scalings), rendered without
 anti-aliasing, so their 0/1 pixels are exact in float32. Clips are rendered
 and loaded as float32, the SYNV file's own precision; the readers that do
 arithmetic on pixels (``model.extract_patches``, ``masking.motion_energy``,
-``objectives.ac_targets``) widen them to float64 where they read them. All
-frames of a clip are rendered in one broadcast pass over [T, H, W]. Per-clip
-RNG is derived from (seed, class, index), which makes datasets reproducible
-element by element and lets train/test splits be disjoint by construction.
+``objectives.ac_targets``) widen them to float64 where they read them.
+
+Per-clip RNG is derived from (seed, class, index), which makes datasets
+reproducible element by element and lets train/test splits be disjoint by
+construction. Each clip draws its three start-pose uniforms from its own
+generator; ``_render`` then renders all n clips of a class in one batched
+kernel whose inside test runs ``RENDER_CHUNK`` clips at a time in reused
+float64 buffers and writes each clip's 0/1 pixels straight into its own
+float32 array. ``gen_motion_clip`` is the n = 1 call of the same kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ SQUARE_SIDE = 10.0
 TRANSLATE_STEP = 2.0          # pixels per frame
 ROTATE_STEP = np.deg2rad(15.0)  # radians per frame
 SCALE_STEP = 1.08             # multiplicative per frame
+RENDER_CHUNK = 4              # clips per pass of the inside test
 
 
 class MotionClass(enum.IntEnum):
@@ -98,63 +104,108 @@ class MixtureSpec:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
 
 
+def _start_pose(rng: np.random.Generator, h: int, w: int) -> tuple[float, float, float]:
+    """A clip's three draws: center jittered in the middle quarter, then angle."""
+    cx = w / 2.0 - 8.0 + rng.uniform(0.0, 16.0)
+    cy = h / 2.0 - 8.0 + rng.uniform(0.0, 16.0)
+    return cx, cy, rng.uniform(0.0, np.pi / 2.0)
+
+
+def _render(motion: MotionClass, starts: list[tuple[float, float, float]],
+            t: int, h: int, w: int) -> list[np.ndarray]:
+    """Pixels of ``motion`` from n start poses: n float32 [T, H, W, 1] arrays.
+
+    The per-frame offsets, angle steps and half sides are Python-float
+    arithmetic; the [n, T] poses follow from them in one broadcast each. The
+    offsets are separable ([k, T, 1, W] and [k, T, H, 1]), so only the sums
+    of the rotated coordinates and the inside test span the full grid, which
+    runs ``RENDER_CHUNK`` clips at a time in reused float64 buffers and
+    writes its 0/1 results straight into each clip's own array. (Rows of one
+    [n, T, H, W, 1] block would render as fast, but the blocks fragment the
+    heap: peak RSS rose about 4 MiB on a benchmark round.)"""
+    n = len(starts)
+    cx, cy, theta = (np.array(col)[:, None] for col in zip(*starts))   # [n, 1]
+    # Translation paths are centered on the jittered point so the square
+    # never fully leaves the frame; centroid tracking stays well defined.
+    off = np.array([TRANSLATE_STEP * (i - (t - 1) / 2.0) for i in range(t)])
+    turn = np.array([ROTATE_STEP * i for i in range(t)])
+    half = SQUARE_SIDE / 2.0
+    fhalf = np.full(t, half)
+    fx, fy, fth = cx, cy, theta
+    if motion == MotionClass.TRANSLATE_UP:
+        fy = cy - off
+    elif motion == MotionClass.TRANSLATE_DOWN:
+        fy = cy + off
+    elif motion == MotionClass.TRANSLATE_LEFT:
+        fx = cx - off
+    elif motion == MotionClass.TRANSLATE_RIGHT:
+        fx = cx + off
+    elif motion == MotionClass.ROTATE_CW:
+        fth = theta + turn
+    elif motion == MotionClass.ROTATE_CCW:
+        fth = theta - turn
+    elif motion == MotionClass.SCALE_UP:
+        fhalf = np.array([half * SCALE_STEP ** i for i in range(t)])
+    elif motion == MotionClass.SCALE_DOWN:
+        fhalf = np.array([half * SCALE_STEP ** (-i) for i in range(t)])
+    fx, fy, fth = (np.broadcast_to(col, (n, t)) for col in (fx, fy, fth))
+    c, s = np.cos(fth), np.sin(fth)
+    bound = np.repeat(fhalf, h * w).reshape(t, h, w)   # a full-size operand compares fastest
+
+    pixels = [np.empty((t, h, w, 1), dtype=np.float32) for _ in range(n)]
+    xs = np.arange(w) + 0.5
+    ys = np.arange(h)[:, None] + 0.5
+    k = min(n, RENDER_CHUNK)
+    u_buf, v_buf = np.empty((k, t, h, w)), np.empty((k, t, h, w))
+    for lo in range(0, n, k):
+        rows = slice(lo, lo + k)
+        u, v = u_buf[:min(k, n - lo)], v_buf[:min(k, n - lo)]
+        cc, ss = c[rows, :, None, None], s[rows, :, None, None]
+        dx = xs - fx[rows, :, None, None]      # [k, T, 1, W]
+        dy = ys - fy[rows, :, None, None]      # [k, T, H, 1]
+        np.copyto(u, cc * dx)
+        u += ss * dy                           # u = c dx + s dy
+        np.copyto(v, -ss * dx)
+        v += cc * dy                           # v = -s dx + c dy
+        np.abs(u, out=u)
+        np.abs(v, out=v)
+        np.maximum(u, v, out=u)                # inside: |u| <= half and |v| <= half
+        for j, clip in enumerate(pixels[rows]):
+            np.less_equal(u[j], bound, out=clip[..., 0])
+    return pixels
+
+
+def _check_dims(t: int, h: int, w: int) -> None:
+    if t < 1 or h < 16 or w < 16:
+        raise ValueError(f"clip dims too small: t={t}, h={h}, w={w}")
+
+
 def gen_motion_clip(motion: MotionClass, rng: np.random.Generator,
                     t: int = 8, h: int = 32, w: int = 32) -> VideoClip:
     """One clip of ``motion``; start pose jittered in the middle quarter.
 
-    The T poses are scalar arithmetic per frame. One broadcast pass then
-    samples every frame's filled square at the pixel centers; the offsets
-    are separable ([T, 1, W] and [T, H, 1]), so only the rotated coordinates
-    and the inside test span the full [T, H, W] grid."""
-    if t < 1 or h < 16 or w < 16:
-        raise ValueError(f"clip dims too small: t={t}, h={h}, w={w}")
-    cx = w / 2.0 - 8.0 + rng.uniform(0.0, 16.0)
-    cy = h / 2.0 - 8.0 + rng.uniform(0.0, 16.0)
-    theta = rng.uniform(0.0, np.pi / 2.0)
-    half = SQUARE_SIDE / 2.0
-
-    poses = []
-    for i in range(t):
-        # Translation paths are centered on the jittered point so the square
-        # never fully leaves the frame; centroid tracking stays well defined.
-        off = TRANSLATE_STEP * (i - (t - 1) / 2.0)
-        fx, fy, fth, fhalf = cx, cy, theta, half
-        if motion == MotionClass.TRANSLATE_UP:
-            fy = cy - off
-        elif motion == MotionClass.TRANSLATE_DOWN:
-            fy = cy + off
-        elif motion == MotionClass.TRANSLATE_LEFT:
-            fx = cx - off
-        elif motion == MotionClass.TRANSLATE_RIGHT:
-            fx = cx + off
-        elif motion == MotionClass.ROTATE_CW:
-            fth = theta + ROTATE_STEP * i
-        elif motion == MotionClass.ROTATE_CCW:
-            fth = theta - ROTATE_STEP * i
-        elif motion == MotionClass.SCALE_UP:
-            fhalf = half * SCALE_STEP ** i
-        elif motion == MotionClass.SCALE_DOWN:
-            fhalf = half * SCALE_STEP ** (-i)
-        poses.append((fx, fy, fhalf, np.cos(fth), np.sin(fth)))
-    fx, fy, fhalf, c, s = (np.array(col)[:, None, None] for col in zip(*poses))
-    dx = np.arange(w) + 0.5 - fx               # [T, 1, W]
-    dy = np.arange(h)[:, None] + 0.5 - fy      # [T, H, 1]
-    u = c * dx + s * dy
-    v = -s * dx + c * dy
-    inside = (np.abs(u) <= fhalf) & (np.abs(v) <= fhalf)
-    return VideoClip(pixels=inside[..., None].astype(np.float32), label=int(motion))
+    The n = 1 case of ``_render``: every frame of the filled square is
+    sampled at the pixel centers in one broadcast pass over [T, H, W]."""
+    _check_dims(t, h, w)
+    (pixels,) = _render(motion, [_start_pose(rng, h, w)], t, h, w)
+    return VideoClip(pixels=pixels, label=int(motion))
 
 
 def gen_motion_dataset(n_per_class: int, seed: int, t: int = 8, h: int = 32,
                        w: int = 32, name: str = "synthetic") -> Dataset:
-    """Balanced dataset, n_per_class clips for each of the 8 classes."""
+    """Balanced dataset, n_per_class clips for each of the 8 classes.
+
+    Each clip draws its start pose from its own ``default_rng([seed, class,
+    i])``; a class's clips then render in one ``_render`` call."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
+    _check_dims(t, h, w)
     clips = []
     for motion in MotionClass:
-        for i in range(n_per_class):
-            rng = np.random.default_rng([seed, int(motion), i])
-            clips.append(gen_motion_clip(motion, rng, t=t, h=h, w=w))
+        starts = [_start_pose(np.random.default_rng([seed, int(motion), i]), h, w)
+                  for i in range(n_per_class)]
+        clips.extend(VideoClip(pixels=pixels, label=int(motion))
+                     for pixels in _render(motion, starts, t, h, w))
     return Dataset(clips=clips, name=name)
 
 

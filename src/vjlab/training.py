@@ -333,20 +333,31 @@ def load_train_state(cfg: RunConfig, path) -> TrainState:
     return state
 
 
+def _logged_step(line: bytes) -> int | None:
+    """The step a log line records, or None for a line that is no step record."""
+    try:
+        return json.loads(line)["step"]
+    except (ValueError, TypeError, KeyError):  # not UTF-8 or JSON; no object; no step
+        return None
+
+
 def _truncate_metrics(path: Path, step: int) -> None:
     """Keep the log lines of steps 1..step, dropping any that a crash after
     the checkpoint left behind; fail if those steps are not all there."""
-    kept = path.read_text().splitlines(keepends=True)[:step] if path.exists() else []
-    if [json.loads(line)["step"] for line in kept] != list(range(1, step + 1)):
+    kept = path.read_bytes().splitlines(keepends=True)[:step] if path.exists() else []
+    if [_logged_step(line) for line in kept] != list(range(1, step + 1)):
         raise Refused(f"{path} does not hold steps 1..{step} of the checkpoint")
-    path.write_text("".join(kept))
+    path.write_bytes(b"".join(kept))
 
 
 def _check_resumed_config(cfg: RunConfig, path: Path) -> None:
     """Refuse to resume a run under any config but the one it was started with."""
     if not path.exists():
         raise Refused(f"cannot resume: {path} is missing")
-    saved = load_config(path)
+    try:
+        saved = load_config(path)
+    except (OSError, ValueError) as err:
+        raise Refused(f"cannot read {path}: {err}") from None
     changed = [f.name for f in fields(RunConfig)
                if f.name != "out" and getattr(saved, f.name) != getattr(cfg, f.name)]
     if changed:

@@ -247,6 +247,44 @@ class TestRunFilesThatDoNotFit:
         assert "config.lab is missing" in err
         assert not (tmp_path / "run" / "config.lab").exists()
 
+    @pytest.mark.parametrize("line", [b"garbage", b'{"step": 2', b"[2]", b"{}", b"\xff"],
+                             ids=["text", "cut", "list", "no step", "not utf-8"])
+    def test_resume_refuses_a_kept_log_line_it_cannot_parse(self, tiny_config, tmp_path,
+                                                            capsys, line):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        log = tmp_path / "run" / "metrics.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(lines[0] + line + b"\n" + b"".join(lines[2:]))
+        damaged = log.read_bytes()
+        capsys.readouterr()
+        assert run_cli("pretrain", "--config", tiny_config, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err == f"{log} does not hold steps 1..3 of the checkpoint\n"
+        assert log.read_bytes() == damaged
+
+    @pytest.mark.parametrize("command", ["resume", "probe"])
+    @pytest.mark.parametrize("text", [b"garbage\n", b"lr_peak = 6e-4\nlr_peak = 1e-3\n",
+                                      b"variant = \xff\n"],
+                             ids=["no key", "duplicate key", "not utf-8"])
+    def test_a_config_lab_it_cannot_parse_is_refused(self, tiny_config, tmp_path, capsys,
+                                                     command, text):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        saved = tmp_path / "run" / "config.lab"
+        saved.write_bytes(text)
+        log = (tmp_path / "run" / "metrics.jsonl").read_bytes()
+        capsys.readouterr()
+        if command == "resume":
+            assert run_cli("pretrain", "--config", tiny_config, "--resume") == 1
+        else:
+            assert run_cli("probe", "--out", tmp_path / "run", "--train-per-class", 1,
+                           "--test-per-class", 1) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"cannot read {saved}: ")
+        assert saved.read_bytes() == text
+        assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == log
+        assert not (tmp_path / "run" / "probe-linear.json").exists()
+
     def test_resume_refuses_a_changed_config(self, tiny_config, tmp_path, capsys):
         assert run_cli("pretrain", "--config", tiny_config) == 0
         capsys.readouterr()
@@ -473,6 +511,34 @@ class TestSweepReport:
             run_cli(command, "--config", tiny_config, flag, value)
         assert exc.value.code == 2
         assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, problem", [
+        ("probe-linear.json", '{"variant": "Baseline", "kind": "linear", "accu',
+         "Unterminated string"),
+        ("probe-linear.json", '[{"variant": "Baseline", "accuracy": 0.5}]',
+         "it does not hold one result row"),
+        ("probe-linear.json", '{"variant": "Baseline", "kind": ["linear"], "accuracy": 0.5}',
+         "it does not hold one result row"),
+        ("probe-attentive.json", '{"variant": "Baseline", "accuracy": "high"}',
+         "it does not hold one result row"),
+        ("sweep.json", '{"variant": "Baseline", "accuracy": 0.5}',
+         "it does not hold a list of result rows"),
+        ("sweep.json", '[{"variant": "Baseline", "accuracy": 0.5}, 3]',
+         "it does not hold a list of result rows"),
+        ("sweep.json", "\xff", "can't decode"),
+    ], ids=["cut probe", "probe list", "unhashable kind", "text accuracy", "sweep object",
+            "sweep non-row", "not utf-8"])
+    def test_report_refuses_a_result_file_it_cannot_read(self, tmp_path, capsys, name, text,
+                                                        problem):
+        run = tmp_path / "sw" / "baseline"
+        run.mkdir(parents=True)
+        (run / "probe-linear.json").write_text('{"variant": "Baseline", "accuracy": 0.5}\n')
+        bad = (tmp_path / "sw" if name == "sweep.json" else run) / name
+        bad.write_bytes(text.encode("latin-1"))
+        assert run_cli("report", "--out", tmp_path / "sw") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"cannot read {bad}: ") and problem in err
 
     def test_report_without_results_fails(self, tmp_path, capsys):
         assert run_cli("report", "--out", tmp_path / "empty") == 1

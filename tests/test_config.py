@@ -179,6 +179,34 @@ class TestValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_every_float_field_must_be_finite(self, value):
+        # a NaN passes every range check, since each comparison with it is false
+        names = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+        assert "lr_peak" in names and "lambda_hw" in names and len(names) == 23
+        for name in names:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                dataclasses.replace(RunConfig(), **{name: value}).validate()
+
+    @pytest.mark.parametrize("variant, key, value", [
+        ("Baseline", "lr_peak", "nan"),
+        ("Baseline", "weight_decay", "nan"),
+        ("Baseline", "lambda_hw", "nan"),
+        ("HW-JEPA", "lambda_hw", "nan"),
+        ("Kin.-L1", "lambda_kin", "inf"),
+    ])
+    def test_pretrain_refuses_a_non_finite_value(self, tmp_path, capsys, variant, key, value):
+        # each of these used to write config.lab, then crash or train on a NaN
+        path = tmp_path / "bad.lab"
+        out = tmp_path / "run"
+        path.write_text(f"variant = {variant}\nsteps = 2\nbatch_size = 2\nn_per_class = 1\n"
+                        f"{key} = {value}\nout = {out}\n")
+        assert lab_main(["pretrain", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid config: {key} must be finite, got {value}\n"
+        assert not (out / "config.lab").exists()
+
     def test_variants_without_ema_have_a_part(self):
         # without a teacher, batch_parts takes the targets from the part's full-grid encode
         for name, spec in VARIANTS.items():

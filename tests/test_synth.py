@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from vjlab import verify
+from vjlab import synth, verify
 from vjlab.synth import (
+    ROTATE_STEP,
+    SCALE_STEP,
+    SQUARE_SIDE,
+    TRANSLATE_STEP,
     Dataset,
     MixtureSpec,
     MotionClass,
@@ -48,6 +52,104 @@ def rotation_direction(clip):
         d = (b - a + np.pi / 4) % (np.pi / 2) - np.pi / 4
         total += d
     return 1 if total > 0 else -1
+
+
+def reference_clip(motion, rng, t=8, h=32, w=32):
+    """The per-clip renderer the batched kernel replaced, kept as its oracle:
+    the poses as scalar arithmetic frame by frame, then one broadcast pass
+    over [T, H, W]. Returns float32 pixels [T, H, W, 1]."""
+    cx = w / 2.0 - 8.0 + rng.uniform(0.0, 16.0)
+    cy = h / 2.0 - 8.0 + rng.uniform(0.0, 16.0)
+    theta = rng.uniform(0.0, np.pi / 2.0)
+    half = SQUARE_SIDE / 2.0
+    poses = []
+    for i in range(t):
+        off = TRANSLATE_STEP * (i - (t - 1) / 2.0)
+        fx, fy, fth, fhalf = cx, cy, theta, half
+        if motion == MotionClass.TRANSLATE_UP:
+            fy = cy - off
+        elif motion == MotionClass.TRANSLATE_DOWN:
+            fy = cy + off
+        elif motion == MotionClass.TRANSLATE_LEFT:
+            fx = cx - off
+        elif motion == MotionClass.TRANSLATE_RIGHT:
+            fx = cx + off
+        elif motion == MotionClass.ROTATE_CW:
+            fth = theta + ROTATE_STEP * i
+        elif motion == MotionClass.ROTATE_CCW:
+            fth = theta - ROTATE_STEP * i
+        elif motion == MotionClass.SCALE_UP:
+            fhalf = half * SCALE_STEP ** i
+        elif motion == MotionClass.SCALE_DOWN:
+            fhalf = half * SCALE_STEP ** (-i)
+        poses.append((fx, fy, fhalf, np.cos(fth), np.sin(fth)))
+    fx, fy, fhalf, c, s = (np.array(col)[:, None, None] for col in zip(*poses))
+    dx = np.arange(w) + 0.5 - fx
+    dy = np.arange(h)[:, None] + 0.5 - fy
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    inside = (np.abs(u) <= fhalf) & (np.abs(v) <= fhalf)
+    return inside[..., None].astype(np.float32)
+
+
+def reference_dataset(n_per_class, seed, t, h, w):
+    """(label, pixels) per clip, in ``gen_motion_dataset``'s order."""
+    return [(int(motion), reference_clip(motion, np.random.default_rng([seed, int(motion), i]),
+                                         t=t, h=h, w=w))
+            for motion in MotionClass for i in range(n_per_class)]
+
+
+class TestKernelMatchesReference:
+    """The batched kernel against the per-clip renderer, byte for byte."""
+
+    @given(seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70)),
+           n=st.integers(1, 9), t=st.integers(1, 9), h=st.integers(16, 48),
+           w=st.integers(16, 48))
+    @settings(max_examples=50, deadline=None)
+    def test_dataset(self, seed, n, t, h, w):
+        ds = gen_motion_dataset(n, seed, t=t, h=h, w=w)
+        ref = reference_dataset(n, seed, t, h, w)
+        assert len(ds) == len(ref)
+        for clip, (label, pixels) in zip(ds.clips, ref):
+            assert clip.label == label
+            assert clip.pixels.dtype == np.float32 and clip.pixels.shape == (t, h, w, 1)
+            assert clip.pixels.tobytes() == pixels.tobytes()
+
+    @given(seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70)),
+           motion=st.sampled_from(list(MotionClass)), t=st.integers(1, 9),
+           h=st.integers(16, 48), w=st.integers(16, 48))
+    @settings(max_examples=40, deadline=None)
+    def test_clip_and_the_callers_generator(self, seed, motion, t, h, w):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        clip = gen_motion_clip(motion, rng, t=t, h=h, w=w)
+        pixels = reference_clip(motion, ref_rng, t=t, h=h, w=w)
+        assert clip.label == int(motion) and clip.pixels.dtype == np.float32
+        assert clip.pixels.tobytes() == pixels.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_square_edges_on_pixel_centers_are_inside(self):
+        """Start poses whose edges fall exactly on pixel centers (angle 0,
+        center 15.5): the tie |u| = half counts as inside, as in the reference."""
+
+        class Draws:
+            def __init__(self, *values):
+                self.values = list(values)
+
+            def uniform(self, low, high):
+                return self.values.pop(0)
+
+        for motion in MotionClass:
+            clip = gen_motion_clip(motion, Draws(7.5, 7.5, 0.0))
+            pixels = reference_clip(motion, Draws(7.5, 7.5, 0.0))
+            assert clip.pixels.tobytes() == pixels.tobytes(), motion
+            assert clip.pixels[0].sum() == 11 * 11, motion  # both tie rows and columns in
+
+    def test_every_chunk_remainder(self):
+        """Counts on both sides of whole chunks, at the default geometry."""
+        for n in range(1, 2 * synth.RENDER_CHUNK + 2):
+            ds = gen_motion_dataset(n, 17)
+            for clip, (label, pixels) in zip(ds.clips, reference_dataset(n, 17, 8, 32, 32)):
+                assert clip.label == label and clip.pixels.tobytes() == pixels.tobytes()
 
 
 class TestMotionClips:
