@@ -294,6 +294,33 @@ class TestClipParts:
             assert np.max(np.abs(g - alone[k])) <= 1e-12 * max(1.0, np.max(np.abs(g))), k
 
 
+# the parts that compare time blocks, and the variants that use any of them
+TEMPORAL = {"static", "ld_hw", "kin", "ham", "velgate", "delta", "ld", "spectral", "ltc", "ac"}
+
+
+class TestSingleTemporalBlock:
+    @pytest.mark.parametrize("variant", [v for v, s in VARIANTS.items() if s.components & TEMPORAL])
+    def test_temporal_parts_are_zero_and_the_step_is_finite(self, variant):
+        # frames = tubelet = 2: a 1x4x4 token grid, no transition to compare
+        cfg = small_cfg(variant, frames=2, tubelet=2)
+        st = init_state(cfg)
+        ds = gen_motion_dataset(2, 0, t=2)
+        clips = draw_batch(ds, 2, cfg.seed, 0)
+        assert token_grid(st.student, clips[0]) == (1, 4, 4)
+        masks = [sample_clip_mask(cfg, c, (1, 4, 4), np.random.default_rng([cfg.seed, 2, 0, i]))
+                 for i, c in enumerate(clips)]
+        sig_rngs = [np.random.default_rng([cfg.seed, 3, 0, i]) for i in range(len(clips))]
+        parts = batch_parts(st, clips, masks, sig_rngs)
+        assert set(parts) == {"jepa"} | VARIANTS[variant].components
+        for name, part in parts.items():
+            val = part.item()
+            if name in TEMPORAL:
+                assert val == 0.0, name
+            else:
+                assert np.isfinite(val) and val > 0.0, name
+        assert np.isfinite(train_step(st, clips)["total"])
+
+
 class TestTrainStep:
     def test_metrics_and_param_movement(self):
         cfg = small_cfg()
