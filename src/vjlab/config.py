@@ -4,7 +4,8 @@
 their composition all read it directly. `VARIANTS` says what each variant
 is (loss parts, kinematic kind, EMA and FWM flags, recipe), and
 `PART_WEIGHTS` maps each loss part, in summation order, to the field that
-weights it. `with_variant` lays a variant's recipe (`RECIPE_FIELDS`) over a
+weights it; `TEMPORAL_PARTS` names the parts that read 0 on one temporal
+block. `with_variant` lays a variant's recipe (`RECIPE_FIELDS`) over a
 config; `validate` refuses a non-finite float field, and a token grid or
 channel split the variant cannot train on.
 
@@ -79,6 +80,11 @@ PART_WEIGHTS: dict[str, str | None] = {
     "delta": "lambda_delta", "ld": "lambda_d", "spectral": "lambda_spec", "ltc": "lambda_ltc",
     "ac": "lambda_ac",
 }
+
+# The parts that compare time blocks. On a token grid of one temporal block
+# there is no transition, and each of them reads 0 without being computed.
+TEMPORAL_PARTS = frozenset({"static", "ld_hw", "kin", "ham", "velgate", "delta", "ld",
+                            "spectral", "ltc", "ac"})
 
 
 @dataclass
@@ -200,7 +206,7 @@ class RunConfig:
             raise ValueError(f"app_ratio must be in (0, 1), got {self.app_ratio}")
         if self.probe_kind not in ("linear", "attentive"):
             raise ValueError(f"probe_kind must be linear or attentive, got '{self.probe_kind}'")
-        # the variant's masks and losses on this token grid (one block: temporal losses are 0)
+        # the variant's masks and losses on this token grid (one block: TEMPORAL_PARTS read 0)
         spec = VARIANTS[self.variant]
         tp = self.frames // self.tubelet
         n_space = (self.height // self.patch) * (self.width // self.patch)

@@ -522,10 +522,15 @@ def ema_update(teacher: dict[str, Tensor], student: dict[str, Tensor], momentum:
         teacher[k].data = momentum * teacher[k].data + (1.0 - momentum) * student[k].data
 
 
+def round_f32(a: np.ndarray) -> np.ndarray:
+    """``a`` rounded to the float32 grid, held as float64."""
+    return a.astype(np.float32).astype(np.float64)
+
+
 def quantize_params(named: dict[str, Tensor]) -> None:
     """Round values to float32 grid; keeps the float32 checkpoint lossless."""
     for t in named.values():
-        t.data = t.data.astype(np.float32).astype(np.float64)
+        t.data = round_f32(t.data)
 
 
 # -- checkpoints ---------------------------------------------------------

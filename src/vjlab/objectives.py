@@ -11,6 +11,8 @@ shape; predictor errors arrive as a [B, K] slab whose padded rows carry
 weight exactly 0. The loss of a batch is the mean over its clips of each
 clip's own loss, so a batch of one is that clip's loss. Whatever the math
 takes per clip (centering, gating, moments, hard weights) stays per clip.
+A loss that compares time blocks raises ValueError on one block; on such a
+grid ``training.batch_parts`` gives its part (``config.TEMPORAL_PARTS``) 0.
 
 This module holds the losses and their composition only. What a variant
 is lives in ``config``: composition reads ``config.VARIANTS[cfg.variant]``
@@ -39,15 +41,17 @@ KIN_KINDS = ("l1", "huber", "accel", "split", "anneal")
 
 def time_diff(x: Tensor) -> Tensor:
     """First difference along the time axis (axis 1) of a [B, T', ...] slab."""
+    lead = _lead(x)
+    return view(x, (slice(None), slice(1, x.shape[1]))) - lead
+
+
+def _lead(x: Tensor, *index) -> Tensor:
+    """The states that start each transition: time steps [0, T'-1) of x,
+    further indexed by ``index``. One step holds no transition."""
     t = x.shape[1]
     if t < 2:
-        raise ValueError("time_diff needs at least two steps")
-    return view(x, (slice(None), slice(1, t))) - _lead(x)
-
-
-def _lead(x: Tensor) -> Tensor:
-    """The states that start each transition: time steps [0, T'-1) of x."""
-    return view(x, (slice(None), slice(0, x.shape[1] - 1)))
+        raise ValueError(f"a transition needs at least two steps, got {t}")
+    return view(x, (slice(None), slice(0, t - 1), *index))
 
 
 def per_token_errors(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -98,8 +102,6 @@ def kinematic_loss(z: Tensor, kind: str = "l1", huber_delta: float = 1.0) -> Ten
     if kind not in KIN_KINDS:
         raise ValueError(f"unknown kinematic kind '{kind}'")
     tp = z.shape[1]
-    if tp == 1:
-        return Tensor(0.0)  # image clips carry no temporal signal
     if kind == "split":
         d = z.shape[-1]
         if d % 2:
@@ -160,11 +162,9 @@ def hamiltonian_loss(z: Tensor, ham) -> Tensor:
     The partials are written out analytically from the energy net, so the
     loss stays first-order differentiable end to end.
     """
-    tp, d = z.shape[1], z.shape[-1]
+    d = z.shape[-1]
     if d % 2:
         raise ValueError("hamiltonian split needs an even channel count")
-    if tp < 2:
-        return Tensor(0.0)
     a = linear(z, ham.w1, ham.b1).tanh()
     gate = (1.0 - a * a) * ham.w2.broadcast_to(a.shape)
     dhdx = gate @ ham.w1.transpose() + z * ham.quad.broadcast_to(z.shape)
@@ -182,21 +182,19 @@ def velgate_loss(z: Tensor) -> Tensor:
     ties break by token index.
     """
     bsz, tp, n_space, d = z.shape
-    if tp < 2 or n_space < 2:
+    moved = time_diff(z).abs()
+    if n_space < 2:
         return Tensor(0.0)
-    vel = np.abs(np.diff(z.data, axis=1)).mean(axis=(1, 3))  # [B, n_space]
+    vel = moved.data.mean(axis=(1, 3))  # [B, n_space]
     slow = np.argsort(vel, axis=1, kind="stable")[:, : n_space // 2]
     gate = np.zeros((bsz, 1, n_space, 1))
     np.put_along_axis(gate, slow[:, None, :, None], 1.0, axis=2)
-    moved = time_diff(z).abs()
     kept = moved * Tensor(np.broadcast_to(gate, moved.shape))
     return kept.sum() * (1.0 / (bsz * (tp - 1) * (n_space // 2) * d))
 
 
 def delta_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     """Match student latent velocity to detached teacher velocity."""
-    if z.shape[1] < 2:
-        return Tensor(0.0)
     return (time_diff(z) - Tensor(np.diff(h_values, axis=1))).abs().mean()
 
 
@@ -205,19 +203,14 @@ def _transition_inputs(z: Tensor, fwm: bool, app_ratio: float) -> Tensor:
     transition, its dynamics channels only under FWM."""
     d = z.shape[-1]
     first = app_width(app_ratio, d) if fwm else 0
-    return view(z, (slice(None), slice(0, z.shape[1] - 1), Ellipsis, slice(first, d)))
+    return _lead(z, Ellipsis, slice(first, d))
 
 
 def ld_errors(heads: HeadParams, z: Tensor, h_values: np.ndarray,
-              fwm: bool, app_ratio: float) -> Tensor | None:
+              fwm: bool, app_ratio: float) -> Tensor:
     """Per-token errors [B, (T'-1) * n_space] of the dynamics head predicting
-    teacher deltas.
-
-    Returns None for single-block clips (no transition to predict).
-    """
+    teacher deltas."""
     bsz, tp, n_space, _ = z.shape
-    if tp < 2:
-        return None
     pred = dyn_head(heads, _transition_inputs(z, fwm, app_ratio))
     e = per_token_errors(pred, np.diff(h_values, axis=1))
     return e.reshape(bsz, (tp - 1) * n_space)
@@ -225,8 +218,7 @@ def ld_errors(heads: HeadParams, z: Tensor, h_values: np.ndarray,
 
 def ld_loss(heads: HeadParams, z: Tensor, h_values: np.ndarray,
             fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
-    e = ld_errors(heads, z, h_values, fwm, app_ratio)
-    return Tensor(0.0) if e is None else e.mean()
+    return ld_errors(heads, z, h_values, fwm, app_ratio).mean()
 
 
 def spectral_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
@@ -237,8 +229,8 @@ def spectral_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     differentiable; fourier.fft_time computes the identical map.
     """
     bsz, tp = z.shape[:2]
-    if tp < 2:
-        return Tensor(0.0)
+    if tp < 2:  # the weights below divide by T' - 1
+        raise ValueError(f"spectral loss needs at least two steps, got {tp}")
     cmat, smat = dft_matrices(tp)
     series = z.reshape(bsz, tp, -1)  # one time series per column
     h_series = h_values.reshape(bsz, tp, -1)
@@ -254,8 +246,6 @@ def ltc_loss(z: Tensor, h_values: np.ndarray, margin: float = 0.5) -> Tensor:
     by ``margin`` in cosine similarity. Zero-vector cosines count as 0."""
     if margin <= 0.0:
         raise ValueError("ltc margin must be positive")
-    if z.shape[1] < 2:
-        return Tensor(0.0)
     zz = _lead(z)
     h0 = h_values[:, :-1]
     h1 = h_values[:, 1:]
@@ -339,8 +329,6 @@ def ac_targets(clip: VideoClip, patch: int, tubelet: int) -> np.ndarray:
 def ac_loss(heads: HeadParams, z: Tensor, clips: list[VideoClip], patch: int,
             tubelet: int, fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
     """L1 between the action head and per-patch frame-difference targets."""
-    if z.shape[1] < 2:
-        return Tensor(0.0)
     pred = action_head(heads, _transition_inputs(z, fwm, app_ratio))
     targets = np.stack([ac_targets(c, patch, tubelet) for c in clips]).reshape(pred.shape)
     return per_token_errors(pred, targets).mean()

@@ -89,7 +89,6 @@ class ProbeParams(Params):
     q: Tensor | None               # the attentive pool's query
     feat_mean: np.ndarray
     feat_std: np.ndarray
-    n_classes: int
 
 
 def init_probe(kind: str, dim: int, n_classes: int, rng: np.random.Generator,
@@ -106,7 +105,6 @@ def init_probe(kind: str, dim: int, n_classes: int, rng: np.random.Generator,
         q=query,
         feat_mean=feat_mean,
         feat_std=feat_std,
-        n_classes=n_classes,
     )
 
 

@@ -36,16 +36,11 @@ class no_grad:
         return False
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and grad_enabled()
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()

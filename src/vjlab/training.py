@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import VARIANTS, RunConfig, app_width, load_config, save_config
+from .config import TEMPORAL_PARTS, VARIANTS, RunConfig, app_width, load_config, save_config
 from .masking import MaskSpec, motion_energy, sample_mask
 from .model import (
     EncoderParams,
@@ -32,6 +32,7 @@ from .model import (
     load_into,
     predict_masked,
     quantize_params,
+    round_f32,
     save_checkpoint,
     teacher_targets,
     token_grid,
@@ -68,10 +69,6 @@ METRICS_NAME = "metrics.jsonl"
 
 class Refused(ValueError):
     """A config, or a file of the run directory, that no run can start from."""
-
-
-def _q32(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.float32).astype(np.float64)
 
 
 # -- schedule ------------------------------------------------------------
@@ -128,9 +125,9 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         m = beta1 * opt.m[name] + (1.0 - beta1) * g
         v = beta2 * opt.v[name] + (1.0 - beta2) * (g * g)
         theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.data = _q32(theta)
-        opt.m[name] = _q32(m)
-        opt.v[name] = _q32(v)
+        p.data = round_f32(theta)
+        opt.m[name] = round_f32(m)
+        opt.v[name] = round_f32(v)
 
 
 # -- state ---------------------------------------------------------------
@@ -190,7 +187,8 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
 
     The batch takes one masked student encode, one predictor pass, one
     teacher encode and, when a part needs it, one full-grid encode; each part
-    is then computed once on those slabs.
+    is then computed once on those slabs. On a token grid of one temporal
+    block, every part in ``TEMPORAL_PARTS`` is 0 and its loss is not called.
     """
     cfg, heads = state.cfg, state.heads
     spec = VARIANTS[cfg.variant]
@@ -212,11 +210,6 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
     valid = np.arange(pred.shape[1]) < np.array([m.n_targets for m in masks])[:, None]
     e = per_token_errors(pred, targets)
     fwm = cache(lambda: fwm_losses(z, cfg.app_ratio))
-
-    def ld_hw() -> Tensor:
-        e_ld = ld_errors(heads, z, h, spec.fwm, cfg.app_ratio)
-        return Tensor(0.0) if e_ld is None else hw_jepa_loss(e_ld, cfg.tau)
-
     # One batched loss per part, in PART_WEIGHTS order. The losses are
     # looked up in this module when called, so wrappers set on its names see them.
     losses = {
@@ -224,7 +217,7 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
         "hw_jepa": lambda: hw_jepa_loss(e, cfg.tau, valid=valid),
         "static": lambda: fwm()[0],
         "orth": lambda: fwm()[1],
-        "ld_hw": ld_hw,
+        "ld_hw": lambda: hw_jepa_loss(ld_errors(heads, z, h, spec.fwm, cfg.app_ratio), cfg.tau),
         "kin": lambda: kinematic_loss(z, spec.kin_kind, cfg.huber_delta),
         "sigreg": lambda: sigreg_loss(z, cfg.sigreg_projections, sig_rngs),
         "ham": lambda: hamiltonian_loss(z, heads.ham),
@@ -235,8 +228,8 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
         "ltc": lambda: ltc_loss(z, h, cfg.ltc_margin),
         "ac": lambda: ac_loss(heads, z, clips, cfg.patch, cfg.tubelet, spec.fwm, cfg.app_ratio),
     }
-    return {name: loss() for name, loss in losses.items()
-            if name == "jepa" or name in spec.components}
+    return {name: Tensor(0.0) if tp == 1 and name in TEMPORAL_PARTS else loss()
+            for name, loss in losses.items() if name == "jepa" or name in spec.components}
 
 
 def batch_bundle(state: TrainState, clips: list[VideoClip],

@@ -207,13 +207,37 @@ class TestValidation:
         assert captured.err == f"invalid config: {key} must be finite, got {value}\n"
         assert not (out / "config.lab").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr_start", 0.0, "learning rates must be positive"),
+        ("lr_peak", -6e-4, "learning rates must be positive"),
+        ("probe_lr", -1e-3, "learning rates must be positive"),
+        ("weight_decay", -0.1, "weight_decay must be non-negative"),
+        ("max_temporal_keep", 0.0, "max_temporal_keep must lie in (0, 1]"),
+        ("max_temporal_keep", 1.5, "max_temporal_keep must lie in (0, 1]"),
+        ("motion_guided_random_rate", 1.5, "motion_guided_random_rate must lie in [0, 1]"),
+        ("motion_guided_random_rate", -0.5, "motion_guided_random_rate must lie in [0, 1]"),
+        ("motion_guided_strength", -1.0, "motion_guided_strength must be non-negative"),
+    ])
+    def test_out_of_range_value_refused(self, tmp_path, capsys, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(RunConfig(), **{key: value}).validate()
+        path = tmp_path / "bad.lab"
+        out = tmp_path / "run"
+        path.write_text(f"{key} = {value}\nout = {out}\n")
+        assert lab_main(["pretrain", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid config: {message}\n"
+        assert not out.exists()
+
     def test_variants_without_ema_have_a_part(self):
         # without a teacher, batch_parts takes the targets from the part's full-grid encode
         for name, spec in VARIANTS.items():
             assert spec.ema or spec.components, name
 
     def test_single_temporal_block_needs_no_acceleration(self):
-        # one block has no motion: the kinematic loss is 0 rather than an error
+        # one block has no transition: batch_parts gives every part in TEMPORAL_PARTS,
+        # the kinematic one too, 0 without calling its loss, so there is nothing to refuse
         for variant in ("Kin.-Accel", "Kin.-Split"):
             dataclasses.replace(variant_defaults(variant), frames=2, tubelet=2).validate()
 
