@@ -1,4 +1,5 @@
-"""scripts/trajectories.py diff: its exit status gates on byte-identical runs."""
+"""scripts/trajectories.py: diff's exit status gates on byte-identical runs,
+and every variant replays the trajectory pinned in tests/data/trajectories.json."""
 
 import json
 import runpy
@@ -22,6 +23,28 @@ def fake_run(root: Path) -> Path:
             "".join(json.dumps({"step": s, "total": 1.0 + i + s}) + "\n" for s in (1, 2)))
         (run_dir / CHECKPOINT_NAME).write_bytes(bytes(range(16)))
     return root
+
+
+def script_globals(monkeypatch) -> dict:
+    monkeypatch.setattr(sys, "path", sys.path[:])  # the script prepends its src tree
+    return runpy.run_path(str(SCRIPT))
+
+
+def test_every_variant_replays_its_pinned_trajectory(tmp_path, monkeypatch):
+    """Per-step totals within 1e-9 relative on any machine; both files byte
+    for byte where numpy, its BLAS and the CPU are those of the pin."""
+    script = script_globals(monkeypatch)
+    pinned = json.loads(script["PIN"].read_text())
+    assert pinned["fixed"] == script["FIXED"]
+    assert list(pinned["variants"]) == list(VARIANTS)
+    same_machine = pinned["identity"] == script["identity"]()
+    for name, want in pinned["variants"].items():
+        got = script["fingerprint"](script["train"](name, tmp_path))
+        assert len(got["totals"]) == len(want["totals"]), name
+        for step, (a, b) in enumerate(zip(got["totals"], want["totals"]), start=1):
+            assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (name, step, a, b)
+        if same_machine:
+            assert (got["metrics"], got["ckpt"]) == (want["metrics"], want["ckpt"]), name
 
 
 def diff_exit(monkeypatch, old: Path, new: Path) -> int:
