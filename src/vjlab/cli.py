@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Refused as err:
+    except (Refused, FloatingPointError) as err:
         print(err, file=sys.stderr)
         return 1
 

@@ -179,14 +179,6 @@ def _draw_spatial_pattern(gh: int, gw: int, mask_ratio: float,
     raise RuntimeError(f"no admissible mask after {_MAX_TRIES} tries")
 
 
-def _mask_spec(target: np.ndarray, visible: np.ndarray, centers: list[tuple[int, int]],
-               used_fallback: bool) -> MaskSpec:
-    """The validated MaskSpec of a boolean split, with its distance weights."""
-    return MaskSpec(target=target, visible=visible,
-                    distance_weight=distance_weights(visible, target),
-                    centers=centers, used_fallback=used_fallback).validate()
-
-
 def _energy_probs(energy: MotionEnergy, grid_hw: tuple[int, int], alpha: float) -> np.ndarray:
     if energy.scores.shape != grid_hw:
         raise ValueError(f"energy grid {energy.scores.shape} does not match mask grid {grid_hw}")
@@ -226,4 +218,6 @@ def sample_mask(grid: tuple[int, int, int], mask_ratio: float, rng: np.random.Ge
         target = ~visible
     else:
         target = np.broadcast_to(pattern, (t_blocks, gh, gw)).copy()
-    return _mask_spec(target, visible, centers, used_fallback)
+    return MaskSpec(target=target, visible=visible,
+                    distance_weight=distance_weights(visible, target),
+                    centers=centers, used_fallback=used_fallback).validate()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import VARIANTS, RunConfig, app_width
 from .masking import MaskSpec
 from .synth import VideoClip
 from .tensor import Tensor, concat, no_grad
@@ -81,25 +81,27 @@ class Block(Params):
     b2: Tensor
 
 
+def _normal(rng: np.random.Generator, *shape: int) -> Tensor:
+    """A trainable tensor drawn from N(0, INIT_SCALE^2). The initializers
+    below draw in keyword order, so that order is the RNG draw order."""
+    return Tensor(rng.standard_normal(shape) * INIT_SCALE, requires_grad=True)
+
+
+def _full(value: float, *shape: int) -> Tensor:
+    """A trainable tensor holding ``value`` everywhere."""
+    return Tensor(np.full(shape, value, dtype=np.float64), requires_grad=True)
+
+
 def _init_block(rng: np.random.Generator, dim: int, ff: int) -> Block:
-    def w(shape):
-        return Tensor(rng.standard_normal(shape) * INIT_SCALE, requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
     return Block(
-        ln1_g=ones(dim), ln1_b=zeros(dim),
-        wq=w((dim, dim)), bq=zeros(dim),
-        wk=w((dim, dim)), bk=zeros(dim),
-        wv=w((dim, dim)), bv=zeros(dim),
-        wo=w((dim, dim)), bo=zeros(dim),
-        ln2_g=ones(dim), ln2_b=zeros(dim),
-        w1=w((dim, ff)), b1=zeros(ff),
-        w2=w((ff, dim)), b2=zeros(dim),
+        ln1_g=_full(1.0, dim), ln1_b=_full(0.0, dim),
+        wq=_normal(rng, dim, dim), bq=_full(0.0, dim),
+        wk=_normal(rng, dim, dim), bk=_full(0.0, dim),
+        wv=_normal(rng, dim, dim), bv=_full(0.0, dim),
+        wo=_normal(rng, dim, dim), bo=_full(0.0, dim),
+        ln2_g=_full(1.0, dim), ln2_b=_full(0.0, dim),
+        w1=_normal(rng, dim, ff), b1=_full(0.0, ff),
+        w2=_normal(rng, ff, dim), b2=_full(0.0, dim),
     )
 
 
@@ -159,47 +161,49 @@ def init_encoder(cfg: RunConfig, rng: np.random.Generator) -> EncoderParams:
     p_img = cfg.patch * cfg.patch * cfg.channels
     return EncoderParams(
         cfg=cfg,
-        embed_w=Tensor(rng.standard_normal((p_vid, cfg.dim)) * INIT_SCALE, requires_grad=True),
-        embed_b=Tensor(np.zeros(cfg.dim), requires_grad=True),
-        embed_img_w=Tensor(rng.standard_normal((p_img, cfg.dim)) * INIT_SCALE, requires_grad=True),
-        embed_img_b=Tensor(np.zeros(cfg.dim), requires_grad=True),
+        embed_w=_normal(rng, p_vid, cfg.dim),
+        embed_b=_full(0.0, cfg.dim),
+        embed_img_w=_normal(rng, p_img, cfg.dim),
+        embed_img_b=_full(0.0, cfg.dim),
         blocks=[_init_block(rng, cfg.dim, cfg.ff) for _ in range(cfg.layers)],
-        ln_g=Tensor(np.ones(cfg.dim), requires_grad=True),
-        ln_b=Tensor(np.zeros(cfg.dim), requires_grad=True),
+        ln_g=_full(1.0, cfg.dim),
+        ln_b=_full(0.0, cfg.dim),
     )
 
 
-def init_heads(cfg: RunConfig, rng: np.random.Generator, dyn_in: int | None = None,
-               act_in: int | None = None, with_ham: bool = False) -> HeadParams:
+def init_heads(cfg: RunConfig, rng: np.random.Generator) -> HeadParams:
+    """The predictor and the auxiliary heads of ``cfg.variant``. Under FWM the
+    dynamics and action heads read only the dynamics channels; the energy
+    net exists only for a variant with a ``ham`` part."""
+    spec = VARIANTS[cfg.variant]
     d = cfg.dim
-    dyn_in = d if dyn_in is None else dyn_in
-    act_in = d if act_in is None else act_in
+    head_in = d - app_width(cfg.app_ratio, d) if spec.fwm else d
     pred = PredictorParams(
         cfg=cfg,
-        mask_token=Tensor(rng.standard_normal(d) * INIT_SCALE, requires_grad=True),
+        mask_token=_normal(rng, d),
         blocks=[_init_block(rng, d, cfg.ff) for _ in range(cfg.pred_layers)],
-        ln_g=Tensor(np.ones(d), requires_grad=True),
-        ln_b=Tensor(np.zeros(d), requires_grad=True),
-        out_w=Tensor(rng.standard_normal((d, d)) * INIT_SCALE, requires_grad=True),
-        out_b=Tensor(np.zeros(d), requires_grad=True),
+        ln_g=_full(1.0, d),
+        ln_b=_full(0.0, d),
+        out_w=_normal(rng, d, d),
+        out_b=_full(0.0, d),
     )
     ham = None
-    if with_ham:
+    if "ham" in spec.components:
         ham = HamiltonianParams(
-            w1=Tensor(rng.standard_normal((d, cfg.ham_hidden)) * INIT_SCALE, requires_grad=True),
-            b1=Tensor(np.zeros(cfg.ham_hidden), requires_grad=True),
-            w2=Tensor(rng.standard_normal(cfg.ham_hidden) * INIT_SCALE, requires_grad=True),
-            b2=Tensor(np.zeros(1), requires_grad=True),
-            quad=Tensor(np.zeros(d), requires_grad=True),
+            w1=_normal(rng, d, cfg.ham_hidden),
+            b1=_full(0.0, cfg.ham_hidden),
+            w2=_normal(rng, cfg.ham_hidden),
+            b2=_full(0.0, 1),
+            quad=_full(0.0, d),
         )
     return HeadParams(
         predictor=pred,
-        dyn_w1=Tensor(rng.standard_normal((dyn_in, cfg.dyn_hidden)) * INIT_SCALE, requires_grad=True),
-        dyn_b1=Tensor(np.zeros(cfg.dyn_hidden), requires_grad=True),
-        dyn_w2=Tensor(rng.standard_normal((cfg.dyn_hidden, d)) * INIT_SCALE, requires_grad=True),
-        dyn_b2=Tensor(np.zeros(d), requires_grad=True),
-        act_w=Tensor(rng.standard_normal((act_in, cfg.channels)) * INIT_SCALE, requires_grad=True),
-        act_b=Tensor(np.zeros(cfg.channels), requires_grad=True),
+        dyn_w1=_normal(rng, head_in, cfg.dyn_hidden),
+        dyn_b1=_full(0.0, cfg.dyn_hidden),
+        dyn_w2=_normal(rng, cfg.dyn_hidden, d),
+        dyn_b2=_full(0.0, d),
+        act_w=_normal(rng, head_in, cfg.channels),
+        act_b=_full(0.0, cfg.channels),
         ham=ham,
     )
 
@@ -586,11 +590,3 @@ def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
             records[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
     return records
 
-
-def load_into(named: dict[str, Tensor], records: dict[str, np.ndarray]) -> None:
-    for k, t in named.items():
-        if k not in records:
-            raise ValueError(f"checkpoint missing record '{k}'")
-        if records[k].shape != t.data.shape:
-            raise ValueError(f"checkpoint record '{k}' shape {records[k].shape} vs {t.data.shape}")
-        t.data = records[k].copy()

@@ -23,8 +23,8 @@ import numpy as np
 from .config import RunConfig
 from .model import EncoderParams, Params, encode, linear
 from .synth import Dataset, MotionClass, VideoClip, gen_motion_dataset
-from .tensor import Tensor, backward, no_grad
-from .training import OptState, adamw_step, init_opt
+from .tensor import Tensor, no_grad
+from .training import descend, init_opt
 
 TRAIN_TAG = 101
 TEST_TAG = 202
@@ -202,7 +202,8 @@ def _nll(logits: Tensor, onehot: np.ndarray) -> Tensor:
 def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
                 kind: str = "linear", epochs: int = 50, batch_size: int = 16,
                 lr: float = 1e-3, seed: int = 0) -> ProbeParams:
-    """AdamW without weight decay, shuffled minibatches, CE objective."""
+    """AdamW without weight decay, shuffled minibatches, CE objective; a
+    non-finite gradient raises FloatingPointError naming its parameter."""
     labels = np.asarray(labels)
     if np.unique(labels).size < 2:
         raise ValueError("probe training needs at least two classes")
@@ -213,17 +214,12 @@ def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
     probe = init_probe(kind, feats.shape[-1], n_classes, np.random.default_rng([seed, 0]),
                        mean, std)
     params = probe.named()
-    opt: OptState = init_opt(params)
+    opt = init_opt(params)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 1 + epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo:lo + batch_size]
-            loss = _nll(probe_logits(probe, x[sel]), onehot[sel])
-            for p in params.values():
-                p.grad = None
-            backward(loss)
-            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-            adamw_step(params, grads, opt, lr, weight_decay=0.0)
+            descend(params, _nll(probe_logits(probe, x[sel]), onehot[sel]), opt, lr, 0.0)
     return probe
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TEMPORAL_PARTS, VARIANTS, RunConfig, app_width, load_config, save_config
+from .config import TEMPORAL_PARTS, VARIANTS, RunConfig, load_config, save_config
 from .masking import MaskSpec, motion_energy, sample_mask
 from .model import (
     EncoderParams,
@@ -29,7 +29,6 @@ from .model import (
     init_encoder,
     init_heads,
     load_checkpoint,
-    load_into,
     predict_masked,
     quantize_params,
     round_f32,
@@ -62,6 +61,9 @@ STREAM_INIT = 0
 STREAM_BATCH = 1
 STREAM_MASK = 2
 STREAM_SIGREG = 3
+
+# AdamW's moment decays and denominator floor (Loshchilov & Hutter, arXiv:1711.05101)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 CHECKPOINT_NAME = "checkpoint.jpck"
 METRICS_NAME = "metrics.jsonl"
@@ -106,8 +108,7 @@ def init_opt(params: dict[str, Tensor]) -> OptState:
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               opt: OptState, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8, weight_decay: float = 0.04) -> None:
+               opt: OptState, lr: float, weight_decay: float = 0.04) -> None:
     """Decoupled weight decay first, then the bias-corrected Adam update.
 
     Parameters and moments are rounded to the float32 grid afterwards.
@@ -115,19 +116,34 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     """
     opt.step += 1
     t = opt.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
         theta = p.data - lr * weight_decay * p.data
-        m = beta1 * opt.m[name] + (1.0 - beta1) * g
-        v = beta2 * opt.v[name] + (1.0 - beta2) * (g * g)
-        theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data = round_f32(theta)
         opt.m[name] = round_f32(m)
         opt.v[name] = round_f32(v)
+
+
+def descend(params: dict[str, Tensor], loss: Tensor, opt: OptState, lr: float,
+            weight_decay: float) -> None:
+    """One AdamW step of ``params`` down the gradient of ``loss``, for
+    pretraining and probes alike; a non-finite gradient raises
+    FloatingPointError naming its parameter before any value moves."""
+    for p in params.values():
+        p.grad = None
+    backward(loss)
+    grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for '{name}'")
+    adamw_step(params, grads, opt, lr, weight_decay)
 
 
 # -- state ---------------------------------------------------------------
@@ -140,23 +156,29 @@ class TrainState:
     heads: HeadParams
     teacher: EncoderParams | None
     opt: OptState
-    step: int = 0
+
+    @property
+    def step(self) -> int:
+        """Steps taken: AdamW's own count."""
+        return self.opt.step
 
     def trainable(self) -> dict[str, Tensor]:
         return {**self.student.named(), **self.heads.named()}
 
+    def record_tensors(self) -> dict[str, Tensor]:
+        """Every tensor a checkpoint holds, by record name: student, heads, teacher."""
+        teacher = {} if self.teacher is None else self.teacher.named("teacher")
+        return {**self.trainable(), **teacher}
+
 
 def init_state(cfg: RunConfig) -> TrainState:
     cfg.validate()
-    spec = VARIANTS[cfg.variant]
     rng = np.random.default_rng([cfg.seed, STREAM_INIT])
     student = init_encoder(cfg, rng)
-    head_in = cfg.dim - app_width(cfg.app_ratio, cfg.dim) if spec.fwm else cfg.dim
-    heads = init_heads(cfg, rng, dyn_in=head_in, act_in=head_in,
-                       with_ham="ham" in spec.components)
+    heads = init_heads(cfg, rng)
     trainable = {**student.named(), **heads.named()}
     quantize_params(trainable)
-    teacher = clone_frozen(student) if spec.ema else None
+    teacher = clone_frozen(student) if VARIANTS[cfg.variant].ema else None
     return TrainState(cfg=cfg, student=student, heads=heads, teacher=teacher,
                       opt=init_opt(trainable))
 
@@ -254,29 +276,18 @@ def batch_bundle(state: TrainState, clips: list[VideoClip],
 def train_step(state: TrainState, clips: list[VideoClip],
                masks: list[MaskSpec] | None = None) -> dict:
     cfg = state.cfg
+    lr = lr_at(state.step, cfg.steps, cfg.warmup_frac, cfg.lr_start, cfg.lr_peak)
     try:
         bundle = batch_bundle(state, clips, masks)
+        descend(state.trainable(), bundle.total_node, state.opt, lr, cfg.weight_decay)
     except FloatingPointError as err:
         raise FloatingPointError(f"step {state.step}: {err}") from None
-
-    params = state.trainable()
-    for p in params.values():
-        p.grad = None
-    backward(bundle.total_node)
-    grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"step {state.step}: non-finite gradient for '{name}'")
-
-    lr = lr_at(state.step, cfg.steps, cfg.warmup_frac, cfg.lr_start, cfg.lr_peak)
-    adamw_step(params, grads, state.opt, lr, weight_decay=cfg.weight_decay)
 
     if state.teacher is not None:
         t_named = state.teacher.named()
         ema_update(t_named, state.student.named(), cfg.ema_momentum)
         quantize_params(t_named)
 
-    state.step += 1
     metrics = {"step": state.step, "lr": lr, "total": bundle.total}
     for name, val in bundle.components.items():
         metrics[f"loss_{name}"] = val
@@ -285,12 +296,7 @@ def train_step(state: TrainState, clips: list[VideoClip],
 
 def train_records(state: TrainState) -> dict[str, np.ndarray]:
     """Every checkpoint record of a state, by name."""
-    records: dict[str, np.ndarray] = {}
-    for name, t in state.trainable().items():
-        records[name] = t.data
-    if state.teacher is not None:
-        for name, t in state.teacher.named("teacher").items():
-            records[name] = t.data
+    records = {name: t.data for name, t in state.record_tensors().items()}
     for name in state.opt.m:
         records[f"opt.m.{name}"] = state.opt.m[name]
         records[f"opt.v.{name}"] = state.opt.v[name]
@@ -300,29 +306,34 @@ def train_records(state: TrainState) -> dict[str, np.ndarray]:
 
 def load_train_state(cfg: RunConfig, path) -> TrainState:
     """The state a checkpoint holds; it must carry exactly the records that
-    ``train_records`` gives under ``cfg``, no fewer and no others."""
+    ``train_records`` gives under ``cfg``, no fewer and no others, each of
+    its shape and finite, and a whole step count of at most ``cfg.steps``."""
     state = init_state(cfg)
     try:
         records = load_checkpoint(path)
     except (OSError, ValueError) as err:
         raise Refused(f"cannot read checkpoint {path}: {err}") from None
     expected = train_records(state)
+    shared = sorted(expected.keys() & records.keys())
     missing = sorted(expected.keys() - records.keys())
     unknown = sorted(records.keys() - expected.keys())
     reshaped = [f"{k} {records[k].shape} vs {expected[k].shape}"
-                for k in sorted(expected.keys() & records.keys())
-                if records[k].shape != expected[k].shape]
-    if missing or unknown or reshaped:
+                for k in shared if records[k].shape != expected[k].shape]
+    non_finite = [k for k in shared if not np.isfinite(records[k]).all()]
+    if missing or unknown or reshaped or non_finite:
         raise Refused(f"checkpoint {path} does not fit this config: missing records "
-                      f"{missing}, unknown records {unknown}, other shapes {reshaped}")
-    load_into(state.trainable(), records)
-    if state.teacher is not None:
-        load_into(state.teacher.named("teacher"), records)
+                      f"{missing}, unknown records {unknown}, other shapes {reshaped}, "
+                      f"non-finite records {non_finite}")
+    step = float(records["meta.step"][0])
+    if not (step.is_integer() and 0 <= step <= cfg.steps):
+        raise Refused(f"checkpoint {path} holds meta.step {step!r}, not a whole step "
+                      f"count from 0 to {cfg.steps}")
+    for name, t in state.record_tensors().items():
+        t.data = records[name]
     for name in state.opt.m:
-        state.opt.m[name] = records[f"opt.m.{name}"].copy()
-        state.opt.v[name] = records[f"opt.v.{name}"].copy()
-    state.step = int(records["meta.step"][0])
-    state.opt.step = state.step
+        state.opt.m[name] = records[f"opt.m.{name}"]
+        state.opt.v[name] = records[f"opt.v.{name}"]
+    state.opt.step = int(step)
     return state
 
 

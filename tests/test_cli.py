@@ -1,6 +1,7 @@
 """End-to-end CLI coverage on tiny budgets."""
 
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 from vjlab import cli, probing, training
 from vjlab.cli import main
 from vjlab.config import RECIPE_FIELDS, load_config, variant_defaults, variant_slug
+from vjlab.model import load_checkpoint, save_checkpoint
 from vjlab.synth import load_dataset
+from vjlab.tensor import Tensor
 
 
 @pytest.fixture
@@ -106,6 +109,15 @@ class TestPretrainProbe:
         assert run_cli("report", "--out", out) == 0
         rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:]]
         assert sorted(rows) == [["Baseline", "attentive"], ["Baseline", "linear"]]
+
+    def test_a_non_finite_step_ends_in_one_line(self, tiny_config, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(training, "jepa_loss", lambda *args: Tensor(np.nan))
+        assert run_cli("pretrain", "--config", tiny_config) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "step 0: non-finite loss component 'jepa'\n"
+        assert not (tmp_path / "run" / "checkpoint.jpck").exists()
 
     def test_probe_without_checkpoint_fails(self, tiny_config, capsys):
         assert run_cli("probe", "--config", tiny_config) == 1
@@ -236,6 +248,34 @@ class TestRunFilesThatDoNotFit:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"cannot read checkpoint {ck}: ")
         assert not (tmp_path / "run" / "probe-linear.json").exists()
+
+    @pytest.mark.parametrize("name,value", [("enc.ln_g", np.nan), ("opt.v.enc.ln_g", np.inf),
+                                            ("meta.step", np.nan), ("meta.step", 1.5),
+                                            ("meta.step", 4.0)],
+                             ids=["parameter nan", "moment inf", "step nan", "step 1.5",
+                                  "step past the end"])
+    def test_a_checkpoint_value_no_run_can_reach_is_refused(self, tiny_config, tmp_path,
+                                                            capsys, name, value):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        run = tmp_path / "run"
+        ck = run / "checkpoint.jpck"
+        records = load_checkpoint(ck)
+        records[name].reshape(-1)[0] = value
+        save_checkpoint(ck, records)
+        damaged, log = ck.read_bytes(), (run / "metrics.jsonl").read_bytes()
+        with pytest.raises(training.Refused, match=re.escape(name)):
+            training.load_train_state(load_config(run / "config.lab"), ck)
+        capsys.readouterr()
+        assert run_cli("probe", "--out", run, "--train-per-class", 1,
+                       "--test-per-class", 1) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and name in err
+        assert not list(run.glob("probe-*.json"))
+        assert run_cli("pretrain", "--config", tiny_config, "--resume") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and name in err
+        assert ck.read_bytes() == damaged
+        assert (run / "metrics.jsonl").read_bytes() == log
 
     def test_resume_refuses_a_run_without_config(self, tiny_config, tmp_path, capsys):
         assert run_cli("pretrain", "--config", tiny_config) == 0

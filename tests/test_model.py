@@ -29,10 +29,8 @@ from vjlab.model import (
     layer_norm,
     linear,
     load_checkpoint,
-    load_into,
     pos_table,
     predict_masked,
-    quantize_params,
     save_checkpoint,
     teacher_targets,
     view,
@@ -424,7 +422,9 @@ class TestSplitAndHeads:
         assert np.all(out.data == 0.0)
 
     def test_dyn_head_width_follows_input(self):
-        heads = init_heads(CFG, np.random.default_rng(0), dyn_in=16)
+        # an FWM head reads only the 16 dynamics channels of a 32-wide latent
+        fwm = dataclasses.replace(CFG, variant="FWM-HW-LD")
+        heads = init_heads(fwm, np.random.default_rng(0))
         out = dyn_head(heads, Tensor(np.zeros((3, 16))))
         assert out.shape == (3, 32)
 
@@ -475,15 +475,6 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "b.jpck", records)
         assert (tmp_path / "a.jpck").read_bytes() == (tmp_path / "b.jpck").read_bytes()
 
-    def test_load_into_restores(self, tmp_path):
-        p = params(5)
-        quantize_params(p.named())
-        save_checkpoint(tmp_path / "ck.jpck", {k: t.data for k, t in p.named().items()})
-        q = params(6)
-        load_into(q.named(), load_checkpoint(tmp_path / "ck.jpck"))
-        for k in p.named():
-            assert np.array_equal(p.named()[k].data, q.named()[k].data)
-
     def test_truncated_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "ck.jpck", {"w": np.ones((4, 4))})
         raw = (tmp_path / "ck.jpck").read_bytes()
@@ -520,12 +511,6 @@ class TestCheckpoint:
     def test_no_tmp_left(self, tmp_path):
         save_checkpoint(tmp_path / "ck.jpck", {"w": np.ones(3)})
         assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.jpck"]
-
-    def test_missing_record_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "ck.jpck", {"w": np.ones(3)})
-        q = params(0)
-        with pytest.raises(ValueError, match="missing record"):
-            load_into(q.named(), load_checkpoint(tmp_path / "ck.jpck"))
 
 
 class TestGeometryValidation:

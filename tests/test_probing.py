@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from vjlab import probing
+from vjlab import probing, training
 from vjlab.config import variant_defaults
 from vjlab.gradcheck import grad_check
 from vjlab.model import init_encoder
@@ -250,12 +250,18 @@ class TestProbeTraining:
         with pytest.raises(ValueError) as want:
             cross_entropy(Tensor(np.zeros((40, 4))), labels)
         steps = []
-        monkeypatch.setattr(probing, "adamw_step", lambda *args, **kwargs: steps.append(args))
+        monkeypatch.setattr(training, "adamw_step", lambda *args, **kwargs: steps.append(args))
         feats = np.random.default_rng(12).standard_normal((40, 6))
         with pytest.raises(ValueError) as got:
             train_probe(feats, labels, 4)
         assert str(got.value) == str(want.value)
         assert steps == []
+
+    def test_non_finite_feature_stops_the_fit(self):
+        feats = np.random.default_rng(13).standard_normal((16, 4))
+        feats[3, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite gradient for 'probe.w'"):
+            train_probe(feats, np.arange(16) % 4, 4)
 
     def test_bad_probe_kind_rejected(self):
         with pytest.raises(ValueError, match="linear or attentive"):
@@ -435,13 +441,13 @@ class TestPinnedProbeGradient:
         adamw_step rounds the parameters to float32, so a last-bit change in
         the probe's graph shows here even where TestPinnedProbe cannot see it."""
         steps = []
-        step = probing.adamw_step
+        step = training.adamw_step
 
         def recorded(params, grads, *args, **kwargs):
             steps.append({name: g.copy() for name, g in grads.items()})
             step(params, grads, *args, **kwargs)
 
-        monkeypatch.setattr(probing, "adamw_step", recorded)
+        monkeypatch.setattr(training, "adamw_step", recorded)
         feats, labels = _pin_features(kind, 0)
         train_probe(feats, labels, 4, kind=kind, epochs=1, seed=0)
         digest = hashlib.sha256()

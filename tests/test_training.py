@@ -365,6 +365,27 @@ class TestTrainStep:
         with pytest.raises(FloatingPointError, match="step 0.*'jepa'"):
             train_step(st, draw_batch(ds, 2, cfg.seed, 0))
 
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
+        import vjlab.training as training
+        cfg = small_cfg()
+        st = init_state(cfg)
+        ds = gen_motion_dataset(2, 0)
+        train_step(st, draw_batch(ds, 2, cfg.seed, 0))
+        real_backward = training.backward
+
+        def plant_inf(loss):
+            real_backward(loss)
+            st.student.ln_g.grad[0] = np.inf
+
+        monkeypatch.setattr(training, "backward", plant_inf)
+        before = {k: t.data.copy() for k, t in st.trainable().items()}
+        with pytest.raises(FloatingPointError,
+                           match=r"^step 1: non-finite gradient for 'enc.ln_g'$"):
+            train_step(st, draw_batch(ds, 2, cfg.seed, 1))
+        assert st.step == 1
+        for k, t in st.trainable().items():
+            np.testing.assert_array_equal(t.data, before[k])
+
     def test_explicit_masks_override_sampling(self):
         cfg = small_cfg()
         st = init_state(cfg)
@@ -443,16 +464,17 @@ class TestRunAndResume:
         for k, t in st.teacher.named("enc").items():
             np.testing.assert_array_equal(t.data, st2.teacher.named("enc")[k].data)
 
-    def test_missing_optimizer_record_rejected(self, tmp_path):
+    @pytest.mark.parametrize("name", ["opt.m.enc.embed_w", "enc.ln_g", "teacher.ln_g"])
+    def test_missing_optimizer_record_rejected(self, tmp_path, name):
         from vjlab.model import load_checkpoint, save_checkpoint
         cfg = small_cfg()
         st = init_state(cfg)
         path = tmp_path / "state.jpck"
         save_checkpoint(path, train_records(st))
         records = load_checkpoint(path)
-        records.pop("opt.m.enc.embed_w")
+        records.pop(name)
         save_checkpoint(path, records)
-        with pytest.raises(ValueError, match="opt.m.enc.embed_w"):
+        with pytest.raises(Refused, match=rf"missing records \['{name}'\]"):
             load_train_state(cfg, path)
 
     def test_unknown_checkpoint_record_rejected(self, tmp_path):
