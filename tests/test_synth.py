@@ -326,6 +326,7 @@ class TestExport:
         (8, 1, 4, 16, 16, "77927170331d6e7d7e3d51583ed6c56ff67344eda90c6ac0ef41c0ac65acfb21"),
         (4, 2, 6, 48, 40, "f1262f50a2dbab448461e00d3fedd2f827efc3f2b30628c69be46c74bb5c0a40"),
         (2, 3, 1, 16, 16, "6deeefa1202133bf455f1670e86920b06b9b272a012cf158dd544a153bc17b13"),
+        (2, 3, 8, 32, 32, "83c02740cf8631ee24fd17a8e03b049b1556b9ea76e83ce5362e05e72d6cabaa"),
     ])
     def test_rendered_bytes_pinned(self, tmp_path, n, seed, t, h, w, digest):
         path = tmp_path / "clips.synv"
