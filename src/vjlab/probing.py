@@ -43,14 +43,18 @@ def token_features(encoder: EncoderParams, clips: list[VideoClip]) -> np.ndarray
     """Full-grid latents per clip, [n_clips, n_tokens, dim], no gradients.
 
     Clips are encoded ``FEATURE_CHUNK`` at a time, which keeps the activation
-    slabs (and peak memory) as small as one training batch's.
+    slabs (and peak memory) as small as one training batch's. Each chunk's
+    latents are copied into one output buffer, allocated at the first chunk,
+    so the features are held once, not once per chunk and once joined.
     """
-    rows = []
+    feats = None
     with no_grad():
         for lo in range(0, len(clips), FEATURE_CHUNK):
             latents, _ = encode(encoder, clips[lo:lo + FEATURE_CHUNK])
-            rows.append(latents.data)
-    return np.concatenate(rows)
+            if feats is None:
+                feats = np.empty((len(clips),) + latents.data.shape[1:])
+            feats[lo:lo + len(latents.data)] = latents.data
+    return feats
 
 
 def pooled_features(encoder: EncoderParams, clips: list[VideoClip]) -> np.ndarray:

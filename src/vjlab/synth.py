@@ -1,8 +1,9 @@
 """Synthetic motion clips: a bright square on black, one motion class each.
 
 Eight classes (4 translations, 2 rotations, 2 scalings), rendered without
-anti-aliasing, so their 0/1 pixels are exact in float32. Clips are rendered
-and loaded as float32, the SYNV file's own precision; the readers that do
+anti-aliasing, so every pixel is exactly 0 or 1. Rendered clips are held as
+bool, one byte per pixel; loaded clips are float32, the SYNV file's own
+precision, and both give the same bytes downstream. The readers that do
 arithmetic on pixels (``model.extract_patches``, ``masking.motion_energy``,
 ``objectives.ac_targets``) widen them to float64 where they read them.
 
@@ -11,8 +12,8 @@ reproducible element by element and lets train/test splits be disjoint by
 construction. Each clip draws its three start-pose uniforms from its own
 generator; ``_render`` then renders all n clips of a class in one batched
 kernel whose inside test runs ``RENDER_CHUNK`` clips at a time in reused
-float64 buffers and writes each clip's 0/1 pixels straight into its own
-float32 array. ``gen_motion_clip`` is the n = 1 call of the same kernel.
+float64 buffers and writes each clip's inside test straight into its own
+bool array. ``gen_motion_clip`` is the n = 1 call of the same kernel.
 """
 
 from __future__ import annotations
@@ -53,22 +54,24 @@ N_CLASSES = len(MotionClass)
 class VideoClip:
     """Pixels [T, H, W, C] in [0, 1], channel-last, optional class label.
 
-    A float32 array is kept as it is; any other input becomes float64."""
+    A bool or float32 array is kept as it is; any other input becomes
+    float64. A bool array needs no range check: its dtype holds only 0 and 1."""
 
     pixels: np.ndarray
     label: int | None = None
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels)
-        if self.pixels.dtype != np.float32:
+        if self.pixels.dtype not in (np.bool_, np.float32):
             self.pixels = self.pixels.astype(np.float64, copy=False)
         if self.pixels.ndim != 4:
             raise ValueError(f"clip pixels must be [T, H, W, C], got {self.pixels.shape}")
         if self.pixels.size == 0:
             raise ValueError("empty clip")
-        lo, hi = float(self.pixels.min()), float(self.pixels.max())
-        if not (lo >= 0.0 and hi <= 1.0):  # also false for a NaN, which min and max carry
-            raise ValueError(f"pixel range [{lo}, {hi}] outside [0, 1]")
+        if self.pixels.dtype != np.bool_:
+            lo, hi = float(self.pixels.min()), float(self.pixels.max())
+            if not (lo >= 0.0 and hi <= 1.0):  # also false for a NaN, which min and max carry
+                raise ValueError(f"pixel range [{lo}, {hi}] outside [0, 1]")
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -113,14 +116,14 @@ def _start_pose(rng: np.random.Generator, h: int, w: int) -> tuple[float, float,
 
 def _render(motion: MotionClass, starts: list[tuple[float, float, float]],
             t: int, h: int, w: int) -> list[np.ndarray]:
-    """Pixels of ``motion`` from n start poses: n float32 [T, H, W, 1] arrays.
+    """Pixels of ``motion`` from n start poses: n bool [T, H, W, 1] arrays.
 
     The per-frame offsets, angle steps and half sides are Python-float
     arithmetic; the [n, T] poses follow from them in one broadcast each. The
     offsets are separable ([k, T, 1, W] and [k, T, H, 1]), so only the sums
     of the rotated coordinates and the inside test span the full grid, which
     runs ``RENDER_CHUNK`` clips at a time in reused float64 buffers and
-    writes its 0/1 results straight into each clip's own array. (Rows of one
+    writes its results straight into each clip's own bool array. (Rows of one
     [n, T, H, W, 1] block would render as fast, but the blocks fragment the
     heap: peak RSS rose about 4 MiB on a benchmark round.)"""
     n = len(starts)
@@ -152,7 +155,7 @@ def _render(motion: MotionClass, starts: list[tuple[float, float, float]],
     c, s = np.cos(fth), np.sin(fth)
     bound = np.repeat(fhalf, h * w).reshape(t, h, w)   # a full-size operand compares fastest
 
-    pixels = [np.empty((t, h, w, 1), dtype=np.float32) for _ in range(n)]
+    pixels = [np.empty((t, h, w, 1), dtype=bool) for _ in range(n)]
     xs = np.arange(w) + 0.5
     ys = np.arange(h)[:, None] + 0.5
     k = min(n, RENDER_CHUNK)

@@ -401,7 +401,11 @@ def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
         for step in range(state.step, end):
             clips = draw_batch(dataset, cfg.batch_size, cfg.seed, step)
             metrics = train_step(state, clips)
-            f.write(json.dumps(metrics, sort_keys=True) + "\n")
+            try:
+                line = json.dumps(metrics, sort_keys=True, allow_nan=False)
+            except ValueError:  # NaN or inf, which JSON cannot hold
+                raise FloatingPointError(f"step {step}: non-finite metric in {metrics}") from None
+            f.write(line + "\n")
             if log is not None and (step + 1) % 50 == 0:
                 log(f"[{cfg.variant}] step {step + 1}/{cfg.steps} "
                     f"total {metrics['total']:.4f}")

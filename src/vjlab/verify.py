@@ -22,6 +22,7 @@ from .masking import sample_mask
 from .model import (
     clone_frozen,
     ema_update,
+    extract_patches,
     init_encoder,
     load_checkpoint,
     quantize_params,
@@ -212,6 +213,15 @@ def synth_determinism() -> None:
         assert ca.pixels.min() >= 0.0 and ca.pixels.max() <= 1.0
 
 
+def pixel_widening(seed: int = 0) -> None:
+    cfg = RunConfig()
+    for clip in gen_motion_dataset(1, seed).clips:
+        assert clip.pixels.dtype == np.bool_, clip.pixels.dtype
+        a, b = (extract_patches(p, cfg.patch, cfg.tubelet)
+                for p in (clip.pixels, clip.pixels.astype(np.float32)))
+        assert a.tobytes() == b.tobytes(), "bool and float32 pixels patch differently"
+
+
 def train_step_determinism() -> None:
     cfg = dataclasses.replace(variant_defaults("Baseline"),
                               steps=2, batch_size=2, n_per_class=1, seed=0)
@@ -236,5 +246,6 @@ CHECKS = (
     compose_recipe_frozen,
     checkpoint_round_trip,
     synth_determinism,
+    pixel_widening,
     train_step_determinism,
 )

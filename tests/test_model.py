@@ -53,39 +53,52 @@ def params(seed=0, cfg=CFG):
 
 
 class TestPixelPrecision:
-    """Clips hold float32 pixels and every reader widens them to float64, so a
-    float32 clip and its float64 copy give the same bytes downstream."""
+    """Rendered clips hold bool pixels, loaded clips float32, and every reader
+    widens them to float64, so a bool clip, its float32 copy and its float64
+    copy give the same bytes downstream."""
 
     @pytest.fixture(params=list(MotionClass))
-    def pair(self, request):
-        c32 = gen_motion_clip(request.param, np.random.default_rng(4))
-        c64 = VideoClip(pixels=c32.pixels.astype(np.float64), label=c32.label)
+    def triple(self, request):
+        cb = gen_motion_clip(request.param, np.random.default_rng(4))
+        c32, c64 = (VideoClip(pixels=cb.pixels.astype(dtype), label=cb.label)
+                    for dtype in (np.float32, np.float64))
+        assert cb.pixels.dtype == np.bool_
         assert c32.pixels.dtype == np.float32 and c64.pixels.dtype == np.float64
-        return c32, c64
+        return cb, c32, c64
 
-    def test_extract_patches(self, pair):
-        a, b = (extract_patches(c.pixels, CFG.patch, CFG.tubelet) for c in pair)
-        assert a.dtype == b.dtype == np.float64 and a.flags.c_contiguous
-        assert a.tobytes() == b.tobytes()
+    @staticmethod
+    def assert_same_bytes(arrays):
+        first, *rest = arrays
+        assert all(a.tobytes() == first.tobytes() for a in rest)
 
-    def test_motion_energy(self, pair):
-        a, b = (motion_energy(c, CFG.patch).scores for c in pair)
-        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+    def test_extract_patches(self, triple):
+        out = [extract_patches(c.pixels, CFG.patch, CFG.tubelet) for c in triple]
+        assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in out)
+        self.assert_same_bytes(out)
 
-    def test_ac_targets_and_loss(self, pair):
-        a, b = (ac_targets(c, CFG.patch, CFG.tubelet) for c in pair)
-        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+    def test_motion_energy(self, triple):
+        out = [motion_energy(c, CFG.patch).scores for c in triple]
+        assert all(a.dtype == np.float64 for a in out)
+        self.assert_same_bytes(out)
+
+    def test_ac_targets_and_loss(self, triple):
+        out = [ac_targets(c, CFG.patch, CFG.tubelet) for c in triple]
+        assert all(a.dtype == np.float64 for a in out)
+        self.assert_same_bytes(out)
         p, heads = params(1), init_heads(CFG, np.random.default_rng(2))
-        z = full_grid(p, [pair[0]])
-        a, b = (ac_loss(heads, z, [c], CFG.patch, CFG.tubelet) for c in pair)
-        assert a.data.tobytes() == b.data.tobytes()
+        z = full_grid(p, [triple[0]])
+        self.assert_same_bytes([ac_loss(heads, z, [c], CFG.patch, CFG.tubelet).data
+                                for c in triple])
 
-    def test_encode(self, pair):
+    def test_encode(self, triple):
         p = params(3)
         mask = sample_mask((4, 4, 4), 0.5, np.random.default_rng(5))
         for visible in (None, [mask.visible]):
-            a, b = (encode(p, [c], visible=visible)[0].data for c in pair)
-            assert a.tobytes() == b.tobytes()
+            self.assert_same_bytes([encode(p, [c], visible=visible)[0].data for c in triple])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_verify_check(self, seed):
+        verify.pixel_widening(seed=seed)
 
 
 class TestPatchify:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from vjlab import probing, training
 from vjlab.config import variant_defaults
 from vjlab.gradcheck import grad_check
-from vjlab.model import init_encoder
+from vjlab.model import encode, init_encoder
 from vjlab.probing import (
     EvalReport,
     TEST_TAG,
@@ -29,7 +30,7 @@ from vjlab.probing import (
     train_probe,
 )
 from vjlab.synth import gen_motion_dataset
-from vjlab.tensor import Tensor, backward, log_softmax, matmul, softmax
+from vjlab.tensor import Tensor, backward, log_softmax, matmul, no_grad, softmax
 
 
 def small_cfg(**kw):
@@ -299,6 +300,34 @@ class TestFeatureExtraction:
         pooled = pooled_features(enc, ds.clips)
         assert pooled.shape == (8, cfg.dim)
         assert np.allclose(pooled, tok.mean(axis=1))
+
+    def test_one_buffer_matches_the_joined_chunks(self):
+        """Byte-equal to the list-plus-concatenate extraction it replaced, on
+        a clip count that is not a multiple of ``FEATURE_CHUNK``."""
+        cfg = small_cfg()
+        enc = init_encoder(cfg, np.random.default_rng(0))
+        clips = gen_motion_dataset(2, 0).clips[:13]
+        assert len(clips) % probing.FEATURE_CHUNK
+        with no_grad():
+            joined = np.concatenate([encode(enc, clips[lo:lo + probing.FEATURE_CHUNK])[0].data
+                                     for lo in range(0, len(clips), probing.FEATURE_CHUNK)])
+        tok = token_features(enc, clips)
+        assert tok.dtype == joined.dtype and tok.shape == joined.shape
+        assert tok.tobytes() == joined.tobytes()
+
+    def test_features_are_held_once(self):
+        """Peak traced memory below 1.5x the output: the features are not held
+        a second time while they are joined (which reads about 2x)."""
+        cfg = small_cfg()
+        enc = init_encoder(cfg, np.random.default_rng(0))
+        clips = gen_motion_dataset(48, 0).clips
+        tracemalloc.start()
+        try:
+            tok = token_features(enc, clips)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tok.nbytes, (peak, tok.nbytes)
 
     def test_extraction_leaves_no_gradients(self):
         cfg = small_cfg()

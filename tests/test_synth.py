@@ -99,8 +99,15 @@ def reference_dataset(n_per_class, seed, t, h, w):
             for motion in MotionClass for i in range(n_per_class)]
 
 
+def same_pixels(clip, pixels):
+    """A rendered bool clip holds exactly the oracle's float32 0/1 pixels."""
+    return (clip.pixels.dtype == np.bool_ and clip.pixels.shape == pixels.shape
+            and clip.pixels.astype(np.float32).tobytes() == pixels.tobytes())
+
+
 class TestKernelMatchesReference:
-    """The batched kernel against the per-clip renderer, byte for byte."""
+    """The batched kernel against the per-clip renderer, value for value: the
+    kernel writes bool pixels, the oracle float32 0/1 pixels."""
 
     @given(seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70)),
            n=st.integers(1, 9), t=st.integers(1, 9), h=st.integers(16, 48),
@@ -111,9 +118,8 @@ class TestKernelMatchesReference:
         ref = reference_dataset(n, seed, t, h, w)
         assert len(ds) == len(ref)
         for clip, (label, pixels) in zip(ds.clips, ref):
-            assert clip.label == label
-            assert clip.pixels.dtype == np.float32 and clip.pixels.shape == (t, h, w, 1)
-            assert clip.pixels.tobytes() == pixels.tobytes()
+            assert clip.label == label and clip.pixels.shape == (t, h, w, 1)
+            assert same_pixels(clip, pixels)
 
     @given(seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 70)),
            motion=st.sampled_from(list(MotionClass)), t=st.integers(1, 9),
@@ -123,8 +129,8 @@ class TestKernelMatchesReference:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         clip = gen_motion_clip(motion, rng, t=t, h=h, w=w)
         pixels = reference_clip(motion, ref_rng, t=t, h=h, w=w)
-        assert clip.label == int(motion) and clip.pixels.dtype == np.float32
-        assert clip.pixels.tobytes() == pixels.tobytes()
+        assert clip.label == int(motion)
+        assert same_pixels(clip, pixels)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_square_edges_on_pixel_centers_are_inside(self):
@@ -141,7 +147,7 @@ class TestKernelMatchesReference:
         for motion in MotionClass:
             clip = gen_motion_clip(motion, Draws(7.5, 7.5, 0.0))
             pixels = reference_clip(motion, Draws(7.5, 7.5, 0.0))
-            assert clip.pixels.tobytes() == pixels.tobytes(), motion
+            assert same_pixels(clip, pixels), motion
             assert clip.pixels[0].sum() == 11 * 11, motion  # both tie rows and columns in
 
     def test_every_chunk_remainder(self):
@@ -149,7 +155,7 @@ class TestKernelMatchesReference:
         for n in range(1, 2 * synth.RENDER_CHUNK + 2):
             ds = gen_motion_dataset(n, 17)
             for clip, (label, pixels) in zip(ds.clips, reference_dataset(n, 17, 8, 32, 32)):
-                assert clip.label == label and clip.pixels.tobytes() == pixels.tobytes()
+                assert clip.label == label and same_pixels(clip, pixels)
 
 
 class TestMotionClips:
@@ -245,15 +251,18 @@ class TestDataset:
     def test_float32_kept_and_other_input_widened(self):
         f32 = np.zeros((1, 4, 4, 1), dtype=np.float32)
         assert VideoClip(pixels=f32).pixels is f32
+        b = np.ones((1, 4, 4, 1), dtype=bool)
+        assert VideoClip(pixels=b).pixels is b
         f64 = np.zeros((1, 4, 4, 1))
         assert VideoClip(pixels=f64).pixels is f64
         for other in (np.zeros((1, 4, 4, 1), dtype=np.uint8), np.zeros((1, 4, 4, 1), ">f4"),
                       [[[[0.5]]]]):
             assert VideoClip(pixels=other).pixels.dtype == np.float64
 
-    def test_rendered_clips_are_float32(self):
+    def test_rendered_clips_are_bool(self):
         for motion in MotionClass:
-            assert gen_motion_clip(motion, np.random.default_rng(0)).pixels.dtype == np.float32
+            assert gen_motion_clip(motion, np.random.default_rng(0)).pixels.dtype == np.bool_
+        assert {c.pixels.dtype for c in gen_motion_dataset(2, 0).clips} == {np.dtype(bool)}
 
 
 class TestExport:

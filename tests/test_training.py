@@ -10,7 +10,7 @@ from vjlab.config import VARIANTS, RunConfig, variant_defaults
 from vjlab.masking import sample_mask
 from vjlab.model import save_checkpoint, token_grid
 from vjlab.objectives import compose_total
-from vjlab.synth import gen_motion_dataset
+from vjlab.synth import gen_motion_dataset, load_dataset, save_dataset
 from vjlab.tensor import Tensor, backward
 from vjlab.training import (
     STREAM_SIGREG,
@@ -567,6 +567,40 @@ class TestRunAndResume:
             (tmp_path / "b" / "metrics.jsonl").read_bytes()
         assert (tmp_path / "a" / "checkpoint.jpck").read_bytes() == \
             (tmp_path / "b" / "checkpoint.jpck").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["Baseline", "Motion-Future"])
+    def test_loaded_float32_clips_train_as_rendered_bool_clips(self, tmp_path, variant):
+        rendered = gen_motion_dataset(2, 0)
+        save_dataset(tmp_path / "clips.synv", rendered)
+        loaded = load_dataset(tmp_path / "clips.synv")
+        assert rendered.clips[0].pixels.dtype == np.bool_
+        assert loaded.clips[0].pixels.dtype == np.float32
+        for name, ds in (("rendered", rendered), ("loaded", loaded)):
+            run_pretrain(small_cfg(variant, steps=3, out=str(tmp_path / name)), ds)
+        for name in ("metrics.jsonl", "checkpoint.jpck"):
+            assert (tmp_path / "rendered" / name).read_bytes() == \
+                (tmp_path / "loaded" / name).read_bytes(), name
+
+    def test_a_non_finite_metric_is_refused_not_logged(self, tmp_path, monkeypatch):
+        import vjlab.training as training
+        ds = gen_motion_dataset(2, 0)
+        cfg = small_cfg(out=str(tmp_path / "run"))
+        run_pretrain(cfg, ds)
+        finite = (tmp_path / "run" / "metrics.jsonl").read_bytes()
+        real_step = training.train_step
+
+        def nan_total_at_step_2(state, clips):
+            metrics = real_step(state, clips)
+            if metrics["step"] == 2:
+                metrics["total"] = float("nan")
+            return metrics
+
+        monkeypatch.setattr(training, "train_step", nan_total_at_step_2)
+        with pytest.raises(FloatingPointError, match="^step 1: non-finite metric in"):
+            run_pretrain(cfg, ds)
+        log = (tmp_path / "run" / "metrics.jsonl").read_bytes()
+        assert b"NaN" not in log
+        assert log == b"".join(finite.splitlines(keepends=True)[:1])
 
 
 class TestVariantSweepSmoke:
