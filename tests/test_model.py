@@ -97,7 +97,7 @@ class TestPixelPrecision:
             self.assert_same_bytes([encode(p, [c], visible=visible)[0].data for c in triple])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_verify_check(self, seed):
+    def test_pixel_widening_check(self, seed):
         verify.pixel_widening(seed=seed)
 
 

@@ -600,7 +600,7 @@ class TestRunAndResume:
             run_pretrain(cfg, ds)
         log = (tmp_path / "run" / "metrics.jsonl").read_bytes()
         assert b"NaN" not in log
-        assert log == b"".join(finite.splitlines(keepends=True)[:1])
+        assert log == finite.splitlines(keepends=True)[0]
 
 
 class TestVariantSweepSmoke:
