@@ -67,10 +67,6 @@ class MaskSpec:
     def target_indices(self) -> np.ndarray:
         return np.flatnonzero(self.target.reshape(-1))
 
-    @property
-    def visible_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.visible.reshape(-1))
-
     def validate(self) -> "MaskSpec":
         if self.target.shape != self.visible.shape or self.target.ndim != 3:
             raise ValueError(

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PART_WEIGHTS, VARIANTS, RunConfig, app_width
-from .fourier import dft_matrices
 from .model import HeadParams, action_head, dyn_head, linear, view
 from .synth import VideoClip
 from .tensor import Tensor, huber as huber_op
@@ -221,12 +220,21 @@ def ld_loss(heads: HeadParams, z: Tensor, h_values: np.ndarray,
     return ld_errors(heads, z, h_values, fwm, app_ratio).mean()
 
 
+def dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cos/sin matrices C, S of the unnormalized length-n DFT F of a real
+    series x: Re(F) = x @ C and Im(F) = x @ S."""
+    t = np.arange(n)
+    ang = 2.0 * np.pi * np.outer(t, t) / n
+    return np.cos(ang), -np.sin(ang)
+
+
 def spectral_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     """Frequency-weighted L1 on temporal DFT coefficient differences.
 
     Weight k/(T'-1) suppresses DC and emphasizes the fastest bins. The
-    transform is applied as its (constant) matrix form so it stays
-    differentiable; fourier.fft_time computes the identical map.
+    transform is applied as its (constant) matrix form ``dft_matrices`` so
+    it stays differentiable; ``lab verify``'s ``spectral_matrices`` checks
+    those matrices against the direct DFT sum at every length from 1 to 16.
     """
     bsz, tp = z.shape[:2]
     if tp < 2:  # the weights below divide by T' - 1

@@ -8,10 +8,10 @@ and indexes each minibatch from there.
 
 A probe step is three graph nodes: ``attentive_pool`` (attentive probes
 only), ``model.linear`` and ``cross_entropy``. The two fused nodes here
-replay the arithmetic of the composed ``tensor`` graph they replace
-(matmul, ``tensor.softmax``, broadcast product and sum; ``log_softmax``
-and a one-hot product), so probes train to the same bytes; the composed
-ops stay in ``tensor.py`` as the oracle the tests compare against.
+replay the arithmetic of the composed tensor-op graph they replace
+(matmul, a clamped max-shifted softmax, broadcast product and sum; a
+log-softmax and a one-hot product), so probes train to the same bytes; the
+composed graph lives in the tests' ``oracles.py``, which they compare against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .training import descend, init_opt
 TRAIN_TAG = 101
 TEST_TAG = 202
 FEATURE_CHUNK = 8
-POOL_CLIP = (-20.0, 20.0)  # attentive-pool scores, as tensor.softmax's default clip
+POOL_CLIP = (-20.0, 20.0)  # attentive-pool scores, as the composed softmax's default clip
 
 
 def _child_seed(seed: int, tag: int) -> int:

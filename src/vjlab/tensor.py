@@ -186,19 +186,6 @@ class Tensor:
         s = np.sign(a.data)
         return Tensor._node(np.abs(a.data), (a,), lambda g: (g * s,))
 
-    def exp(self) -> "Tensor":
-        a = self
-        out = np.exp(a.data)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("exp overflow; clamp inputs first")
-        return Tensor._node(out, (a,), lambda g: (g * out,))
-
-    def log(self) -> "Tensor":
-        a = self
-        if np.any(a.data <= 0.0):
-            raise ValueError("log requires strictly positive inputs")
-        return Tensor._node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
     def sqrt(self) -> "Tensor":
         a = self
         if np.any(a.data < 0.0):
@@ -258,13 +245,6 @@ class Tensor:
 
         return Tensor._node(x * phi_cdf, (a,), vjp)
 
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        if not lo < hi:
-            raise ValueError(f"clamp needs lo < hi, got [{lo}, {hi}]")
-        a = self
-        mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
-        return Tensor._node(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
-
     # -- reductions ------------------------------------------------------
 
     def _check_axis(self, axis: int | None) -> int | None:
@@ -294,10 +274,6 @@ class Tensor:
             raise ValueError("mean of an empty tensor")
         n = self.size if axis_n is None else self.shape[axis_n]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def max_values(self, axis: int | None = None, keepdims: bool = False) -> np.ndarray:
-        """Plain values, no graph; used for stabilizing shifts."""
-        return np.max(self.data, axis=axis, keepdims=keepdims)
 
     # -- shape ops -------------------------------------------------------
 
@@ -423,10 +399,6 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` over the last two axes. Leading batch axes must match, or one
     operand is 2-d and shared by every batch entry of the other."""
@@ -463,34 +435,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
     return Tensor._node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), vjp)
-
-
-def softmax(logits: Tensor, temperature: float = 1.0, clip: tuple[float, float] = (-20.0, 20.0),
-            axis: int = -1) -> Tensor:
-    """Temperature-scaled softmax; logits clamped to ``clip`` before exp.
-
-    Max-subtraction keeps exp in range; the shift is data-derived but
-    constant, which leaves the gradient exact (softmax is shift invariant).
-    """
-    if temperature <= 0.0:
-        raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    s = logits * (1.0 / float(temperature))
-    s = s.clamp(float(clip[0]), float(clip[1]))
-    shift = Tensor(s.max_values(axis=axis, keepdims=True))
-    e = (s - shift.broadcast_to(s.shape)).exp() if shift.size > 1 else (s - shift).exp()
-    denom = e.sum(axis=axis, keepdims=True)
-    if denom.size > 1:
-        denom = denom.broadcast_to(e.shape)
-    return e / denom
-
-
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    shift = Tensor(logits.max_values(axis=axis, keepdims=True))
-    s = logits - (shift.broadcast_to(logits.shape) if shift.size > 1 else shift)
-    lse = s.exp().sum(axis=axis, keepdims=True).log()
-    if lse.size > 1:
-        lse = lse.broadcast_to(s.shape)
-    return s - lse
 
 
 def huber(residual: Tensor, delta: float = 1.0) -> Tensor:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, variant_defaults
-from .fourier import fft_time, ifft_time
 from .gradcheck import grad_check
 from .masking import sample_mask
 from .model import (
@@ -31,37 +30,33 @@ from .model import (
 from .objectives import (
     compose_total,
     delta_loss,
+    dft_matrices,
     hard_weights,
     jepa_loss,
     per_token_errors,
     sigreg_loss,
     spectral_loss,
 )
-from .synth import gen_motion_dataset
+from .synth import gen_motion_dataset, load_dataset, save_dataset
 from .tensor import Tensor, erf
 from .training import draw_batch, init_state, train_step
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
-    """Direct textbook DFT sum of a 1-d series, the oracle route for fft_time."""
+    """Direct textbook DFT sum of a 1-d series: the oracle for the spectral
+    loss's matrices here and for the tests' FFT."""
     n = len(x)
     return np.array([sum(x[t] * np.exp(-2j * np.pi * k * t / n) for t in range(n))
                      for k in range(n)])
 
 
-def fft_round_trip(seed: int = 0, lengths: tuple[int, ...] = (2, 4, 6, 8, 12, 16)) -> None:
-    rng = np.random.default_rng(seed)
-    for n in lengths:
+def spectral_matrices() -> None:
+    rng = np.random.default_rng(0)
+    for n in range(1, 17):  # the loss's own T' (4 by default) and 15 lengths around it
         x = rng.standard_normal(n)
-        back = ifft_time(fft_time(x))
-        assert np.max(np.abs(back - x)) <= 1e-9, f"round trip off at length {n}"
-
-
-def fft_vs_naive_dft(n: int = 8) -> None:
-    x = np.random.default_rng(n).standard_normal(n)
-    got, want = fft_time(x), naive_dft(x)
-    assert np.max(np.abs(got.real - want.real)) <= 1e-9
-    assert np.max(np.abs(got.imag - want.imag)) <= 1e-9
+        c, s = dft_matrices(n)
+        dev = np.max(np.abs(x @ c + 1j * (x @ s) - naive_dft(x)))
+        assert dev <= 1e-9, f"DFT matrices off by {dev:.1e} at length {n}"
 
 
 def gradient_engine() -> None:
@@ -210,7 +205,15 @@ def synth_determinism() -> None:
     assert sorted(c.label for c in a.clips) == sorted(list(range(8)) * 3)
     for ca, cb in zip(a.clips, b.clips):
         assert np.array_equal(ca.pixels, cb.pixels)
-        assert ca.pixels.min() >= 0.0 and ca.pixels.max() <= 1.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.synv"
+        save_dataset(path, a)
+        back = load_dataset(path)
+    assert len(back) == len(a)
+    for ca, cb in zip(a.clips, back.clips):
+        assert cb.pixels.dtype == np.float32, cb.pixels.dtype
+        assert np.array_equal(cb.pixels, ca.pixels), "pixels change on a SYNV round trip"
+        assert cb.label == ca.label
 
 
 def pixel_widening(seed: int = 0) -> None:
@@ -233,8 +236,7 @@ def train_step_determinism() -> None:
 
 
 CHECKS = (
-    fft_round_trip,
-    fft_vs_naive_dft,
+    spectral_matrices,
     gradient_engine,
     erf_reference_values,
     loss_zero_identities,

@@ -1,0 +1,143 @@
+"""Oracles the tests compare run code against; no ``lab`` command reaches them.
+
+- A radix-2 / direct temporal DFT, written out from scratch: the independent
+  route for ``objectives.spectral_loss``'s matrix form and for criterion 10.
+  Power-of-two lengths go through an iterative radix-2 butterfly; anything
+  else falls back to the direct O(T^2) sum. Forward is unnormalized, the
+  inverse divides by T, so round trips are identity up to float error.
+- The composed softmax graph, built from elementwise ``Tensor._node`` ops:
+  the bit-for-bit oracle for the probes' fused nodes
+  (``probing.attentive_pool`` and ``probing.cross_entropy``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from vjlab.tensor import Tensor, matmul
+
+
+# -- temporal DFT --------------------------------------------------------
+
+def _is_pow2(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+def _bit_reverse_permutation(n: int) -> np.ndarray:
+    bits = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    return rev
+
+
+def _fft_radix2(x: np.ndarray, sign: float) -> np.ndarray:
+    """Iterative Cooley-Tukey along the last axis of a complex array."""
+    n = x.shape[-1]
+    y = x[..., _bit_reverse_permutation(n)].copy()
+    span = 1
+    while span < n:
+        half = span
+        span *= 2
+        # twiddle factors for this stage
+        k = np.arange(half)
+        w = np.exp(sign * 2j * np.pi * k / span)
+        y = y.reshape(y.shape[:-1] + (n // span, span))
+        even = y[..., :half]
+        odd = y[..., half:] * w
+        y = np.concatenate([even + odd, even - odd], axis=-1)
+        y = y.reshape(y.shape[:-2] + (n,))
+    return y
+
+
+def _dft_direct(x: np.ndarray, sign: float) -> np.ndarray:
+    n = x.shape[-1]
+    t = np.arange(n)
+    mat = np.exp(sign * 2j * np.pi * np.outer(t, t) / n)
+    return x @ mat
+
+
+def fft_time(x, axis: int = 0) -> np.ndarray:
+    """Unnormalized DFT of real data along ``axis`` (moved to the last axis),
+    as a complex128 array."""
+    data = np.asarray(x, dtype=np.float64)
+    if data.shape[axis] < 1:
+        raise ValueError("fft_time needs a non-empty transform axis")
+    moved = np.moveaxis(data, axis, -1).astype(np.complex128)
+    n = moved.shape[-1]
+    return _fft_radix2(moved, -1.0) if _is_pow2(n) else _dft_direct(moved, -1.0)
+
+
+def ifft_time(z: np.ndarray) -> np.ndarray:
+    """Inverse of fft_time along the last axis of a complex array; returns
+    the real part."""
+    n = z.shape[-1]
+    out = _fft_radix2(z, 1.0) if _is_pow2(n) else _dft_direct(z, 1.0)
+    return (out / n).real
+
+
+# -- composed softmax ----------------------------------------------------
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("exp overflow; clamp inputs first")
+    return Tensor._node(out, (a,), lambda g: (g * out,))
+
+
+def log(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0.0):
+        raise ValueError("log requires strictly positive inputs")
+    return Tensor._node(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
+    if not lo < hi:
+        raise ValueError(f"clamp needs lo < hi, got [{lo}, {hi}]")
+    mask = ((a.data >= lo) & (a.data <= hi)).astype(np.float64)
+    return Tensor._node(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+
+
+def softmax(logits: Tensor, temperature: float = 1.0, clip: tuple[float, float] = (-20.0, 20.0),
+            axis: int = -1) -> Tensor:
+    """Temperature-scaled softmax; logits clamped to ``clip`` before exp.
+
+    Max-subtraction keeps exp in range; the shift is data-derived but
+    constant, which leaves the gradient exact (softmax is shift invariant).
+    """
+    if temperature <= 0.0:
+        raise ValueError(f"softmax temperature must be positive, got {temperature}")
+    s = logits * (1.0 / float(temperature))
+    s = clamp(s, float(clip[0]), float(clip[1]))
+    shift = Tensor(np.max(s.data, axis=axis, keepdims=True))
+    e = exp(s - shift.broadcast_to(s.shape)) if shift.size > 1 else exp(s - shift)
+    denom = e.sum(axis=axis, keepdims=True)
+    if denom.size > 1:
+        denom = denom.broadcast_to(e.shape)
+    return e / denom
+
+
+def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
+    shift = Tensor(np.max(logits.data, axis=axis, keepdims=True))
+    s = logits - (shift.broadcast_to(logits.shape) if shift.size > 1 else shift)
+    lse = log(exp(s).sum(axis=axis, keepdims=True))
+    if lse.size > 1:
+        lse = lse.broadcast_to(s.shape)
+    return s - lse
+
+
+def composed_pool(x: Tensor, query: Tensor) -> Tensor:
+    """The tensor-op graph attentive_pool fuses: the oracle for its bytes."""
+    n, k, d = x.shape
+    scores = matmul(x.reshape(n * k, d), query.reshape(d, 1))
+    attn = softmax(scores.reshape(n, k) * (1.0 / np.sqrt(d)), axis=-1)
+    return (attn.reshape(n, k, 1).broadcast_to((n, k, d)) * x).sum(axis=1)
+
+
+def composed_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """The tensor-op graph cross_entropy fuses: the oracle for its bytes."""
+    n, c = logits.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    return (log_softmax(logits) * Tensor(onehot)).sum() * (-1.0 / n)

@@ -18,7 +18,6 @@ from scipy.stats import chi2
 
 from vjlab.cli import main as lab_main
 from vjlab.config import VARIANTS, RunConfig, variant_defaults
-from vjlab.fourier import fft_time, ifft_time
 from vjlab.gradcheck import grad_check
 from vjlab.masking import MotionEnergy, sample_mask
 from vjlab.model import (
@@ -61,6 +60,7 @@ from vjlab.training import (
     sample_clip_mask,
     train_step,
 )
+from oracles import fft_time, ifft_time
 
 GC_TOL = 1e-4
 

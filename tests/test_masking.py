@@ -133,6 +133,12 @@ class TestMotionGuided:
         )
         assert abs(hits / 10_000 - 0.10) <= 0.01
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    def test_fallback_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="fallback rate"):
+            sample_mask(GRID, 0.5, np.random.default_rng(0),
+                        energy=MotionEnergy(scores=np.eye(4)), alpha=2.0, fallback_rate=rate)
+
     def test_concentrated_energy_dominates_centers(self):
         scores = np.zeros((4, 4))
         scores[1, 2] = 1.0
@@ -285,6 +291,14 @@ class TestDistanceWeights:
         target = np.ones((1, 2, 2), dtype=bool)
         spec = MaskSpec(target=target, visible=~target)
         with pytest.raises(ValueError, match="no visible"):
+            spec.validate()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_validate_catches_a_weight_per_target_missing_or_extra(self, extra):
+        # unit weights pass the positivity and mean checks: only the shape is wrong
+        spec = sample_mask(GRID, 0.5, np.random.default_rng(3))
+        spec.distance_weight = np.ones(spec.n_targets + extra)
+        with pytest.raises(ValueError, match="distance weights shape"):
             spec.validate()
 
 

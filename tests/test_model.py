@@ -162,8 +162,8 @@ class TestEncoder:
         p = params()
         mask = sample_mask((4, 4, 4), 0.5, np.random.default_rng(5))
         z, valid = encode(p, [clip8()], visible=[mask.visible])
-        assert z.shape == (1, len(mask.visible_indices), CFG.dim)
-        assert valid.shape == (1, len(mask.visible_indices)) and valid.all()
+        assert z.shape == (1, int(mask.visible.sum()), CFG.dim)
+        assert valid.shape == (1, int(mask.visible.sum())) and valid.all()
 
     def test_masked_latents_ignore_hidden_content(self):
         p = params()
@@ -306,6 +306,15 @@ class TestFusedOps:
         assert np.max(np.abs(out.data[1, :3] - alone.data[0])) <= 1e-12
         backward(weighted_sum(out, 15))
         assert np.all(qkv[1].grad[1, 3:] == 0.0) and np.all(qkv[2].grad[1, 3:] == 0.0)
+
+    @pytest.mark.parametrize("valid", [np.ones((2, 6), bool), np.ones((5, 2), bool),
+                                       np.array([[True] * 5, [False] * 5])],
+                             ids=["extra-key", "transposed", "row-without-a-key"])
+    def test_attention_core_refuses_a_misfit_key_mask(self, valid):
+        rng = np.random.default_rng(16)
+        qkv = [Tensor(rng.standard_normal((2, 5, 8))) for _ in range(3)]
+        with pytest.raises(ValueError, match=r"\[2, 5\] key mask"):
+            attention_core(*qkv, 2, valid)
 
     def test_gather_padded_grad(self):
         rng = np.random.default_rng(16)
@@ -520,6 +529,15 @@ class TestCheckpoint:
         (tmp_path / "x.jpck").write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(tmp_path / "x.jpck")
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "ck.jpck"
+        save_checkpoint(path, {"w": np.ones(3)})
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")  # the records that follow still parse as v1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
 
     def test_no_tmp_left(self, tmp_path):
         save_checkpoint(tmp_path / "ck.jpck", {"w": np.ones(3)})

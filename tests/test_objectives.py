@@ -8,7 +8,6 @@ import pytest
 from vjlab import verify
 from vjlab.config import PART_WEIGHTS, TEMPORAL_PARTS, VARIANTS, RunConfig, variant_defaults
 from vjlab.gradcheck import grad_check
-from vjlab.fourier import fft_time
 from vjlab.model import HamiltonianParams, HeadParams
 from vjlab.objectives import (
     KIN_KINDS,
@@ -36,6 +35,7 @@ from vjlab.objectives import (
 )
 from vjlab.synth import VideoClip
 from vjlab.tensor import Tensor, backward
+from oracles import fft_time
 
 GC_TOL = 1e-4
 

@@ -30,7 +30,8 @@ from vjlab.probing import (
     train_probe,
 )
 from vjlab.synth import gen_motion_dataset
-from vjlab.tensor import Tensor, backward, log_softmax, matmul, no_grad, softmax
+from vjlab.tensor import Tensor, backward, no_grad
+from oracles import composed_cross_entropy, composed_pool
 
 
 def small_cfg(**kw):
@@ -105,22 +106,6 @@ class TestCrossEntropy:
 def weighted_sum(out: Tensor, seed: int) -> Tensor:
     """A smooth scalar of every output entry, for finite differences."""
     return (out * Tensor(np.random.default_rng(seed).standard_normal(out.shape))).sum()
-
-
-def composed_pool(x: Tensor, query: Tensor) -> Tensor:
-    """The tensor-op graph attentive_pool fuses: the oracle for its bytes."""
-    n, k, d = x.shape
-    scores = matmul(x.reshape(n * k, d), query.reshape(d, 1))
-    attn = softmax(scores.reshape(n, k) * (1.0 / np.sqrt(d)), axis=-1)
-    return (attn.reshape(n, k, 1).broadcast_to((n, k, d)) * x).sum(axis=1)
-
-
-def composed_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """The tensor-op graph cross_entropy fuses: the oracle for its bytes."""
-    n, c = logits.shape
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    return (log_softmax(logits) * Tensor(onehot)).sum() * (-1.0 / n)
 
 
 def value_and_grads(f, arrays):

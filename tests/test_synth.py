@@ -301,6 +301,16 @@ class TestExport:
         with pytest.raises(ValueError, match="magic"):
             load_dataset(path)
 
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "clips.synv"
+        save_dataset(path, gen_motion_dataset(1, seed=0, t=4))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")  # the sizes still fit, so only the version refuses
+        path.write_bytes(bytes(raw))
+        for read in (dataset_header, load_dataset):
+            with pytest.raises(ValueError, match="unsupported SYNV version 2"):
+                read(path)
+
     def test_truncated_rejected(self, tmp_path):
         ds = gen_motion_dataset(1, seed=0)
         path = tmp_path / "clips.synv"
