@@ -16,8 +16,9 @@ trains; it refuses a --variants list that names no variant. probe and
 sweep reject a --train-per-class or --test-per-class below 1 at parse time.
 probe and pretrain --resume load the checkpoint through training.load_train_state
 and refuse one that does not fit the config or holds a non-finite value;
---resume also refuses a missing or changed config.lab, and both refuse one they
-cannot parse. A non-finite training step ends the command in one line, exit 1.
+--resume also refuses a missing or changed config.lab and a checkpoint step past
+the config's steps, and both refuse one they cannot parse. A non-finite
+training step ends the command in one line, exit 1.
 verify runs verify.CHECKS, the same functions the unit tests call. probe writes
 probe-<kind>.json; report reads the sweep.json and every probe*.json under
 --out, and refuses one that is not JSON or holds no result rows.

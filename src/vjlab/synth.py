@@ -1,10 +1,11 @@
 """Synthetic motion clips: a bright square on black, one motion class each.
 
 Eight classes (4 translations, 2 rotations, 2 scalings), rendered without
-anti-aliasing, so every pixel is exactly 0 or 1. Rendered clips are held as
-bool, one byte per pixel; loaded clips are float32, the SYNV file's own
-precision, and both give the same bytes downstream. The readers that do
-arithmetic on pixels (``model.extract_patches``, ``masking.motion_energy``,
+anti-aliasing, so every pixel is exactly 0 or 1. Rendered clips are bool,
+held as packed bits (one byte per 8 pixels) behind a read-only ``pixels``;
+loaded clips are float32, the SYNV file's own precision, and both give the
+same bytes downstream. The readers that do arithmetic on pixels
+(``model.extract_patches``, ``masking.motion_energy``,
 ``objectives.ac_targets``) widen them to float64 where they read them.
 
 Per-clip RNG is derived from (seed, class, index), which makes datasets
@@ -12,13 +13,14 @@ reproducible element by element and lets train/test splits be disjoint by
 construction. Each clip draws its three start-pose uniforms from its own
 generator; ``_render`` then renders all n clips of a class in one batched
 kernel whose inside test runs ``RENDER_CHUNK`` clips at a time in reused
-float64 buffers and writes each clip's inside test straight into its own
-bool array. ``gen_motion_clip`` is the n = 1 call of the same kernel.
+float64 buffers and hands each clip's inside test to ``VideoClip`` from one
+reused bool buffer. ``gen_motion_clip`` is the n = 1 call of the same kernel.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -50,32 +52,47 @@ class MotionClass(enum.IntEnum):
 N_CLASSES = len(MotionClass)
 
 
-@dataclass
+@dataclass(init=False)
 class VideoClip:
     """Pixels [T, H, W, C] in [0, 1], channel-last, optional class label.
 
-    A bool or float32 array is kept as it is; any other input becomes
-    float64. A bool array needs no range check: its dtype holds only 0 and 1."""
+    A float32 array is kept as it is, and any other non-bool input becomes
+    float64. A bool array is stored as ``np.packbits`` bytes, one bit per
+    pixel; ``pixels`` unpacks it on each read into a fresh read-only array,
+    so a write raises instead of vanishing. A bool array needs no range
+    check: its dtype holds only 0 and 1."""
 
-    pixels: np.ndarray
-    label: int | None = None
+    label: int | None
+    shape: tuple[int, int, int, int] = field(init=False)
+    _stored: np.ndarray = field(init=False, repr=False)  # packed bits, or the float pixels
 
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels)
-        if self.pixels.dtype not in (np.bool_, np.float32):
-            self.pixels = self.pixels.astype(np.float64, copy=False)
-        if self.pixels.ndim != 4:
-            raise ValueError(f"clip pixels must be [T, H, W, C], got {self.pixels.shape}")
-        if self.pixels.size == 0:
+    def __init__(self, pixels: np.ndarray, label: int | None = None):
+        pixels = np.asarray(pixels)
+        if pixels.ndim != 4:
+            raise ValueError(f"clip pixels must be [T, H, W, C], got {pixels.shape}")
+        if pixels.size == 0:
             raise ValueError("empty clip")
-        if self.pixels.dtype != np.bool_:
-            lo, hi = float(self.pixels.min()), float(self.pixels.max())
+        if pixels.dtype == np.bool_:
+            stored = np.packbits(pixels, axis=None)
+        else:
+            if pixels.dtype != np.float32:
+                pixels = pixels.astype(np.float64, copy=False)
+            lo, hi = float(pixels.min()), float(pixels.max())
             if not (lo >= 0.0 and hi <= 1.0):  # also false for a NaN, which min and max carry
                 raise ValueError(f"pixel range [{lo}, {hi}] outside [0, 1]")
+            stored = pixels
+        self.label = label
+        self.shape = pixels.shape
+        self._stored = stored
 
     @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.pixels.shape  # type: ignore[return-value]
+    def pixels(self) -> np.ndarray:
+        if self._stored.dtype != np.uint8:
+            return self._stored
+        size = math.prod(self.shape)
+        bits = np.unpackbits(self._stored, count=size).view(np.bool_).reshape(self.shape)
+        bits.flags.writeable = False
+        return bits
 
 
 @dataclass
@@ -115,17 +132,18 @@ def _start_pose(rng: np.random.Generator, h: int, w: int) -> tuple[float, float,
 
 
 def _render(motion: MotionClass, starts: list[tuple[float, float, float]],
-            t: int, h: int, w: int) -> list[np.ndarray]:
-    """Pixels of ``motion`` from n start poses: n bool [T, H, W, 1] arrays.
+            t: int, h: int, w: int) -> list[VideoClip]:
+    """The n clips of ``motion`` from n start poses, bool [T, H, W, 1] each.
 
     The per-frame offsets, angle steps and half sides are Python-float
     arithmetic; the [n, T] poses follow from them in one broadcast each. The
     offsets are separable ([k, T, 1, W] and [k, T, H, 1]), so only the sums
     of the rotated coordinates and the inside test span the full grid, which
-    runs ``RENDER_CHUNK`` clips at a time in reused float64 buffers and
-    writes its results straight into each clip's own bool array. (Rows of one
-    [n, T, H, W, 1] block would render as fast, but the blocks fragment the
-    heap: peak RSS rose about 4 MiB on a benchmark round.)"""
+    runs ``RENDER_CHUNK`` clips at a time in reused float64 buffers. Each
+    clip's inside test lands in one reused bool buffer, which ``VideoClip``
+    packs to bits. (Rows of one [n, T, H, W, 1] block would render as fast,
+    but the blocks fragment the heap: peak RSS rose about 4 MiB on a
+    benchmark round.)"""
     n = len(starts)
     cx, cy, theta = (np.array(col)[:, None] for col in zip(*starts))   # [n, 1]
     # Translation paths are centered on the jittered point so the square
@@ -155,7 +173,8 @@ def _render(motion: MotionClass, starts: list[tuple[float, float, float]],
     c, s = np.cos(fth), np.sin(fth)
     bound = np.repeat(fhalf, h * w).reshape(t, h, w)   # a full-size operand compares fastest
 
-    pixels = [np.empty((t, h, w, 1), dtype=bool) for _ in range(n)]
+    clips = []
+    inside = np.empty((t, h, w, 1), dtype=bool)
     xs = np.arange(w) + 0.5
     ys = np.arange(h)[:, None] + 0.5
     k = min(n, RENDER_CHUNK)
@@ -173,9 +192,10 @@ def _render(motion: MotionClass, starts: list[tuple[float, float, float]],
         np.abs(u, out=u)
         np.abs(v, out=v)
         np.maximum(u, v, out=u)                # inside: |u| <= half and |v| <= half
-        for j, clip in enumerate(pixels[rows]):
-            np.less_equal(u[j], bound, out=clip[..., 0])
-    return pixels
+        for j in range(len(u)):
+            np.less_equal(u[j], bound, out=inside[..., 0])
+            clips.append(VideoClip(pixels=inside, label=int(motion)))
+    return clips
 
 
 def _check_dims(t: int, h: int, w: int) -> None:
@@ -190,8 +210,8 @@ def gen_motion_clip(motion: MotionClass, rng: np.random.Generator,
     The n = 1 case of ``_render``: every frame of the filled square is
     sampled at the pixel centers in one broadcast pass over [T, H, W]."""
     _check_dims(t, h, w)
-    (pixels,) = _render(motion, [_start_pose(rng, h, w)], t, h, w)
-    return VideoClip(pixels=pixels, label=int(motion))
+    (clip,) = _render(motion, [_start_pose(rng, h, w)], t, h, w)
+    return clip
 
 
 def gen_motion_dataset(n_per_class: int, seed: int, t: int = 8, h: int = 32,
@@ -207,8 +227,7 @@ def gen_motion_dataset(n_per_class: int, seed: int, t: int = 8, h: int = 32,
     for motion in MotionClass:
         starts = [_start_pose(np.random.default_rng([seed, int(motion), i]), h, w)
                   for i in range(n_per_class)]
-        clips.extend(VideoClip(pixels=pixels, label=int(motion))
-                     for pixels in _render(motion, starts, t, h, w))
+        clips.extend(_render(motion, starts, t, h, w))
     return Dataset(clips=clips, name=name)
 
 

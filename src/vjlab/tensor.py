@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 A Tensor wraps a numpy array plus an optional backward rule. Ops build a
-DAG; ``backward`` walks it in reverse topological order and accumulates
-gradients into leaf tensors. Broadcasting is deliberately narrow: an
-elementwise op accepts equal shapes or a scalar (python number or
-size-1 tensor); anything wider must go through an explicit
-``broadcast_to``.
+DAG; ``backward`` walks it in reverse topological order, accumulates
+gradients into leaf tensors and consumes the DAG as it goes. Broadcasting
+is deliberately narrow: an elementwise op accepts equal shapes or a scalar
+(python number or size-1 tensor); anything wider must go through an
+explicit ``broadcast_to``.
 """
 
 from __future__ import annotations
@@ -456,6 +456,14 @@ def huber(residual: Tensor, delta: float = 1.0) -> Tensor:
 # -- backward ------------------------------------------------------------
 
 
+_CONSUMED = "backward through a graph that an earlier backward consumed"
+
+
+def _consumed(g):
+    """The VJP a node holds once a backward has walked it: its graph is gone."""
+    raise RuntimeError(_CONSUMED)
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -467,6 +475,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _consumed:  # refused before any gradient moves
+            raise RuntimeError(_CONSUMED)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -476,26 +486,50 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
-    """Accumulate d(root)/d(leaf) into each requires-grad leaf; returns leaf map."""
+    """Accumulate d(root)/d(leaf) into each requires-grad leaf; returns leaf map.
+
+    The walk consumes the graph: each node drops its VJP closure and parents
+    once its VJP has run, so the intermediates they saved are freed as the
+    walk goes. A later backward through any node of the graph raises
+    RuntimeError; leaves keep accumulating across separate graphs. A leaf
+    without a gradient gets a view into one buffer shared by this walk's
+    fresh leaves."""
     if root.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise ValueError("backward root is not attached to a graph")
     order = _toposort(root)
+    # The fresh leaf gradients are views into one buffer, taken before any node
+    # is freed, so it lies above the graph on the heap: the graph freed below it
+    # stays with the process for the next step instead of being trimmed from
+    # the heap's top and faulted back in.
+    fresh = [n for n in order if n._vjp is None and n.grad is None]
+    flat = np.empty(sum(n.size for n in fresh))
+    slots: dict[int, np.ndarray] = {}
+    at = 0
+    for n in fresh:
+        slots[id(n)] = flat[at:at + n.size].reshape(n.shape)
+        at += n.size
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     leaves: dict[Tensor, np.ndarray] = {}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = pending.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
+            if g is None:
+                continue
             if node.grad is None:
-                node.grad = g.copy()
+                node.grad = slots[id(node)]
+                np.copyto(node.grad, g)
             else:
                 node.grad = node.grad + g
             leaves[node] = node.grad
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        node._vjp, node._parents = _consumed, ()
+        if g is None:
+            continue
+        for parent, pg in zip(parents, vjp(g)):
             if not parent.requires_grad:
                 continue
             acc = pending.get(id(parent))

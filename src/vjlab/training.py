@@ -307,7 +307,8 @@ def train_records(state: TrainState) -> dict[str, np.ndarray]:
 def load_train_state(cfg: RunConfig, path) -> TrainState:
     """The state a checkpoint holds; it must carry exactly the records that
     ``train_records`` gives under ``cfg``, no fewer and no others, each of
-    its shape and finite, and a whole step count of at most ``cfg.steps``."""
+    its shape and finite, and a whole, non-negative step count. Only a resume
+    bounds the step by ``cfg.steps``: a probe does not use the step count."""
     state = init_state(cfg)
     try:
         records = load_checkpoint(path)
@@ -325,9 +326,9 @@ def load_train_state(cfg: RunConfig, path) -> TrainState:
                       f"{missing}, unknown records {unknown}, other shapes {reshaped}, "
                       f"non-finite records {non_finite}")
     step = float(records["meta.step"][0])
-    if not (step.is_integer() and 0 <= step <= cfg.steps):
-        raise Refused(f"checkpoint {path} holds meta.step {step!r}, not a whole step "
-                      f"count from 0 to {cfg.steps}")
+    if not (step.is_integer() and step >= 0):
+        raise Refused(f"checkpoint {path} holds meta.step {step!r}, not a whole, "
+                      f"non-negative step count")
     for name, t in state.record_tensors().items():
         t.data = records[name]
     for name in state.opt.m:
@@ -390,6 +391,9 @@ def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
     ckpt = out / CHECKPOINT_NAME
     if resume:
         state = load_train_state(cfg, ckpt)
+        if state.step > cfg.steps:
+            raise Refused(f"cannot resume: checkpoint {ckpt} holds meta.step {state.step}, "
+                          f"past the run's {cfg.steps} steps")
         _truncate_metrics(out / METRICS_NAME, state.step)
         mode = "a"
     else:

@@ -251,9 +251,9 @@ class TestRunFilesThatDoNotFit:
 
     @pytest.mark.parametrize("name,value", [("enc.ln_g", np.nan), ("opt.v.enc.ln_g", np.inf),
                                             ("meta.step", np.nan), ("meta.step", 1.5),
-                                            ("meta.step", 4.0)],
+                                            ("meta.step", -1.0)],
                              ids=["parameter nan", "moment inf", "step nan", "step 1.5",
-                                  "step past the end"])
+                                  "step -1"])
     def test_a_checkpoint_value_no_run_can_reach_is_refused(self, tiny_config, tmp_path,
                                                             capsys, name, value):
         assert run_cli("pretrain", "--config", tiny_config) == 0
@@ -276,6 +276,35 @@ class TestRunFilesThatDoNotFit:
         assert out == "" and err.count("\n") == 1 and name in err
         assert ck.read_bytes() == damaged
         assert (run / "metrics.jsonl").read_bytes() == log
+
+    def test_resume_refuses_a_step_past_the_end(self, tiny_config, tmp_path, capsys):
+        assert run_cli("pretrain", "--config", tiny_config) == 0
+        run = tmp_path / "run"
+        ck = run / "checkpoint.jpck"
+        records = load_checkpoint(ck)
+        records["meta.step"][0] = 4.0
+        save_checkpoint(ck, records)
+        damaged, log = ck.read_bytes(), (run / "metrics.jsonl").read_bytes()
+        capsys.readouterr()
+        assert run_cli("pretrain", "--config", tiny_config, "--resume") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cannot resume: checkpoint {ck} holds meta.step 4, past the run's 3 steps\n"
+        assert ck.read_bytes() == damaged
+        assert (run / "metrics.jsonl").read_bytes() == log
+
+    def test_probe_reads_a_long_run_without_its_config(self, tmp_path, capsys):
+        # the flags' default of 500 steps does not bound a finished run's step count
+        config = tmp_path / "long.lab"
+        config.write_text("variant = Baseline\nsteps = 501\nbatch_size = 2\n"
+                          f"n_per_class = 1\nout = {tmp_path / 'run'}\n")
+        assert run_cli("pretrain", "--config", config) == 0
+        (tmp_path / "run" / "config.lab").unlink()
+        capsys.readouterr()
+        assert run_cli("probe", "--out", tmp_path / "run", "--train-per-class", 1,
+                       "--test-per-class", 1) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "run" / "probe-linear.json").exists()
 
     def test_resume_refuses_a_run_without_config(self, tiny_config, tmp_path, capsys):
         assert run_cli("pretrain", "--config", tiny_config) == 0

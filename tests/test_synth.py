@@ -252,12 +252,27 @@ class TestDataset:
         f32 = np.zeros((1, 4, 4, 1), dtype=np.float32)
         assert VideoClip(pixels=f32).pixels is f32
         b = np.ones((1, 4, 4, 1), dtype=bool)
-        assert VideoClip(pixels=b).pixels is b
+        clip = VideoClip(pixels=b)
+        assert clip.pixels.dtype == np.bool_ and clip.pixels.shape == b.shape
+        assert np.array_equal(clip.pixels, b)
+        assert clip._stored.nbytes == b.size // 8  # one stored byte per 8 pixels
+        with pytest.raises(ValueError, match="read-only"):
+            clip.pixels[0, 0, 0, 0] = False
         f64 = np.zeros((1, 4, 4, 1))
         assert VideoClip(pixels=f64).pixels is f64
         for other in (np.zeros((1, 4, 4, 1), dtype=np.uint8), np.zeros((1, 4, 4, 1), ">f4"),
                       [[[[0.5]]]]):
             assert VideoClip(pixels=other).pixels.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 5, 7, 1), (2, 3, 3, 3)])
+    def test_bool_round_trip_of_a_size_not_a_multiple_of_8(self, shape):
+        b = np.random.default_rng(1).random(shape) < 0.5
+        clip = VideoClip(pixels=b, label=2)
+        assert clip.shape == shape and clip.label == 2
+        assert clip._stored.nbytes == -(-b.size // 8)
+        assert clip.pixels.dtype == np.bool_ and np.array_equal(clip.pixels, b)
+        b[...] = ~b  # the clip holds its own copy
+        assert np.array_equal(clip.pixels, ~b)
 
     def test_rendered_clips_are_bool(self):
         for motion in MotionClass:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,45 @@ class TestBackward:
 
         rep = grad_check(f, [Tensor(rng(15).standard_normal((1, 3)))])
         assert rep.ok(1e-4), rep.max_rel_err
+
+    def test_second_backward_on_a_root_raises_and_keeps_the_grads(self):
+        x = Tensor(rng(16).standard_normal(3), requires_grad=True)
+        w = Tensor(rng(17).standard_normal(3), requires_grad=True)
+        loss = (x * w).gelu().sum()
+        backward(loss)
+        gx, gw = x.grad.copy(), w.grad.copy()
+        with pytest.raises(RuntimeError, match="^backward through a graph that an earlier "
+                                               "backward consumed$"):
+            backward(loss)
+        assert np.array_equal(x.grad, gx) and np.array_equal(w.grad, gw)
+
+    def test_an_op_on_a_consumed_output_raises_at_its_backward(self):
+        x = Tensor(rng(18).standard_normal(3), requires_grad=True)
+        w = Tensor(rng(19).standard_normal(3), requires_grad=True)
+        hidden = (x * 2.0).tanh()
+        backward(hidden.sum())
+        gx = x.grad.copy()
+        later = (hidden * w).sum()
+        with pytest.raises(RuntimeError, match="earlier backward consumed"):
+            backward(later)
+        assert np.array_equal(x.grad, gx) and w.grad is None  # refused before any grad moved
+
+    def test_interior_nodes_are_freed_while_the_root_is_held(self):
+        # a node owns its output, so a dead output is a dead node
+        x = Tensor(rng(20).standard_normal((4, 4)), requires_grad=True)
+        hidden = (x @ x).gelu()
+        ref = weakref.ref(hidden.data)
+        loss = hidden.sum()
+        del hidden
+        assert ref() is not None  # the graph holds it until backward walks it
+        backward(loss)
+        assert ref() is None and loss._parents == ()
+
+    def test_leaves_accumulate_across_separate_graphs(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        backward((x * 3.0).sum())
+        backward((x * x).sum())
+        assert np.array_equal(x.grad, 3.0 + 2.0 * x.data)
 
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vjlab.masking import sample_mask
 from vjlab.model import save_checkpoint, token_grid
 from vjlab.objectives import compose_total
 from vjlab.synth import gen_motion_dataset, load_dataset, save_dataset
+from vjlab import training
 from vjlab.tensor import Tensor, backward
 from vjlab.training import (
     STREAM_SIGREG,
@@ -426,6 +428,43 @@ class TestGraphSize:
         clips = draw_batch(gen_motion_dataset(2, 0), 8, cfg.seed, 0)
         assert token_grid(state.student, clips[0]) == (4, 4, 4)
         assert self.graph_nodes(batch_bundle(state, clips).total_node) <= limit
+
+
+class TestMemoryCeilings:
+    # the heap bytes allocated since a step began and still held when AdamW
+    # starts: the step's gradients (about 42k and 45k float64 values) and a
+    # few small objects, measured at 336.6-337.2 kB and 363.5-364.2 kB; 10.8 MB
+    # (Baseline) and 19.7 MB (FWM-HW-LD) before backward freed the graph it walked
+    HELD_AT_ADAMW = {"Baseline": 340_000, "FWM-HW-LD": 370_000}
+
+    @pytest.mark.parametrize("variant", HELD_AT_ADAMW)
+    def test_bytes_held_when_adamw_starts(self, variant, monkeypatch):
+        cfg = dataclasses.replace(variant_defaults(variant), batch_size=8, n_per_class=2)
+        state = init_state(cfg)
+        ds = gen_motion_dataset(2, 0)
+        train_step(state, draw_batch(ds, 8, cfg.seed, 0))  # fills the caches a first step fills
+        held = []
+        adamw_step = training.adamw_step
+
+        def spy(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return adamw_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adamw_step", spy)
+        clips = draw_batch(ds, 8, cfg.seed, 1)
+        assert token_grid(state.student, clips[0]) == (4, 4, 4)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_step(state, clips)
+        finally:
+            tracemalloc.stop()
+        assert held[0] <= self.HELD_AT_ADAMW[variant]
+
+    def test_stored_pixel_bytes_of_a_benchmark_dataset(self):
+        # 512 clips of 8x32x32 bool pixels at one bit each; 4 MiB at a byte each
+        ds = gen_motion_dataset(64, 0)
+        assert sum(clip._stored.nbytes for clip in ds.clips) <= 512 * 1024
 
 
 class TestRunAndResume:
