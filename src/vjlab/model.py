@@ -6,9 +6,14 @@ transformer trunk; images enter through their own tubelet-1 embedding.
 Encoder, predictor and teacher run once per batch on [B, N, dim] token
 slabs. Masked encoding still drops non-visible tokens, so attention can only
 ever mix visible content; clips with fewer visible tokens are padded to the
-batch maximum, and padding never gets attention weight. Parameters carry
-the run's `config.RunConfig`, which fixes their geometry; a parameter's
-checkpoint record name is its field path (``Params.named``).
+batch maximum, and padding never gets attention weight. Each transformer
+block is one graph node (``block``) whose hand-written VJP keeps only what it
+reads and recomputes the cheap layer-norm and GELU outputs; its composed
+twelve-node graph lives in the tests' ``oracles.py``, which it matches bit
+for bit. The array kernels below (``_affine``, ``_norm``, ``_attend`` and
+their VJPs) serve ``linear``, ``layer_norm`` and ``block`` alike. Parameters
+carry the run's `config.RunConfig`, which fixes their geometry; a
+parameter's checkpoint record name is its field path (``Params.named``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .config import VARIANTS, RunConfig, app_width
 from .masking import MaskSpec
 from .synth import VideoClip
-from .tensor import Tensor, concat, no_grad
+from .tensor import Tensor, concat, gelu_cdf, gelu_slope, grad_enabled, no_grad
 
 LN_EPS = 1e-5
 INIT_SCALE = 0.02
@@ -272,47 +277,65 @@ def token_grid(params: EncoderParams, clip: VideoClip) -> tuple[int, int, int]:
 # -- forward passes ------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for x [..., in], w [in, out], b [out], as one graph node.
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` in one fresh buffer: the forward of ``linear``."""
+    out = x @ w
+    out += b
+    return out
 
-    The weight and bias gradients reduce over every leading row.
-    """
+
+def _affine_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray, need_x: bool = True):
+    """The gradients of ``_affine`` for x, w and b; the weight and bias
+    gradients reduce over every leading row."""
+    rows = g.reshape(-1, w.shape[1])
+    return (g @ w.T if need_x else None), x.reshape(-1, w.shape[0]).T @ rows, rows.sum(axis=0)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x [..., in], w [in, out], b [out], as one graph node."""
     xd, wd = x.data, w.data
     if xd.ndim < 1 or wd.ndim != 2 or b.shape != (wd.shape[1],) or xd.shape[-1] != wd.shape[0]:
         raise ValueError(f"linear shapes do not fit: x {xd.shape}, w {wd.shape}, b {b.shape}")
+    return Tensor._node(_affine(xd, wd, b.data), (x, w, b),
+                        lambda g: _affine_vjp(g, xd, wd, x.requires_grad))
 
-    def vjp(g):
-        gx = g @ wd.T if x.requires_grad else None
-        rows = g.reshape(-1, wd.shape[1])
-        return gx, xd.reshape(-1, wd.shape[0]).T @ rows, rows.sum(axis=0)
 
-    out = xd @ wd
-    out += b.data
-    return Tensor._node(out, (x, w, b), vjp)
+def _norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, s): x [..., d] centred and scaled to unit variance over its last
+    axis, and the scale s [..., 1]; layer norm's output is ``y * g + b``."""
+    inv_n = 1.0 / x.shape[-1]
+    y = x - np.sum(x, axis=-1, keepdims=True) * inv_n
+    s = np.sqrt(np.sum(y * y, axis=-1, keepdims=True) * inv_n + LN_EPS)
+    y /= s
+    return y, s
+
+
+def _scale_shift(y: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = y * g
+    out += b
+    return out
+
+
+def _norm_vjp(gout: np.ndarray, y: np.ndarray, s: np.ndarray, g: np.ndarray):
+    """The gradients of ``_scale_shift(*_norm(x), g, b)`` for x, g and b."""
+    width = y.shape[-1]
+    inv_n = 1.0 / width
+    gy = gout * g
+    gx = gy - np.sum(gy, axis=-1, keepdims=True) * inv_n
+    gy *= y
+    gx -= y * (np.sum(gy, axis=-1, keepdims=True) * inv_n)
+    gx /= s
+    return (gx, np.sum((gout * y).reshape(-1, width), axis=0),
+            np.sum(gout.reshape(-1, width), axis=0))
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     """Normalization over the last axis of x [..., d] with gain g and bias b,
     one graph node; the gain and bias gradients reduce over every leading row."""
-    xd, gd = x.data, g.data
-    width = xd.shape[-1]
-    inv_n = 1.0 / width
-    y = xd - np.sum(xd, axis=-1, keepdims=True) * inv_n
-    s = np.sqrt(np.sum(y * y, axis=-1, keepdims=True) * inv_n + LN_EPS)
-    y /= s
-
-    def vjp(gout):
-        gy = gout * gd
-        gx = gy - np.sum(gy, axis=-1, keepdims=True) * inv_n
-        gy *= y
-        gx -= y * (np.sum(gy, axis=-1, keepdims=True) * inv_n)
-        gx /= s
-        return (gx, np.sum((gout * y).reshape(-1, width), axis=0),
-                np.sum(gout.reshape(-1, width), axis=0))
-
-    out = y * gd
-    out += b.data
-    return Tensor._node(out, (x, g, b), vjp)
+    y, s = _norm(x.data)
+    gd = g.data
+    return Tensor._node(_scale_shift(y, gd, b.data), (x, g, b),
+                        lambda gout: _norm_vjp(gout, y, s, gd))
 
 
 def view(x: Tensor, index, shape: tuple[int, ...] | None = None) -> Tensor:
@@ -350,66 +373,126 @@ def gather_padded(x: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:
     return Tensor._node(out, (x,), vjp), valid
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, valid: np.ndarray) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(dh)) v over [B, N, d] inputs, one graph
-    node computed as [B, H, N, dh] batched matmuls.
+def _heads(t: np.ndarray, heads: int) -> np.ndarray:
+    bsz, n, d = t.shape
+    return t.reshape(bsz, n, heads, d // heads).transpose(0, 2, 1, 3)  # [B, H, N, dh]
 
-    ``valid`` [B, N] marks the real tokens of each sequence. A padded key's
-    score becomes -inf, so it gets weight exactly 0 and no gradient, and the
-    max shift runs over valid keys only: valid rows do not depend on what
-    padded slots hold. Scores are clipped to ``_ATTN_CLIP`` before the
-    softmax; a clipped score passes no gradient back to q or k.
+
+def _merge(t: np.ndarray) -> np.ndarray:
+    bsz, heads, n, dh = t.shape
+    return t.transpose(0, 2, 1, 3).reshape(bsz, n, heads * dh)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, keys: np.ndarray,
+            track: bool):
+    """Multi-head softmax(q k^T / sqrt(dh)) v over [B, N, d] arrays, as
+    [B, H, N, dh] batched matmuls; ``keys`` [B, 1, 1, N] marks the real keys.
+
+    A padded key's score becomes -inf, so it gets weight exactly 0, and the
+    max shift runs over real keys only. Scores are clipped to ``_ATTN_CLIP``
+    before the softmax. Returns the output and, when ``track``, what
+    ``_attend_vjp`` reads: the head views, the probabilities and the mask of
+    scores that are neither clipped nor padded.
     """
-    bsz, n, d = q.shape
-    keys = np.asarray(valid, dtype=bool)
-    if keys.shape != (bsz, n) or not keys.any(axis=1).all():
-        raise ValueError(f"attention needs a [{bsz}, {n}] key mask with a valid key per row")
-    keys = keys[:, None, None, :]
-    dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split(t: np.ndarray) -> np.ndarray:
-        return t.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3)  # [B, H, N, dh]
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
     # The [B, H, N, N] buffers are worked on in place: each fresh one costs page faults.
     s = qh @ kh.swapaxes(-1, -2)
-    s *= scale
-    inside = (s >= _ATTN_CLIP[0]) & (s <= _ATTN_CLIP[1]) & keys
+    s *= 1.0 / math.sqrt(qh.shape[-1])
+    inside = (s >= _ATTN_CLIP[0]) & (s <= _ATTN_CLIP[1]) & keys if track else None
     np.clip(s, *_ATTN_CLIP, out=s)
     np.copyto(s, -np.inf, where=~keys)
     s -= np.max(s, axis=-1, keepdims=True)
     p = np.exp(s, out=s)  # exactly 0 at padded keys
     p /= np.sum(p, axis=-1, keepdims=True)
+    return _merge(p @ vh), ((qh, kh, vh, p, inside) if track else None)
 
-    def merge(t: np.ndarray) -> np.ndarray:
-        return t.transpose(0, 2, 1, 3).reshape(bsz, n, d)
+
+def _attend_vjp(g: np.ndarray, qh, kh, vh, p, inside):
+    """The gradients of ``_attend`` for q, k and v; a clipped score passes none."""
+    gh = _heads(g, qh.shape[1])
+    gs = gh @ vh.swapaxes(-1, -2)
+    gs -= np.sum(gs * p, axis=-1, keepdims=True)
+    gs *= p
+    gs *= inside
+    gs *= 1.0 / math.sqrt(qh.shape[-1])
+    return _merge(gs @ kh), _merge(gs.swapaxes(-1, -2) @ qh), _merge(p.swapaxes(-1, -2) @ gh)
+
+
+def block(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
+    """One pre-norm transformer block over x [B, N, d], as one graph node:
+    ``x1 = x + attention(ln1(x)) @ wo + bo``, then
+    ``x1 + gelu(ln2(x1) @ w1 + b1) @ w2 + b2``, op for op the graph of
+    ``layer_norm``, ``linear``, ``Tensor.gelu`` and residual adds.
+
+    ``valid`` [B, N] marks the real tokens of each sequence: padding gets no
+    attention weight and no gradient, so real rows do not depend on what
+    padded slots hold. The node keeps only what its VJP reads (each layer
+    norm's y and s, the q/k/v head views, the attention probabilities and
+    clip mask, the attention output, the MLP pre-activation u and Phi(u)); the
+    VJP recomputes the layer-norm outputs and gelu(u) with the forward's own
+    ops and drops each saved array once it has used it. Under ``no_grad`` the
+    block builds no clip mask and drops each of those arrays after its last
+    forward use.
+    """
+    bsz, n, _ = x.shape
+    keys = np.asarray(valid, dtype=bool)
+    if keys.shape != (bsz, n) or not keys.any(axis=1).all():
+        raise ValueError(f"attention needs a [{bsz}, {n}] key mask with a valid key per row")
+    params = tuple(getattr(blk, name) for name in blk.__dataclass_fields__)
+    ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo, ln2_g, ln2_b, w1, b1, w2, b2 = (
+        t.data for t in params)
+    track = grad_enabled() and any(t.requires_grad for t in (x, *params))
+
+    y1, s1 = _norm(x.data)
+    h1 = _scale_shift(y1, ln1_g, ln1_b)
+    if not track:
+        y1 = s1 = None
+    a, att = _attend(_affine(h1, wq, bq), _affine(h1, wk, bk), _affine(h1, wv, bv), heads,
+                     keys[:, None, None, :], track)
+    # h1 is freed when the block returns: freed here, before the residual sum
+    # is allocated, it left glibc's heap about 3 MiB wider at FWM-HW-LD's peak
+    x1 = x.data + _affine(a, wo, bo)
+    if not track:
+        a = None
+    y2, s2 = _norm(x1)
+    u = _affine(_scale_shift(y2, ln2_g, ln2_b), w1, b1)
+    if not track:
+        y2 = s2 = None
+    phi = gelu_cdf(u)
+    out = x1 + _affine(u * phi, w2, b2)
+    if not track:
+        return Tensor(out)
 
     def vjp(g):
-        gh = split(g)
-        gs = gh @ vh.swapaxes(-1, -2)
-        gs -= np.sum(gs * p, axis=-1, keepdims=True)
-        gs *= p
-        gs *= inside
-        gs *= scale
-        return merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
+        nonlocal y1, s1, att, a, y2, s2, u, phi
+        gf, gw2, gb2 = _affine_vjp(g, u * phi, w2)
+        gu = gelu_slope(u, phi, gf)
+        u = phi = gf = None
+        gh, gw1, gb1 = _affine_vjp(gu, _scale_shift(y2, ln2_g, ln2_b), w1)
+        gu = None
+        gx1, gln2_g, gln2_b = _norm_vjp(gh, y2, s2, ln2_g)
+        y2 = s2 = gh = None
+        gx1 += g
+        ga, gwo, gbo = _affine_vjp(gx1, a, wo)
+        a = None
+        gq, gk, gv = _attend_vjp(ga, *att)
+        att = ga = None
+        h1 = _scale_shift(y1, ln1_g, ln1_b)
+        gh, gwq, gbq = _affine_vjp(gq, h1, wq)
+        gq = None
+        ghk, gwk, gbk = _affine_vjp(gk, h1, wk)
+        gh += ghk  # (q + k) + v: the order in which separate nodes accumulated
+        gk = ghk = None
+        ghv, gwv, gbv = _affine_vjp(gv, h1, wv)
+        gh += ghv
+        h1 = gv = ghv = None
+        gx, gln1_g, gln1_b = _norm_vjp(gh, y1, s1, ln1_g)
+        y1 = s1 = None
+        gx += gx1
+        return (gx, gln1_g, gln1_b, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+                gln2_g, gln2_b, gw1, gb1, gw2, gb2)
 
-    return Tensor._node(merge(p @ vh), (q, k, v), vjp)
-
-
-def _attention(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
-    q = linear(x, blk.wq, blk.bq)
-    k = linear(x, blk.wk, blk.bk)
-    v = linear(x, blk.wv, blk.bv)
-    return linear(attention_core(q, k, v, heads, valid), blk.wo, blk.bo)
-
-
-def _trunk(blocks: list[Block], heads: int, x: Tensor, valid: np.ndarray) -> Tensor:
-    for blk in blocks:
-        x = x + _attention(blk, layer_norm(x, blk.ln1_g, blk.ln1_b), heads, valid)
-        x = x + linear(linear(layer_norm(x, blk.ln2_g, blk.ln2_b), blk.w1, blk.b1).gelu(),
-                       blk.w2, blk.b2)
-    return x
+    return Tensor._node(out, (x, *params), vjp)
 
 
 def embed_clips(params: EncoderParams, clips: list[VideoClip]) -> Tensor:
@@ -432,7 +515,8 @@ def embed_clips(params: EncoderParams, clips: list[VideoClip]) -> Tensor:
 
 
 def encode_tokens(params: EncoderParams, x: Tensor, valid: np.ndarray) -> Tensor:
-    x = _trunk(params.blocks, params.cfg.heads, x, valid)
+    for blk in params.blocks:
+        x = block(blk, x, params.cfg.heads, valid)
     return layer_norm(x, params.ln_g, params.ln_b)
 
 
@@ -491,7 +575,9 @@ def predict_masked(pred: PredictorParams, z_vis: Tensor, masks: list[MaskSpec]) 
     queries = pred.mask_token.reshape(1, 1, d).broadcast_to((bsz, k_tgt, d)) + Tensor(pos)
     valid = np.concatenate([np.arange(k_vis) < n_vis[:, None],
                             np.arange(k_tgt) < n_tgt[:, None]], axis=1)
-    seq = _trunk(pred.blocks, pred.cfg.pred_heads, concat([z_vis, queries], axis=1), valid)
+    seq = concat([z_vis, queries], axis=1)
+    for blk in pred.blocks:
+        seq = block(blk, seq, pred.cfg.pred_heads, valid)
     seq = view(seq, (slice(None), slice(k_vis, None)))
     return linear(layer_norm(seq, pred.ln_g, pred.ln_b), pred.out_w, pred.out_b)
 

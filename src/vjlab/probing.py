@@ -3,8 +3,10 @@
 Features are standardized per channel with training-set statistics before
 the probe sees them, so variants whose latent scales differ wildly (EMA
 versus no-EMA training) are compared on equal footing. ``train_probe``
-standardizes its features once, into one buffer, checks the labels once,
-and indexes each minibatch from there.
+takes the statistics and checks the labels once, then standardizes each
+minibatch in place as it gathers it, so the fit holds no second
+feature-sized buffer; ``evaluate`` drops the train features before it
+encodes the test features.
 
 A probe step is three graph nodes: ``attentive_pool`` (attentive probes
 only), ``model.linear`` and ``cross_entropy``. The two fused nodes here
@@ -214,7 +216,6 @@ def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
     n = feats.shape[0]
     onehot = _one_hot(labels, n, n_classes)
     mean, std = standardize_stats(feats)
-    x = apply_standardize(feats, mean, std)
     probe = init_probe(kind, feats.shape[-1], n_classes, np.random.default_rng([seed, 0]),
                        mean, std)
     params = probe.named()
@@ -223,7 +224,10 @@ def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
         order = np.random.default_rng([seed, 1 + epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo:lo + batch_size]
-            descend(params, _nll(probe_logits(probe, x[sel]), onehot[sel]), opt, lr, 0.0)
+            xb = feats[sel]  # a fresh minibatch, standardized in place
+            xb -= mean
+            xb /= std
+            descend(params, _nll(probe_logits(probe, xb), onehot[sel]), opt, lr, 0.0)
     return probe
 
 
@@ -281,10 +285,11 @@ def evaluate(encoder: EncoderParams, cfg: RunConfig, train_ds: Dataset, test_ds:
     """Fit a ``cfg.probe_kind`` probe on train_ds's features and score it on test_ds."""
     seed = cfg.seed if seed is None else seed
     train_x, train_y = dataset_features(encoder, train_ds, cfg.probe_kind)
-    test_x, test_y = dataset_features(encoder, test_ds, cfg.probe_kind)
     probe = train_probe(train_x, train_y, len(MotionClass), kind=cfg.probe_kind,
                         epochs=cfg.probe_epochs, batch_size=cfg.probe_batch,
                         lr=cfg.probe_lr, seed=seed)
+    del train_x  # the test features take its place
+    test_x, test_y = dataset_features(encoder, test_ds, cfg.probe_kind)
     preds = predict(probe, test_x)
     per_class = {}
     for m in MotionClass:

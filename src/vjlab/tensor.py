@@ -223,27 +223,12 @@ class Tensor:
         return Tensor._node(a.data * m, (a,), lambda g: (g * m,))
 
     def gelu(self) -> "Tensor":
-        # Exact erf form: x * Phi(x); grad = Phi(x) + x * phi(x).
-        # Worked in place where possible: each fresh slab-sized buffer costs page faults.
+        # Exact erf form: x * Phi(x); the slope is built only in the VJP, so a
+        # pass that builds no graph never pays for it.
         a = self
         x = a.data
-        phi_cdf = x / math.sqrt(2.0)
-        erf(phi_cdf, out=phi_cdf)
-        phi_cdf += 1.0
-        phi_cdf *= 0.5
-
-        def vjp(g):
-            # phi(x) is built here, so a pass that builds no graph never pays for it
-            slope = -0.5 * x
-            slope *= x
-            np.exp(slope, out=slope)
-            slope /= math.sqrt(2.0 * math.pi)
-            slope *= x
-            slope += phi_cdf
-            slope *= g
-            return (slope,)
-
-        return Tensor._node(x * phi_cdf, (a,), vjp)
+        phi_cdf = gelu_cdf(x)
+        return Tensor._node(x * phi_cdf, (a,), lambda g: (gelu_slope(x, phi_cdf, g),))
 
     # -- reductions ------------------------------------------------------
 
@@ -397,6 +382,28 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         _erf_rational(x, out)
         out[tail] = _erf_tail(xt)
     return out
+
+
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2 in one fresh buffer: GELU is x * Phi(x)."""
+    # Worked in place: each fresh slab-sized buffer costs page faults.
+    phi_cdf = x / math.sqrt(2.0)
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
+    return phi_cdf
+
+
+def gelu_slope(x: np.ndarray, phi_cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's VJP, g * (Phi(x) + x * phi(x)), in one fresh buffer."""
+    slope = -0.5 * x
+    slope *= x
+    np.exp(slope, out=slope)
+    slope /= math.sqrt(2.0 * math.pi)
+    slope *= x
+    slope += phi_cdf
+    slope *= g
+    return slope
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

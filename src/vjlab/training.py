@@ -207,22 +207,24 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
     """Every loss part of the configured variant, each the mean over the
     batch of its per-clip values.
 
-    The batch takes one masked student encode, one predictor pass, one
-    teacher encode and, when a part needs it, one full-grid encode; each part
-    is then computed once on those slabs. On a token grid of one temporal
-    block, every part in ``TEMPORAL_PARTS`` is 0 and its loss is not called.
+    The batch takes one teacher encode, one masked student encode, one
+    predictor pass and, when a part needs it, one full-grid encode; each part
+    is then computed once on those slabs. The teacher runs first, so its
+    transients never sit on top of the student's graph. On a token grid of
+    one temporal block, every part in ``TEMPORAL_PARTS`` is 0 and its loss is
+    not called.
     """
     cfg, heads = state.cfg, state.heads
     spec = VARIANTS[cfg.variant]
     bsz = len(clips)
     tp, gh, gw = token_grid(state.student, clips[0])
 
+    h = teacher_targets(state.teacher, clips) if spec.ema else None
     z_vis, _ = encode(state.student, clips, [m.visible for m in masks])
     pred = predict_masked(heads.predictor, z_vis, masks)
     z = full_grid(state.student, clips) if spec.components else None
     # without EMA the targets are the detached student; every such variant has a part
-    h = teacher_targets(state.teacher, clips) if spec.ema else z.data
-    h = h.reshape(bsz, tp, gh * gw, cfg.dim)
+    h = (z.data if h is None else h).reshape(bsz, tp, gh * gw, cfg.dim)
 
     targets = np.zeros(pred.shape)
     weights = np.zeros(pred.shape[:2])

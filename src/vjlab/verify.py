@@ -19,6 +19,8 @@ from .config import RunConfig, variant_defaults
 from .gradcheck import grad_check
 from .masking import sample_mask
 from .model import (
+    Block,
+    block,
     clone_frozen,
     ema_update,
     extract_patches,
@@ -38,7 +40,7 @@ from .objectives import (
     spectral_loss,
 )
 from .synth import gen_motion_dataset, load_dataset, save_dataset
-from .tensor import Tensor, erf
+from .tensor import Tensor, backward, erf
 from .training import draw_batch, init_state, train_step
 
 
@@ -66,6 +68,37 @@ def gradient_engine() -> None:
     rep = grad_check(f, [Tensor(np.random.default_rng(10).standard_normal((3, 4))),
                          Tensor(np.random.default_rng(11).standard_normal((4, 3)))])
     assert rep.ok(1e-4), f"max rel err {rep.max_rel_err:.2e}"
+
+
+def block_gradient(seed: int = 0) -> None:
+    """Finite differences through ``model.block`` on a padded batch of two
+    sequences (5 and 3 real tokens), for x and every parameter but the key
+    bias ``bk``. Softmax ignores a per-query constant, so bk's exact gradient
+    is 0, which a relative error cannot judge: its gradient is held to 1e-12."""
+    rng = np.random.default_rng(seed)
+    dim, ff, heads = 8, 16, 2
+    wide = {"w1": (dim, ff), "b1": (ff,), "w2": (ff, dim)}
+    shapes = {name: wide.get(name, (dim, dim) if name[0] == "w" else (dim,))
+              for name in Block.__dataclass_fields__}
+    # gains about 1, every other parameter about 0.5 in size, so no score is clipped
+    values = {name: rng.standard_normal(shape) * 0.5 + name.endswith("_g")
+              for name, shape in shapes.items()}
+    x = rng.standard_normal((2, 5, dim))
+    valid = np.array([[True] * 5, [True] * 3 + [False] * 2])
+    weights = Tensor(rng.standard_normal(x.shape))
+    names = [name for name in shapes if name != "bk"]
+
+    def f(xt, *checked):
+        blk = Block(bk=Tensor(values["bk"]), **dict(zip(names, checked)))
+        return (block(blk, xt, heads, valid) * weights).sum()
+
+    rep = grad_check(f, [Tensor(x)] + [Tensor(values[name]) for name in names])
+    worst = dict(zip(["x"] + names, rep.per_input))
+    assert rep.ok(1e-4), f"max rel err {rep.max_rel_err:.2e}: {worst}"
+    blk = Block(**{name: Tensor(v, requires_grad=True) for name, v in values.items()})
+    backward((block(blk, Tensor(x), heads, valid) * weights).sum())
+    drift = np.max(np.abs(blk.bk.grad))
+    assert drift <= 1e-12, f"key-bias gradient {drift:.1e}, exactly 0 in exact arithmetic"
 
 
 # (argument, erf) as float.hex, from scipy.special.erf: every branch of cephes'
@@ -238,6 +271,7 @@ def train_step_determinism() -> None:
 CHECKS = (
     spectral_matrices,
     gradient_engine,
+    block_gradient,
     erf_reference_values,
     loss_zero_identities,
     sigreg_degenerate_penalty,

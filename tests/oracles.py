@@ -8,13 +8,25 @@
 - The composed softmax graph, built from elementwise ``Tensor._node`` ops:
   the bit-for-bit oracle for the probes' fused nodes
   (``probing.attentive_pool`` and ``probing.cross_entropy``).
+- The composed transformer block, twelve graph nodes per block
+  (``layer_norm``, four ``linear``, ``attention_core``, ``Tensor.gelu`` and
+  two residual adds): the bit-for-bit oracle for ``model.block``.
+- The probe fit on one standardized copy of all its features: the
+  bit-for-bit oracle for ``probing.train_probe``, which standardizes each
+  minibatch as it gathers it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from vjlab.model import _ATTN_CLIP, Block, layer_norm, linear
+from vjlab.probing import (_nll, _one_hot, apply_standardize, init_probe, probe_logits,
+                           standardize_stats)
 from vjlab.tensor import Tensor, matmul
+from vjlab.training import descend, init_opt
 
 
 # -- temporal DFT --------------------------------------------------------
@@ -141,3 +153,88 @@ def composed_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     return (log_softmax(logits) * Tensor(onehot)).sum() * (-1.0 / n)
+
+
+# -- composed transformer block ------------------------------------------
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, valid: np.ndarray) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh)) v over [B, N, d] inputs, one graph
+    node computed as [B, H, N, dh] batched matmuls.
+
+    ``valid`` [B, N] marks the real tokens of each sequence. A padded key's
+    score becomes -inf, so it gets weight exactly 0 and no gradient, and the
+    max shift runs over valid keys only. Scores are clipped to ``_ATTN_CLIP``
+    before the softmax; a clipped score passes no gradient back to q or k.
+    """
+    bsz, n, d = q.shape
+    keys = np.asarray(valid, dtype=bool)
+    if keys.shape != (bsz, n) or not keys.any(axis=1).all():
+        raise ValueError(f"attention needs a [{bsz}, {n}] key mask with a valid key per row")
+    keys = keys[:, None, None, :]
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(t: np.ndarray) -> np.ndarray:
+        return t.reshape(bsz, n, heads, dh).transpose(0, 2, 1, 3)  # [B, H, N, dh]
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= scale
+    inside = (s >= _ATTN_CLIP[0]) & (s <= _ATTN_CLIP[1]) & keys
+    np.clip(s, *_ATTN_CLIP, out=s)
+    np.copyto(s, -np.inf, where=~keys)
+    s -= np.max(s, axis=-1, keepdims=True)
+    p = np.exp(s, out=s)
+    p /= np.sum(p, axis=-1, keepdims=True)
+
+    def merge(t: np.ndarray) -> np.ndarray:
+        return t.transpose(0, 2, 1, 3).reshape(bsz, n, d)
+
+    def vjp(g):
+        gh = split(g)
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= np.sum(gs * p, axis=-1, keepdims=True)
+        gs *= p
+        gs *= inside
+        gs *= scale
+        return merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
+
+    return Tensor._node(merge(p @ vh), (q, k, v), vjp)
+
+
+def composed_attention(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
+    q = linear(x, blk.wq, blk.bq)
+    k = linear(x, blk.wk, blk.bk)
+    v = linear(x, blk.wv, blk.bv)
+    return linear(attention_core(q, k, v, heads, valid), blk.wo, blk.bo)
+
+
+def composed_block(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
+    """The graph ``model.block`` fuses: the oracle for its bytes."""
+    x = x + composed_attention(blk, layer_norm(x, blk.ln1_g, blk.ln1_b), heads, valid)
+    return x + linear(linear(layer_norm(x, blk.ln2_g, blk.ln2_b), blk.w1, blk.b1).gelu(),
+                      blk.w2, blk.b2)
+
+
+# -- probe fit on a standardized copy ------------------------------------
+
+def train_probe_on_copy(feats: np.ndarray, labels: np.ndarray, n_classes: int,
+                        kind: str = "linear", epochs: int = 50, batch_size: int = 16,
+                        lr: float = 1e-3, seed: int = 0):
+    """``probing.train_probe`` as it was when it standardized all its features
+    once, into a second feature-sized buffer, and indexed each minibatch from it."""
+    labels = np.asarray(labels)
+    n = feats.shape[0]
+    onehot = _one_hot(labels, n, n_classes)
+    mean, std = standardize_stats(feats)
+    x = apply_standardize(feats, mean, std)
+    probe = init_probe(kind, feats.shape[-1], n_classes, np.random.default_rng([seed, 0]),
+                       mean, std)
+    params = probe.named()
+    opt = init_opt(params)
+    for epoch in range(epochs):
+        order = np.random.default_rng([seed, 1 + epoch]).permutation(n)
+        for lo in range(0, n, batch_size):
+            sel = order[lo:lo + batch_size]
+            descend(params, _nll(probe_logits(probe, x[sel]), onehot[sel]), opt, lr, 0.0)
+    return probe

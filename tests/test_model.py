@@ -11,10 +11,11 @@ from vjlab.gradcheck import grad_check
 from vjlab.config import VARIANTS, RunConfig, app_width, variant_defaults
 from vjlab.masking import MaskSpec, motion_energy, sample_mask
 from vjlab.model import (
+    Block,
     HeadParams,
     Params,
     action_head,
-    attention_core,
+    block,
     clone_frozen,
     dyn_head,
     embed_clips,
@@ -38,8 +39,10 @@ from vjlab.model import (
 from vjlab.probing import train_probe
 from vjlab.objectives import ac_loss, ac_targets
 from vjlab.synth import MotionClass, VideoClip, gen_motion_clip, image_as_clip
-from vjlab.tensor import Tensor, backward
+from vjlab.tensor import Tensor, backward, no_grad
 from vjlab.training import init_state, train_records
+
+from oracles import attention_core, composed_block
 
 CFG = RunConfig()
 
@@ -316,6 +319,15 @@ class TestFusedOps:
         with pytest.raises(ValueError, match=r"\[2, 5\] key mask"):
             attention_core(*qkv, 2, valid)
 
+    @pytest.mark.parametrize("valid", [np.ones((2, 6), bool), np.ones((5, 2), bool),
+                                       np.array([[True] * 5, [False] * 5])],
+                             ids=["extra-key", "transposed", "row-without-a-key"])
+    def test_attention_core_refuses_a_misfit_key_mask(self, valid):
+        rng = np.random.default_rng(16)
+        qkv = [Tensor(rng.standard_normal((2, 5, 8))) for _ in range(3)]
+        with pytest.raises(ValueError, match=r"\[2, 5\] key mask"):
+            attention_core(*qkv, 2, valid)
+
     def test_gather_padded_grad(self):
         rng = np.random.default_rng(16)
         x = rand_t(rng, (2, 5, 3))
@@ -335,6 +347,127 @@ class TestFusedOps:
         assert np.array_equal(view(x, index, shape).data, x.data[1, :3].reshape(shape))
         rep = grad_check(lambda t: weighted_sum(view(t, index, shape), 19), [x])
         assert rep.ok(1e-4), rep.per_input
+
+
+def rand_block(rng, dim=CFG.dim, ff=CFG.ff, scale=0.5) -> Block:
+    """A block whose every parameter is drawn (gains about 1), so no gradient
+    path is trivial; ``init_encoder`` starts biases at 0 and gains at 1."""
+    blk = init_encoder(dataclasses.replace(CFG, dim=dim, ff=ff, layers=1), rng).blocks[0]
+    for name, t in blk.named("").items():
+        t.data = rng.standard_normal(t.shape) * scale + name.endswith("_g")
+    return blk
+
+
+def raw_scores(blk: Block, x: np.ndarray, heads: int) -> np.ndarray:
+    """The [B, H, N, N] attention scores of a block, before the clip."""
+    with no_grad():
+        h = layer_norm(Tensor(x), blk.ln1_g, blk.ln1_b)
+        q, k = linear(h, blk.wq, blk.bq).data, linear(h, blk.wk, blk.bk).data
+    bsz, n, d = q.shape
+    qh, kh = (t.reshape(bsz, n, heads, d // heads).transpose(0, 2, 1, 3) for t in (q, k))
+    return qh @ kh.swapaxes(-1, -2) / np.sqrt(d // heads)
+
+
+class TestBlock:
+    """``model.block`` against the twelve-node graph it fuses, finite
+    differences (``verify.block_gradient``) and its attention rules."""
+
+    GEOMETRY = {
+        # a full-grid encode: clip 1 holds 40 of 64 tokens
+        "encoder": (CFG.heads, np.arange(64) < np.array([[64], [40]])),
+        # a predictor pass: 20 / 28 visible latents, then 24 / 10 target queries
+        "predictor": (CFG.pred_heads, np.concatenate(
+            [np.arange(28) < np.array([[20], [28]]), np.arange(24) < np.array([[24], [10]])],
+            axis=1)),
+    }
+
+    @pytest.mark.parametrize("geometry", GEOMETRY)
+    def test_matches_the_composed_graph_bit_for_bit(self, geometry):
+        heads, valid = self.GEOMETRY[geometry]
+        rng = np.random.default_rng(20)
+        blk = rand_block(rng)
+        x = rng.standard_normal(valid.shape + (CFG.dim,))
+        # scale the queries so that the largest real score is clipped and nearly all others are not
+        real = (valid[:, None, :, None] & valid[:, None, None, :]).repeat(heads, axis=1)
+        factor = 31.0 / np.abs(raw_scores(blk, x, heads)[real]).max()
+        blk.wq.data *= factor
+        blk.bq.data *= factor
+        s = np.abs(raw_scores(blk, x, heads)[real])
+        assert (s > 30.0).any() and (s > 30.0).mean() < 0.01
+
+        def run(fn):
+            xt = Tensor(x, requires_grad=True)
+            for t in blk.named("").values():
+                t.grad = None
+            out = fn(blk, xt, heads, valid)
+            backward(weighted_sum(out, 21))
+            return [out.data, xt.grad] + [t.grad for t in blk.named("").values()]
+
+        fused, composed = run(block), run(composed_block)
+        for name, a, b in zip(["out", "x", *blk.named("")], fused, composed):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_finite_differences(self, seed):
+        verify.block_gradient(seed=seed)
+
+    def test_no_grad_forward_is_byte_equal(self):
+        heads, valid = self.GEOMETRY["predictor"]
+        rng = np.random.default_rng(22)
+        blk = rand_block(rng)
+        x = Tensor(rng.standard_normal(valid.shape + (CFG.dim,)), requires_grad=True)
+        tracked = block(blk, x, heads, valid)
+        with no_grad():
+            free = block(blk, x, heads, valid)
+        assert tracked.requires_grad and not free.requires_grad and free._vjp is None
+        assert free.data.tobytes() == tracked.data.tobytes()
+
+    def test_one_node_over_x_and_the_parameters(self):
+        blk = rand_block(np.random.default_rng(23))
+        x = Tensor(np.zeros((1, 3, CFG.dim)), requires_grad=True)
+        out = block(blk, x, CFG.heads, np.ones((1, 3), bool))
+        assert out._parents == (x, *blk.named("").values())
+
+    def test_clipped_scores_pass_no_gradient(self):
+        # wq = wk = 0: every token's query is bq and its key bk. In head 0
+        # (columns 0-1) each score is 72 / sqrt(2), beyond +-30; in head 1 it is
+        # 1.25 / sqrt(2). Unclipped, equal keys and queries still pass a
+        # gradient to k (the columns of the softmax gradient do not sum to 0)
+        rng = np.random.default_rng(24)
+        blk = rand_block(rng, dim=4, ff=8)
+        for name, value in (("wq", 0.0), ("wk", 0.0), ("bq", [6.0, 6.0, 1.0, 0.5]),
+                            ("bk", [6.0, 6.0, 1.0, 0.5])):
+            getattr(blk, name).data = np.broadcast_to(value, getattr(blk, name).shape).copy()
+        for t in blk.named("").values():
+            t.requires_grad = True
+        backward(weighted_sum(block(blk, rand_t(rng, (1, 4, 4)), 2, np.ones((1, 4), bool)), 25))
+        for name in ("wq", "wk"):
+            assert np.all(getattr(blk, name).grad[:, :2] == 0.0), name
+        for name in ("bq", "bk"):
+            assert np.all(getattr(blk, name).grad[:2] == 0.0), name
+        assert np.all(blk.wk.grad[:, 2:] != 0.0)
+
+    def test_padded_tokens_change_no_real_row_and_get_no_gradient(self):
+        # sequence 1 holds 3 real tokens and 2 padded ones
+        rng = np.random.default_rng(26)
+        blk = rand_block(rng, dim=8, ff=16)
+        valid = np.array([[True] * 5, [True, True, True, False, False]])
+        x = rand_t(rng, (2, 5, 8))
+        out = block(blk, x, 2, valid)
+        alone = block(blk, Tensor(x.data[1:, :3]), 2, np.ones((1, 3), bool))
+        assert np.max(np.abs(out.data[1, :3] - alone.data[0])) <= 1e-12
+        weights = rng.standard_normal(out.shape) * valid[:, :, None]
+        backward((out * Tensor(weights)).sum())
+        assert np.all(x.grad[1, 3:] == 0.0) and np.all(x.grad[1, :3] != 0.0)
+
+    @pytest.mark.parametrize("valid", [np.ones((2, 6), bool), np.ones((5, 2), bool),
+                                       np.array([[True] * 5, [False] * 5])],
+                             ids=["extra-key", "transposed", "row-without-a-key"])
+    def test_refuses_a_misfit_key_mask(self, valid):
+        blk = rand_block(np.random.default_rng(16), dim=8, ff=16)
+        x = Tensor(np.random.default_rng(17).standard_normal((2, 5, 8)))
+        with pytest.raises(ValueError, match=r"\[2, 5\] key mask"):
+            block(blk, x, 2, valid)
 
 
 def hand_mask(n_visible: int, n_targets: int) -> MaskSpec:

@@ -31,7 +31,7 @@ from vjlab.probing import (
 )
 from vjlab.synth import gen_motion_dataset
 from vjlab.tensor import Tensor, backward, no_grad
-from oracles import composed_cross_entropy, composed_pool
+from oracles import composed_cross_entropy, composed_pool, train_probe_on_copy
 
 
 def small_cfg(**kw):
@@ -264,6 +264,45 @@ class TestProbeTraining:
             feats[i, 3, labels[i]] += 3.0
         probe = train_probe(feats, labels, 3, kind="attentive", epochs=50, seed=0)
         assert accuracy(probe, feats, labels) == 1.0
+
+    @pytest.mark.parametrize("kind", ["linear", "attentive"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 16, 40])
+    def test_minibatch_standardization_matches_a_standardized_copy(self, kind, batch_size):
+        """Byte-equal weights to the fit on one standardized copy of all the
+        features; 40 rows leave a last partial batch at sizes 7 and 16."""
+        rng = np.random.default_rng(14)
+        feats = rng.standard_normal((40, 6) if kind == "linear" else (40, 5, 6)) * 3.0 + 2.0
+        labels = np.arange(40) % 4
+        fit = dict(kind=kind, epochs=3, batch_size=batch_size, seed=1)
+        got = train_probe(feats, labels, 4, **fit)
+        want = train_probe_on_copy(feats, labels, 4, **fit)
+        assert got.feat_mean.tobytes() == want.feat_mean.tobytes()
+        assert got.feat_std.tobytes() == want.feat_std.tobytes()
+        want_named = want.named()
+        for name, t in got.named().items():
+            assert t.data.tobytes() == want_named[name].data.tobytes(), name
+
+    def test_the_fit_holds_no_second_feature_buffer(self, monkeypatch):
+        """The traced bytes held at each step stay below half the features'
+        bytes: no standardized copy of them (which reads above 1x) is held."""
+        feats = np.random.default_rng(15).standard_normal((512, 64))
+        labels = np.arange(512) % 8
+        train_probe(feats[:16], labels[:16], 8, epochs=1)  # the lazy imports a first fit makes
+        held = []
+        descend = probing.descend
+
+        def spy(*args):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return descend(*args)
+
+        monkeypatch.setattr(probing, "descend", spy)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_probe(feats, labels, 8, epochs=1)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 32 and max(held) < 0.5 * feats.nbytes, (max(held), feats.nbytes)
 
     def test_linear_probe_rejects_token_features(self):
         rng = np.random.default_rng(9)

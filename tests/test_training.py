@@ -413,15 +413,16 @@ class TestGraphSize:
                     stack.append(parent)
         return len(seen)
 
-    LIMITS = {"Baseline": 139, "Kin.-L1": 175, "SIGReg": 202, "FWM-HW-LD": 215}
+    LIMITS = {"Baseline": 95, "Kin.-L1": 109, "SIGReg": 136, "FWM-HW-LD": 149}
 
     @pytest.mark.parametrize("variant", LIMITS)
     def test_nodes_per_step_at_criterion_8_geometry(self, variant):
         # batch 8, 32x32x8 clips, a 4x4x4 token grid at dim 32; the graph
         # held about 3,800 (Baseline) and 6,200 (FWM-HW-LD) nodes before the
         # fused linear, layer-norm, attention and column-slice ops, 613 and
-        # 1,237 before one token slab per batch, and 208, 304 (Kin.-L1),
-        # 2,312 (SIGReg) and 643 before the losses ran once per batch
+        # 1,237 before one token slab per batch, 208, 304 (Kin.-L1), 2,312
+        # (SIGReg) and 643 before the losses ran once per batch, and 139, 175,
+        # 202 and 215 before each transformer block became one node
         limit = self.LIMITS[variant]
         cfg = dataclasses.replace(variant_defaults(variant), batch_size=8, n_per_class=2)
         state = init_state(cfg)
@@ -436,13 +437,19 @@ class TestMemoryCeilings:
     # few small objects, measured at 336.6-337.2 kB and 363.5-364.2 kB; 10.8 MB
     # (Baseline) and 19.7 MB (FWM-HW-LD) before backward freed the graph it walked
     HELD_AT_ADAMW = {"Baseline": 340_000, "FWM-HW-LD": 370_000}
+    # the step's heap peak: measured at 8.21 MB and 15.22 MB; 11.85 MB and
+    # 19.79 MB when each block's twelve nodes kept every output and the
+    # teacher encoded on top of the student's graph
+    STEP_PEAK = {"Baseline": 8_300_000, "FWM-HW-LD": 15_300_000}
 
-    @pytest.mark.parametrize("variant", HELD_AT_ADAMW)
-    def test_bytes_held_when_adamw_starts(self, variant, monkeypatch):
+    @staticmethod
+    def traced_second_step(variant, monkeypatch) -> tuple[int, int]:
+        """(bytes held when AdamW starts, heap peak) of a step at the
+        criterion-8 geometry, after a first step has filled its caches."""
         cfg = dataclasses.replace(variant_defaults(variant), batch_size=8, n_per_class=2)
         state = init_state(cfg)
         ds = gen_motion_dataset(2, 0)
-        train_step(state, draw_batch(ds, 8, cfg.seed, 0))  # fills the caches a first step fills
+        train_step(state, draw_batch(ds, 8, cfg.seed, 0))
         held = []
         adamw_step = training.adamw_step
 
@@ -457,9 +464,18 @@ class TestMemoryCeilings:
         try:
             start = tracemalloc.get_traced_memory()[0]
             train_step(state, clips)
+            peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert held[0] <= self.HELD_AT_ADAMW[variant]
+        return held[0], peak
+
+    @pytest.mark.parametrize("variant", HELD_AT_ADAMW)
+    def test_bytes_held_when_adamw_starts(self, variant, monkeypatch):
+        assert self.traced_second_step(variant, monkeypatch)[0] <= self.HELD_AT_ADAMW[variant]
+
+    @pytest.mark.parametrize("variant", STEP_PEAK)
+    def test_heap_peak_of_a_step(self, variant, monkeypatch):
+        assert self.traced_second_step(variant, monkeypatch)[1] <= self.STEP_PEAK[variant]
 
     def test_stored_pixel_bytes_of_a_benchmark_dataset(self):
         # 512 clips of 8x32x32 bool pixels at one bit each; 4 MiB at a byte each
