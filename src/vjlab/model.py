@@ -8,7 +8,8 @@ slabs. Masked encoding still drops non-visible tokens, so attention can only
 ever mix visible content; clips with fewer visible tokens are padded to the
 batch maximum, and padding never gets attention weight. Each transformer
 block is one graph node (``block``) whose hand-written VJP keeps only what it
-reads and recomputes the cheap layer-norm and GELU outputs; its composed
+reads and cannot cheaply rebuild, and recomputes the layer-norm outputs, the
+q/k/v projections, the attention output and the GELU output; its composed
 twelve-node graph lives in the tests' ``oracles.py``, which it matches bit
 for bit. The array kernels below (``_affine``, ``_norm``, ``_attend`` and
 their VJPs) serve ``linear``, ``layer_norm`` and ``block`` alike. Parameters
@@ -390,9 +391,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, keys: np.nd
 
     A padded key's score becomes -inf, so it gets weight exactly 0, and the
     max shift runs over real keys only. Scores are clipped to ``_ATTN_CLIP``
-    before the softmax. Returns the output and, when ``track``, what
-    ``_attend_vjp`` reads: the head views, the probabilities and the mask of
-    scores that are neither clipped nor padded.
+    before the softmax. Returns the output and, when ``track``, the
+    probabilities and the mask of scores that are neither clipped nor padded:
+    what ``_attend_vjp`` reads beside the head views, which the caller can
+    rebuild from q, k and v.
     """
     qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
     # The [B, H, N, N] buffers are worked on in place: each fresh one costs page faults.
@@ -404,7 +406,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, keys: np.nd
     s -= np.max(s, axis=-1, keepdims=True)
     p = np.exp(s, out=s)  # exactly 0 at padded keys
     p /= np.sum(p, axis=-1, keepdims=True)
-    return _merge(p @ vh), ((qh, kh, vh, p, inside) if track else None)
+    return _merge(p @ vh), ((p, inside) if track else None)
 
 
 def _attend_vjp(g: np.ndarray, qh, kh, vh, p, inside):
@@ -426,13 +428,14 @@ def block(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
 
     ``valid`` [B, N] marks the real tokens of each sequence: padding gets no
     attention weight and no gradient, so real rows do not depend on what
-    padded slots hold. The node keeps only what its VJP reads (each layer
-    norm's y and s, the q/k/v head views, the attention probabilities and
-    clip mask, the attention output, the MLP pre-activation u and Phi(u)); the
-    VJP recomputes the layer-norm outputs and gelu(u) with the forward's own
-    ops and drops each saved array once it has used it. Under ``no_grad`` the
-    block builds no clip mask and drops each of those arrays after its last
-    forward use.
+    padded slots hold. The node keeps only what its VJP reads and cannot
+    cheaply rebuild: each layer norm's y and s, the attention probabilities
+    and clip mask, the MLP pre-activation u and Phi(u). The VJP recomputes
+    the layer-norm outputs, q, k, v, the attention output and gelu(u) with
+    the forward's own ops on the same inputs, so the bytes are the forward's,
+    and drops each array once it has used it. Under ``no_grad`` the block
+    builds no clip mask and drops each of those arrays after its last forward
+    use.
     """
     bsz, n, _ = x.shape
     keys = np.asarray(valid, dtype=bool)
@@ -452,8 +455,7 @@ def block(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
     # h1 is freed when the block returns: freed here, before the residual sum
     # is allocated, it left glibc's heap about 3 MiB wider at FWM-HW-LD's peak
     x1 = x.data + _affine(a, wo, bo)
-    if not track:
-        a = None
+    a = None
     y2, s2 = _norm(x1)
     u = _affine(_scale_shift(y2, ln2_g, ln2_b), w1, b1)
     if not track:
@@ -464,7 +466,7 @@ def block(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
         return Tensor(out)
 
     def vjp(g):
-        nonlocal y1, s1, att, a, y2, s2, u, phi
+        nonlocal y1, s1, att, y2, s2, u, phi
         gf, gw2, gb2 = _affine_vjp(g, u * phi, w2)
         gu = gelu_slope(u, phi, gf)
         u = phi = gf = None
@@ -473,11 +475,14 @@ def block(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tensor:
         gx1, gln2_g, gln2_b = _norm_vjp(gh, y2, s2, ln2_g)
         y2 = s2 = gh = None
         gx1 += g
-        ga, gwo, gbo = _affine_vjp(gx1, a, wo)
-        a = None
-        gq, gk, gv = _attend_vjp(ga, *att)
-        att = ga = None
         h1 = _scale_shift(y1, ln1_g, ln1_b)
+        qh, kh, vh = (_heads(_affine(h1, w, b), heads)
+                      for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        p, inside = att
+        att = None
+        ga, gwo, gbo = _affine_vjp(gx1, _merge(p @ vh), wo)
+        gq, gk, gv = _attend_vjp(ga, qh, kh, vh, p, inside)
+        qh = kh = vh = p = inside = ga = None
         gh, gwq, gbq = _affine_vjp(gq, h1, wq)
         gq = None
         ghk, gwk, gbk = _affine_vjp(gk, h1, wk)

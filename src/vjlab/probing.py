@@ -2,11 +2,17 @@
 
 Features are standardized per channel with training-set statistics before
 the probe sees them, so variants whose latent scales differ wildly (EMA
-versus no-EMA training) are compared on equal footing. ``train_probe``
-takes the statistics and checks the labels once, then standardizes each
-minibatch in place as it gathers it, so the fit holds no second
-feature-sized buffer; ``evaluate`` drops the train features before it
-encodes the test features.
+versus no-EMA training) are compared on equal footing. Features travel as a
+sequence of chunks, one per ``FEATURE_CHUNK`` encoded clips, from
+extraction through statistics, fit and prediction, so no
+[n, tokens, dim] array exists: linear features are pooled as each chunk is
+encoded into one [n, dim] array (a single chunk), attentive ones stay
+[<= FEATURE_CHUNK, tokens, dim] chunks. ``train_probe`` checks the labels,
+takes the statistics chunk by chunk (byte-equal to numpy's mean and std of
+the joined rows) and standardizes each chunk once, in place, before the fit
+gathers its minibatches; ``predict`` standardizes and scores one chunk at a
+time; ``evaluate`` drops the train features before it encodes the test
+features.
 
 A probe step is three graph nodes: ``attentive_pool`` (attentive probes
 only), ``model.linear`` and ``cross_entropy``. The two fused nodes here
@@ -41,39 +47,59 @@ def _child_seed(seed: int, tag: int) -> int:
 # -- features ------------------------------------------------------------
 
 
-def token_features(encoder: EncoderParams, clips: list[VideoClip]) -> np.ndarray:
-    """Full-grid latents per clip, [n_clips, n_tokens, dim], no gradients.
-
-    Clips are encoded ``FEATURE_CHUNK`` at a time, which keeps the activation
-    slabs (and peak memory) as small as one training batch's. Each chunk's
-    latents are copied into one output buffer, allocated at the first chunk,
-    so the features are held once, not once per chunk and once joined.
-    """
-    feats = None
-    with no_grad():
-        for lo in range(0, len(clips), FEATURE_CHUNK):
+def _latent_chunks(encoder: EncoderParams, clips: list[VideoClip]):
+    """Full-grid latents of ``FEATURE_CHUNK`` clips at a time, each
+    [<= FEATURE_CHUNK, n_tokens, dim], no gradients; the activation slabs (and
+    peak memory) stay as small as one training batch's."""
+    for lo in range(0, len(clips), FEATURE_CHUNK):
+        with no_grad():
             latents, _ = encode(encoder, clips[lo:lo + FEATURE_CHUNK])
-            if feats is None:
-                feats = np.empty((len(clips),) + latents.data.shape[1:])
-            feats[lo:lo + len(latents.data)] = latents.data
-    return feats
+        yield latents.data
 
 
 def pooled_features(encoder: EncoderParams, clips: list[VideoClip]) -> np.ndarray:
-    """Mean-pooled latents per clip, [n_clips, dim]."""
-    return token_features(encoder, clips).mean(axis=1)
+    """Mean-pooled latents per clip, [n_clips, dim]; each chunk is pooled as
+    it is encoded."""
+    return np.concatenate([latents.mean(axis=1) for latents in _latent_chunks(encoder, clips)])
 
 
-def standardize_stats(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean/std over every row (and token, if present).
+def _chunks(feats) -> list[np.ndarray]:
+    """A feature chunk sequence; one array is one chunk."""
+    return [feats] if isinstance(feats, np.ndarray) else list(feats)
 
-    Dead channels (std below 1e-8) pass through unscaled.
-    """
-    flat = feats.reshape(-1, feats.shape[-1])
-    mean = flat.mean(axis=0)
-    std = flat.std(axis=0)
-    std = np.where(std < 1e-8, 1.0, std)
-    return mean, std
+
+def _sum_rows(flats: list[np.ndarray], buf: np.ndarray, fill) -> np.ndarray:
+    """Column sums over the rows that ``fill(flat, out)`` writes for each 2-d
+    part in turn, taken as numpy sums axis 0 of one C-contiguous array: row
+    after row. So each part's rows follow the running sum in ``buf`` and are
+    summed with it."""
+    total = None
+    for flat in flats:
+        part = buf[:len(flat) + 1]
+        fill(flat, part[1:])
+        if total is None:
+            total = part[1:].sum(axis=0)
+        else:
+            part[0] = total
+            total = part.sum(axis=0)
+    return total
+
+
+def feature_stats(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std over every row (and token, if present) of the
+    chunks, byte for byte numpy's ``mean`` and ``std`` over axis 0 of the
+    joined rows: a column sum divided by the row count, then the same over
+    the squared deviations, and its square root. Dead channels (std below
+    1e-8) pass through unscaled. One chunk-sized buffer holds the rows being
+    summed."""
+    flats = [c.reshape(-1, c.shape[-1]) for c in _chunks(chunks)]
+    rows = sum(len(f) for f in flats)
+    buf = np.empty((max(len(f) for f in flats) + 1, flats[0].shape[1]))
+    mean = _sum_rows(flats, buf, lambda f, out: np.copyto(out, f)) / rows
+    var = _sum_rows(flats, buf,
+                    lambda f, out: np.square(np.subtract(f, mean, out=out), out=out)) / rows
+    std = np.sqrt(var)
+    return mean, np.where(std < 1e-8, 1.0, std)
 
 
 def apply_standardize(feats: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
@@ -205,18 +231,30 @@ def _nll(logits: Tensor, onehot: np.ndarray) -> Tensor:
     return Tensor._node(np.sum(logp * onehot) * (-1.0 / n), (logits,), vjp)
 
 
-def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
+def train_probe(feats, labels: np.ndarray, n_classes: int,
                 kind: str = "linear", epochs: int = 50, batch_size: int = 16,
                 lr: float = 1e-3, seed: int = 0) -> ProbeParams:
     """AdamW without weight decay, shuffled minibatches, CE objective; a
-    non-finite gradient raises FloatingPointError naming its parameter."""
+    non-finite gradient raises FloatingPointError naming its parameter.
+
+    ``feats`` is a sequence of feature chunks ([rows, dim] for a linear
+    probe, [rows, tokens, dim] for an attentive one) or one array, a single
+    chunk. The fit standardizes the chunks in place, once: the caller hands
+    them over. Each minibatch is gathered in the permutation's row order, by
+    fancy index from a single chunk and row by row from several.
+    """
+    chunks = _chunks(feats)
     labels = np.asarray(labels)
     if np.unique(labels).size < 2:
         raise ValueError("probe training needs at least two classes")
-    n = feats.shape[0]
+    n = sum(len(c) for c in chunks)
     onehot = _one_hot(labels, n, n_classes)
-    mean, std = standardize_stats(feats)
-    probe = init_probe(kind, feats.shape[-1], n_classes, np.random.default_rng([seed, 0]),
+    mean, std = feature_stats(chunks)
+    for c in chunks:
+        c -= mean
+        c /= std
+    rows = [row for c in chunks for row in c] if len(chunks) > 1 else None
+    probe = init_probe(kind, mean.shape[0], n_classes, np.random.default_rng([seed, 0]),
                        mean, std)
     params = probe.named()
     opt = init_opt(params)
@@ -224,22 +262,24 @@ def train_probe(feats: np.ndarray, labels: np.ndarray, n_classes: int,
         order = np.random.default_rng([seed, 1 + epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo:lo + batch_size]
-            xb = feats[sel]  # a fresh minibatch, standardized in place
-            xb -= mean
-            xb /= std
+            xb = chunks[0][sel] if rows is None else np.stack([rows[i] for i in sel])
             descend(params, _nll(probe_logits(probe, xb), onehot[sel]), opt, lr, 0.0)
     return probe
 
 
-def predict(probe: ProbeParams, feats: np.ndarray) -> np.ndarray:
-    """Top-1 class per row; ties resolve to the lowest class index."""
-    x = apply_standardize(feats, probe.feat_mean, probe.feat_std)
+def predict(probe: ProbeParams, feats) -> np.ndarray:
+    """Top-1 class per row of a feature chunk sequence (or one array),
+    standardized and scored one chunk at a time; ties resolve to the lowest
+    class index."""
+    preds = []
     with no_grad():
-        logits = probe_logits(probe, x).data
-    return np.argmax(logits, axis=1)
+        for c in _chunks(feats):
+            x = apply_standardize(c, probe.feat_mean, probe.feat_std)
+            preds.append(np.argmax(probe_logits(probe, x).data, axis=1))
+    return np.concatenate(preds)
 
 
-def accuracy(probe: ProbeParams, feats: np.ndarray, labels: np.ndarray) -> float:
+def accuracy(probe: ProbeParams, feats, labels: np.ndarray) -> float:
     return float(np.mean(predict(probe, feats) == np.asarray(labels)))
 
 
@@ -257,10 +297,13 @@ class EvalReport:
 
 
 def dataset_features(encoder: EncoderParams, ds: Dataset, kind: str):
+    """(feature chunks, labels): one pooled [n, dim] chunk for a linear probe,
+    one [<= FEATURE_CHUNK, tokens, dim] chunk per encode for an attentive one."""
     clips = ds.clips
     labels = np.array([c.label for c in clips])
-    feats = pooled_features(encoder, clips) if kind == "linear" else token_features(encoder, clips)
-    return feats, labels
+    if kind == "linear":
+        return [pooled_features(encoder, clips)], labels
+    return list(_latent_chunks(encoder, clips)), labels
 
 
 def probe_datasets(cfg: RunConfig, n_train_per_class: int = 16, n_test_per_class: int = 8,

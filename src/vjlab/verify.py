@@ -39,6 +39,7 @@ from .objectives import (
     sigreg_loss,
     spectral_loss,
 )
+from .probing import FEATURE_CHUNK, feature_stats
 from .synth import gen_motion_dataset, load_dataset, save_dataset
 from .tensor import Tensor, backward, erf
 from .training import draw_batch, init_state, train_step
@@ -268,6 +269,25 @@ def train_step_determinism() -> None:
     assert np.isfinite(m1["total"])
 
 
+def probe_stream(seed: int = 0) -> None:
+    """The probe's chunk-wise column statistics equal numpy's whole-array
+    ``mean`` and ``std`` byte for byte, on token and on pooled features.
+    They carry each chunk's running sum into the next, which matches only
+    because numpy sums axis 0 of a C-contiguous array row after row; channel
+    scales from 1e-3 to 1e3 make any other order show in the last bits."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** np.arange(-3, 4)
+    tokens = rng.standard_normal((13, 5, 7)) * scales + rng.standard_normal(7) * scales
+    for feats in (tokens, tokens.mean(axis=1)):
+        flat = feats.reshape(-1, feats.shape[-1])
+        mean, std = feature_stats([feats[lo:lo + FEATURE_CHUNK]
+                                   for lo in range(0, len(feats), FEATURE_CHUNK)])
+        assert mean.tobytes() == flat.mean(axis=0).tobytes(), \
+            f"chunk-wise mean differs from numpy's for {feats.shape}"
+        assert std.tobytes() == flat.std(axis=0).tobytes(), \
+            f"chunk-wise std differs from numpy's for {feats.shape}"
+
+
 CHECKS = (
     spectral_matrices,
     gradient_engine,
@@ -284,4 +304,5 @@ CHECKS = (
     synth_determinism,
     pixel_widening,
     train_step_determinism,
+    probe_stream,
 )

@@ -11,9 +11,12 @@
 - The composed transformer block, twelve graph nodes per block
   (``layer_norm``, four ``linear``, ``attention_core``, ``Tensor.gelu`` and
   two residual adds): the bit-for-bit oracle for ``model.block``.
-- The probe fit on one standardized copy of all its features: the
-  bit-for-bit oracle for ``probing.train_probe``, which standardizes each
-  minibatch as it gathers it.
+- The probe on whole feature arrays: one [n, tokens, dim] buffer of every
+  clip's latents (``token_features``), numpy's mean and std over its joined
+  rows (``standardize_stats``), the fit on one standardized copy of all the
+  features, prediction on one standardized copy, and ``evaluate`` built from
+  them: the bit-for-bit oracle for ``probing``, which streams its features
+  one encode chunk at a time and standardizes each chunk once, in place.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import math
 
 import numpy as np
 
-from vjlab.model import _ATTN_CLIP, Block, layer_norm, linear
-from vjlab.probing import (_nll, _one_hot, apply_standardize, init_probe, probe_logits,
-                           standardize_stats)
-from vjlab.tensor import Tensor, matmul
+from vjlab.model import _ATTN_CLIP, Block, encode, layer_norm, linear
+from vjlab.probing import (FEATURE_CHUNK, EvalReport, _nll, _one_hot, apply_standardize,
+                           init_probe, probe_logits)
+from vjlab.synth import MotionClass
+from vjlab.tensor import Tensor, matmul, no_grad
 from vjlab.training import descend, init_opt
 
 
@@ -216,13 +220,38 @@ def composed_block(blk: Block, x: Tensor, heads: int, valid: np.ndarray) -> Tens
                       blk.w2, blk.b2)
 
 
-# -- probe fit on a standardized copy ------------------------------------
+# -- the probe on whole feature arrays ------------------------------------
+
+def token_features(encoder, clips) -> np.ndarray:
+    """Full-grid latents per clip, [n_clips, n_tokens, dim], no gradients:
+    ``FEATURE_CHUNK`` clips are encoded at a time and each chunk's latents
+    are copied into one output buffer allocated at the first chunk."""
+    feats = None
+    with no_grad():
+        for lo in range(0, len(clips), FEATURE_CHUNK):
+            latents, _ = encode(encoder, clips[lo:lo + FEATURE_CHUNK])
+            if feats is None:
+                feats = np.empty((len(clips),) + latents.data.shape[1:])
+            feats[lo:lo + len(latents.data)] = latents.data
+    return feats
+
+
+def standardize_stats(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean/std over every row (and token, if present); dead
+    channels (std below 1e-8) pass through unscaled."""
+    flat = feats.reshape(-1, feats.shape[-1])
+    mean = flat.mean(axis=0)
+    std = flat.std(axis=0)
+    std = np.where(std < 1e-8, 1.0, std)
+    return mean, std
+
 
 def train_probe_on_copy(feats: np.ndarray, labels: np.ndarray, n_classes: int,
                         kind: str = "linear", epochs: int = 50, batch_size: int = 16,
                         lr: float = 1e-3, seed: int = 0):
     """``probing.train_probe`` as it was when it standardized all its features
-    once, into a second feature-sized buffer, and indexed each minibatch from it."""
+    once, into a second feature-sized buffer, and indexed each minibatch from
+    it; ``feats`` is left as it was."""
     labels = np.asarray(labels)
     n = feats.shape[0]
     onehot = _one_hot(labels, n, n_classes)
@@ -238,3 +267,33 @@ def train_probe_on_copy(feats: np.ndarray, labels: np.ndarray, n_classes: int,
             sel = order[lo:lo + batch_size]
             descend(params, _nll(probe_logits(probe, x[sel]), onehot[sel]), opt, lr, 0.0)
     return probe
+
+
+def predict_on_copy(probe, feats: np.ndarray) -> np.ndarray:
+    """``probing.predict`` on one standardized copy of all the features."""
+    x = apply_standardize(feats, probe.feat_mean, probe.feat_std)
+    with no_grad():
+        logits = probe_logits(probe, x).data
+    return np.argmax(logits, axis=1)
+
+
+def evaluate_whole(encoder, cfg, train_ds, test_ds, seed: int | None = None) -> EvalReport:
+    """``probing.evaluate`` on whole feature arrays."""
+    seed = cfg.seed if seed is None else seed
+
+    def features(ds):
+        feats = token_features(encoder, ds.clips)
+        return (feats.mean(axis=1) if cfg.probe_kind == "linear" else feats,
+                np.array([c.label for c in ds.clips]))
+
+    train_x, train_y = features(train_ds)
+    probe = train_probe_on_copy(train_x, train_y, len(MotionClass), kind=cfg.probe_kind,
+                                epochs=cfg.probe_epochs, batch_size=cfg.probe_batch,
+                                lr=cfg.probe_lr, seed=seed)
+    test_x, test_y = features(test_ds)
+    preds = predict_on_copy(probe, test_x)
+    per_class = {m.name.lower(): float(np.mean(preds[test_y == int(m)] == int(m)))
+                 for m in MotionClass if (test_y == int(m)).any()}
+    return EvalReport(variant=cfg.variant, kind=cfg.probe_kind,
+                      accuracy=float(np.mean(preds == test_y)), n_train=len(train_y),
+                      n_test=len(test_y), per_class=per_class)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vjlab import probing, training
+from vjlab import probing, training, verify
 from vjlab.config import variant_defaults
 from vjlab.gradcheck import grad_check
 from vjlab.model import encode, init_encoder
@@ -20,18 +20,21 @@ from vjlab.probing import (
     apply_standardize,
     attentive_pool,
     cross_entropy,
+    dataset_features,
+    evaluate,
+    feature_stats,
     init_probe,
     pooled_features,
     predict,
+    probe_datasets,
     probe_logits,
-    standardize_stats,
     synthetic_benchmark,
-    token_features,
     train_probe,
 )
 from vjlab.synth import gen_motion_dataset
 from vjlab.tensor import Tensor, backward, no_grad
-from oracles import composed_cross_entropy, composed_pool, train_probe_on_copy
+from oracles import (composed_cross_entropy, composed_pool, evaluate_whole, standardize_stats,
+                     token_features, train_probe_on_copy)
 
 
 def small_cfg(**kw):
@@ -54,7 +57,7 @@ class TestStandardize:
     def test_stats_whiten_training_features(self):
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((40, 6)) * np.array([1, 2, 3, 4, 5, 6.0]) + 7.0
-        mean, std = standardize_stats(feats)
+        mean, std = feature_stats(feats)
         z = apply_standardize(feats, mean, std)
         assert np.abs(z.mean(axis=0)).max() <= 1e-12
         assert np.abs(z.std(axis=0) - 1.0).max() <= 1e-12
@@ -63,7 +66,7 @@ class TestStandardize:
         feats = np.zeros((10, 3))
         feats[:, 0] = np.linspace(0, 1, 10)
         feats[:, 2] = 5.0  # constant: dead channel
-        mean, std = standardize_stats(feats)
+        mean, std = feature_stats(feats)
         assert std[1] == 1.0 and std[2] == 1.0
         z = apply_standardize(feats, mean, std)
         assert np.all(z[:, 2] == 0.0)
@@ -71,7 +74,7 @@ class TestStandardize:
     def test_token_features_pool_over_tokens_too(self):
         rng = np.random.default_rng(1)
         feats = rng.standard_normal((5, 7, 4))
-        mean, std = standardize_stats(feats)
+        mean, std = feature_stats([feats[:2], feats[2:]])
         flat = feats.reshape(-1, 4)
         assert np.array_equal(mean, flat.mean(axis=0))
         assert np.array_equal(std, flat.std(axis=0))
@@ -203,7 +206,7 @@ class TestProbeTraining:
     def test_separable_features_reach_train_accuracy_one(self):
         rng = np.random.default_rng(4)
         feats, labels = separable_features(rng)
-        probe = train_probe(feats, labels, 4, epochs=50, seed=0)
+        probe = train_probe(feats.copy(), labels, 4, epochs=50, seed=0)
         assert accuracy(probe, feats, labels) == 1.0
 
     def test_shuffled_labels_score_near_chance(self):
@@ -219,8 +222,8 @@ class TestProbeTraining:
     def test_same_seed_identical_probe_weights(self):
         rng = np.random.default_rng(6)
         feats, labels = separable_features(rng, n_per_class=6)
-        p1 = train_probe(feats, labels, 4, epochs=5, seed=9)
-        p2 = train_probe(feats, labels, 4, epochs=5, seed=9)
+        p1 = train_probe(feats.copy(), labels, 4, epochs=5, seed=9)
+        p2 = train_probe(feats.copy(), labels, 4, epochs=5, seed=9)
         assert np.array_equal(p1.w.data, p2.w.data)
         assert np.array_equal(p1.b.data, p2.b.data)
 
@@ -262,25 +265,29 @@ class TestProbeTraining:
         feats = 0.05 * rng.standard_normal((n, k, d))
         for i in range(n):
             feats[i, 3, labels[i]] += 3.0
-        probe = train_probe(feats, labels, 3, kind="attentive", epochs=50, seed=0)
+        probe = train_probe(feats.copy(), labels, 3, kind="attentive", epochs=50, seed=0)
         assert accuracy(probe, feats, labels) == 1.0
 
     @pytest.mark.parametrize("kind", ["linear", "attentive"])
     @pytest.mark.parametrize("batch_size", [1, 7, 16, 40])
     def test_minibatch_standardization_matches_a_standardized_copy(self, kind, batch_size):
         """Byte-equal weights to the fit on one standardized copy of all the
-        features; 40 rows leave a last partial batch at sizes 7 and 16."""
+        features, as one chunk and as chunks of 8 (the fit standardizes the
+        chunks it is handed in place); 40 rows leave a last partial batch at
+        sizes 7 and 16."""
         rng = np.random.default_rng(14)
         feats = rng.standard_normal((40, 6) if kind == "linear" else (40, 5, 6)) * 3.0 + 2.0
         labels = np.arange(40) % 4
         fit = dict(kind=kind, epochs=3, batch_size=batch_size, seed=1)
-        got = train_probe(feats, labels, 4, **fit)
         want = train_probe_on_copy(feats, labels, 4, **fit)
-        assert got.feat_mean.tobytes() == want.feat_mean.tobytes()
-        assert got.feat_std.tobytes() == want.feat_std.tobytes()
         want_named = want.named()
-        for name, t in got.named().items():
-            assert t.data.tobytes() == want_named[name].data.tobytes(), name
+        for got in (train_probe(feats.copy(), labels, 4, **fit),
+                    train_probe([feats[lo:lo + 8].copy() for lo in range(0, 40, 8)], labels, 4,
+                                **fit)):
+            assert got.feat_mean.tobytes() == want.feat_mean.tobytes()
+            assert got.feat_std.tobytes() == want.feat_std.tobytes()
+            for name, t in got.named().items():
+                assert t.data.tobytes() == want_named[name].data.tobytes(), name
 
     def test_the_fit_holds_no_second_feature_buffer(self, monkeypatch):
         """The traced bytes held at each step stay below half the features'
@@ -324,41 +331,115 @@ class TestFeatureExtraction:
         pooled = pooled_features(enc, ds.clips)
         assert pooled.shape == (8, cfg.dim)
         assert np.allclose(pooled, tok.mean(axis=1))
+        chunks, labels = dataset_features(enc, ds, "attentive")
+        assert [c.shape for c in chunks] == [(8, 64, cfg.dim)] and labels.shape == (8,)
 
     def test_one_buffer_matches_the_joined_chunks(self):
-        """Byte-equal to the list-plus-concatenate extraction it replaced, on
-        a clip count that is not a multiple of ``FEATURE_CHUNK``."""
+        """The oracle's one feature buffer is byte-equal to the chunks the
+        attentive probe streams, joined, on a clip count that is not a
+        multiple of ``FEATURE_CHUNK``."""
         cfg = small_cfg()
         enc = init_encoder(cfg, np.random.default_rng(0))
-        clips = gen_motion_dataset(2, 0).clips[:13]
-        assert len(clips) % probing.FEATURE_CHUNK
+        ds = gen_motion_dataset(2, 0)
+        ds.clips = ds.clips[:13]
+        assert len(ds.clips) % probing.FEATURE_CHUNK
+        chunks, _ = dataset_features(enc, ds, "attentive")
+        assert [len(c) for c in chunks] == [8, 5]
         with no_grad():
-            joined = np.concatenate([encode(enc, clips[lo:lo + probing.FEATURE_CHUNK])[0].data
-                                     for lo in range(0, len(clips), probing.FEATURE_CHUNK)])
-        tok = token_features(enc, clips)
+            encoded = [encode(enc, ds.clips[lo:lo + 8])[0].data for lo in (0, 8)]
+        assert [c.tobytes() for c in chunks] == [e.tobytes() for e in encoded]
+        joined = np.concatenate(chunks)
+        tok = token_features(enc, ds.clips)
         assert tok.dtype == joined.dtype and tok.shape == joined.shape
         assert tok.tobytes() == joined.tobytes()
-
-    def test_features_are_held_once(self):
-        """Peak traced memory below 1.5x the output: the features are not held
-        a second time while they are joined (which reads about 2x)."""
-        cfg = small_cfg()
-        enc = init_encoder(cfg, np.random.default_rng(0))
-        clips = gen_motion_dataset(48, 0).clips
-        tracemalloc.start()
-        try:
-            tok = token_features(enc, clips)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * tok.nbytes, (peak, tok.nbytes)
 
     def test_extraction_leaves_no_gradients(self):
         cfg = small_cfg()
         enc = init_encoder(cfg, np.random.default_rng(0))
         ds = gen_motion_dataset(1, 0, t=cfg.frames, h=cfg.height, w=cfg.width)
-        token_features(enc, ds.clips[:2])
+        pooled_features(enc, ds.clips[:2])
+        dataset_features(enc, ds, "attentive")
         assert all(t.grad is None for t in enc.named().values())
+
+    # evaluate's tracemalloc peak at the benchmark's probe sizes (32 train and
+    # 16 test clips per class, the criterion-8 geometry): measured at 5.67 MB
+    # (attentive) and 1.79 MB (linear); 8.49 and 5.92 MB when the features
+    # were one [n, tokens, dim] buffer and predict standardized a whole copy
+    EVALUATE_PEAK = {"attentive": 5_670_000, "linear": 1_800_000}
+
+    @pytest.mark.parametrize("kind", EVALUATE_PEAK)
+    def test_heap_peak_of_evaluate(self, kind):
+        cfg = dataclasses.replace(variant_defaults("Baseline"), probe_kind=kind, probe_epochs=1)
+        enc = init_encoder(cfg, np.random.default_rng(0))
+        sets = probe_datasets(cfg, 32, 16)
+        evaluate(enc, cfg, *probe_datasets(cfg, 1, 1))  # the lazy imports a first fit makes
+        tracemalloc.start()
+        try:
+            evaluate(enc, cfg, *sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.EVALUATE_PEAK[kind], peak
+
+
+class TestStreamedProbe:
+    """The chunk-by-chunk probe is byte for byte the probe on whole arrays
+    (``oracles``): features, statistics, fit and the benchmark report."""
+
+    @pytest.mark.parametrize("kind", ["linear", "attentive"])
+    @pytest.mark.parametrize("n_clips", [13, 256])
+    def test_chunked_stats_equal_the_joined_arrays(self, kind, n_clips):
+        cfg = small_cfg()
+        enc = init_encoder(cfg, np.random.default_rng(1))
+        ds = gen_motion_dataset(32, 3)
+        ds.clips = ds.clips[:n_clips]
+        chunks, _ = dataset_features(enc, ds, kind)
+        joined = np.concatenate(chunks)
+        for got, want in zip(feature_stats(chunks), standardize_stats(joined)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_chunk_pooled_features_equal_the_token_mean(self):
+        cfg = small_cfg()
+        enc = init_encoder(cfg, np.random.default_rng(2))
+        clips = gen_motion_dataset(2, 4).clips[:13]
+        pooled = pooled_features(enc, clips)
+        assert pooled.tobytes() == token_features(enc, clips).mean(axis=1).tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "attentive"])
+    def test_one_chunk_and_many_chunks_fit_alike(self, kind):
+        rng = np.random.default_rng(16)
+        feats = rng.standard_normal((45, 6) if kind == "linear" else (45, 5, 6)) * 2.0 - 1.0
+        labels = np.arange(45) % 3
+        fit = dict(kind=kind, epochs=3, batch_size=16, seed=2)
+        one = train_probe(feats.copy(), labels, 3, **fit)
+        many = train_probe([feats[lo:lo + 8].copy() for lo in range(0, 45, 8)], labels, 3, **fit)
+        for name, t in one.named().items():
+            assert t.data.tobytes() == many.named()[name].data.tobytes(), name
+        assert predict(one, feats).tolist() == predict(many, np.split(feats, [8, 30])).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stats_rely_on_numpys_row_order_and_verify_checks_it(self, seed, monkeypatch):
+        """``verify.probe_stream`` passes, and fails once the chunks' sums are
+        added in another order (each chunk summed alone, then the sums)."""
+        verify.probe_stream(seed=seed)
+
+        def sum_then_add(flats, buf, fill):
+            total = 0.0
+            for flat in flats:
+                fill(flat, buf[:len(flat)])
+                total = total + buf[:len(flat)].sum(axis=0)
+            return total
+
+        monkeypatch.setattr(probing, "_sum_rows", sum_then_add)
+        with pytest.raises(AssertionError, match="chunk-wise mean differs"):
+            verify.probe_stream(seed=seed)
+
+    @pytest.mark.parametrize("kind", ["linear", "attentive"])
+    def test_streamed_evaluate_matches_the_whole_array_oracle(self, kind):
+        cfg = small_cfg(probe_kind=kind, probe_epochs=3)
+        enc = init_encoder(cfg, np.random.default_rng(6))
+        sets = probe_datasets(cfg, 3, 2, seed=5)
+        assert evaluate(enc, cfg, *sets) == evaluate_whole(enc, cfg, *sets)
 
 
 class TestBenchmark:
