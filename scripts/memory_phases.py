@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Resident memory after each phase of benchmark-shaped rounds, in process.
 
-Runs rounds as perfbench does (the dataset, ``training.run_pretrain``, the
-resume workload stopping at half and resuming, then
-``probing.synthetic_benchmark``) and prints, after the import, the dataset,
-the first step, training, and each probe phase (train features, fit, test
-features, predict), one line each:
+Runs rounds as perfbench does, with perfbench's own workload table, config
+and pretraining (``perfbench/run.py``: the dataset, ``training.run_pretrain``,
+the resume workload stopping at half and resuming, then
+``probing.synthetic_benchmark``), and prints, after the import, the
+dataset, the first step, training, and each probe phase (train features,
+fit, test features, predict), one line each:
 
     round  phase  ru_maxrss MiB  current RSS MiB  minor faults since the last line
 
@@ -27,14 +28,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-# (variant, probe kind, stop at half and resume), as perfbench's workloads
-WORKLOADS = {
-    "baseline": ("Baseline", "linear", False),
-    "fwm-hw-ld": ("FWM-HW-LD", "linear", False),
-    "motion-future-resume": ("Motion-Future", "attentive", True),
-}
+import run as perfbench  # noqa: E402  perfbench/run.py, which imports no numpy
+
 PROBE_PHASES = {"dataset_features": ("train features", "test features"),
                 "train_probe": ("fit",), "predict": ("predict",)}
 
@@ -73,23 +71,21 @@ def wrap(module, name: str, after) -> None:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=sorted(WORKLOADS), default="motion-future-resume")
+    ap.add_argument("--workload", choices=sorted(perfbench.WORKLOADS),
+                    default="motion-future-resume")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--rounds", type=int, default=1)
-    ap.add_argument("--steps", type=int, default=24)
-    ap.add_argument("--n-per-class", type=int, default=64)
-    ap.add_argument("--train-per-class", type=int, default=32)
-    ap.add_argument("--test-per-class", type=int, default=16)
+    ap.add_argument("--steps", type=int, default=perfbench.STEPS)
+    ap.add_argument("--n-per-class", type=int, default=perfbench.N_PER_CLASS)
+    ap.add_argument("--train-per-class", type=int, default=perfbench.PROBE_TRAIN)
+    ap.add_argument("--test-per-class", type=int, default=perfbench.PROBE_TEST)
     args = ap.parse_args(argv)
 
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy is first imported
+    perfbench.pin_threads()
     phases = Phases()
     from vjlab import probing, synth, training
-    from vjlab.config import variant_defaults
     phases.mark("import")
 
-    variant, kind, resume = WORKLOADS[args.workload]
     step_in_round = [0]
 
     def after_step(_):
@@ -101,19 +97,17 @@ def main(argv=None) -> int:
     for name, labels in PROBE_PHASES.items():
         wrap(probing, name, lambda i, labels=labels: phases.mark(labels[i % len(labels)]))
 
+    wl = perfbench.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         cfg = dataclasses.replace(
-            variant_defaults(variant), seed=args.seed, steps=args.steps,
-            n_per_class=args.n_per_class, probe_kind=kind, out=str(Path(tmp) / "run"),
-        ).validate()
+            perfbench.make_config(wl, args.seed, Path(tmp) / "run"),
+            steps=args.steps, n_per_class=args.n_per_class).validate()
         for r in range(1, args.rounds + 1):
             phases.round, step_in_round[0] = r, 0
             dataset = synth.gen_motion_dataset(cfg.n_per_class, cfg.seed, t=cfg.frames,
                                                h=cfg.height, w=cfg.width)
             phases.mark("dataset")
-            if resume:
-                training.run_pretrain(cfg, dataset, stop_after=cfg.steps // 2)
-            state = training.run_pretrain(cfg, dataset, resume=resume)
+            state = perfbench.pretrain(training, cfg, dataset, wl.resume)
             phases.mark("training")
             probing.synthetic_benchmark(state.student, cfg,
                                         n_train_per_class=args.train_per_class,
