@@ -12,8 +12,9 @@ pretrain and sweep train on a run directory's dataset.synv when it has one
 for every variant), and refuse one that cannot be read or whose clip count
 or clip shape does not fit the config. A sweep checks every directory's file
 from its header before any variant trains, and loads each when its variant
-trains; it refuses a --variants list that names no variant. probe and
-sweep reject a --train-per-class or --test-per-class below 1 at parse time.
+trains; it refuses a --variants list that names no variant, or one variant
+twice. probe and sweep reject a --train-per-class or --test-per-class below 1
+at parse time.
 probe and pretrain --resume load the checkpoint through training.load_train_state
 and refuse one that does not fit the config or holds a non-finite value;
 --resume also refuses a missing or changed config.lab and a checkpoint step past
@@ -44,7 +45,8 @@ from .config import (
 )
 from .probing import evaluate, probe_datasets, synthetic_benchmark
 from .synth import N_CLASSES, dataset_header, gen_motion_dataset, load_dataset, save_dataset
-from .training import CHECKPOINT_NAME, METRICS_NAME, Refused, load_train_state, run_pretrain
+from .training import (CHECKPOINT_NAME, CONFIG_NAME, METRICS_NAME, Refused, load_train_state,
+                       run_pretrain)
 from .verify import CHECKS
 
 DATASET_NAME = "dataset.synv"
@@ -126,7 +128,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = _build_config(args)
-    saved = Path(cfg.out) / "config.lab"
+    saved = Path(cfg.out) / CONFIG_NAME
     if saved.exists():  # the run's own config fixes its variant, model and probe settings
         run = _read(saved, load_config)
         if (args.variant or args.config) and cfg.variant != run.variant:
@@ -177,9 +179,12 @@ def cmd_sweep(args) -> int:
         if not names:
             print(f"--variants {args.variants!r} names no variant", file=sys.stderr)
             return 1
-        for name in names:
+        for i, name in enumerate(names):
             if name not in VARIANTS:
                 print(f"unknown variant {name!r}", file=sys.stderr)
+                return 1
+            if name in names[:i]:
+                print(f"--variants names {name!r} twice", file=sys.stderr)
                 return 1
     root = Path(_build_config(args).out)
     cfgs = [_build_config(args, name, str(root / variant_slug(name))) for name in names]
@@ -219,10 +224,10 @@ def _is_row(row) -> bool:
 
 def _result_rows(path: Path, many: bool) -> list[dict]:
     """The rows of a sweep.json (a list, ``many``) or of a probe file (one
-    row), with a file that is not such JSON refused in one line."""
+    row), with a file that is not such JSON or holds no row refused in one line."""
     data = _read(path, lambda p: json.loads(p.read_bytes()))
     rows = data if many else [data]
-    if not (isinstance(rows, list) and all(_is_row(row) for row in rows)):
+    if not (isinstance(rows, list) and rows and all(_is_row(row) for row in rows)):
         held = "a list of result rows" if many else "one result row"
         raise Refused(f"cannot read {path}: it does not hold {held}")
     return rows

@@ -2,12 +2,14 @@
 
 `RunConfig` is the one config of a run; the model, masking, the losses and
 their composition all read it directly. `VARIANTS` says what each variant
-is (loss parts, kinematic kind, EMA and FWM flags, recipe), and
-`PART_WEIGHTS` maps each loss part, in summation order, to the field that
-weights it; `TEMPORAL_PARTS` names the parts that read 0 on one temporal
-block. `with_variant` lays a variant's recipe (`RECIPE_FIELDS`) over a
-config; `validate` refuses a non-finite float field, and a token grid or
-channel split the variant cannot train on.
+is: its loss parts, kinematic kind, EMA flag and recipe, the `RunConfig`
+fields it sets. A variant is factorized (`VariantSpec.fwm`) exactly when its
+parts include `static` and `orth`. `PART_WEIGHTS` maps each loss part, in
+summation order, to the field that weights it; `TEMPORAL_PARTS` names the
+parts that read 0 on one temporal block. `with_variant` lays a variant's
+recipe over a config, every other field of any recipe (`RECIPE_FIELDS`, the
+union of their keys) taking its default; `validate` refuses a non-finite
+float field, and a token grid or channel split the variant cannot train on.
 
 Parsing resolves variant-dependent defaults first, then applies the
 remaining keys, so a file containing just ``variant = AMG-JEPA`` picks up
@@ -31,9 +33,12 @@ class VariantSpec:
     components: frozenset[str] = frozenset()
     kin_kind: str | None = None
     ema: bool = True
-    fwm: bool = False            # dyn/action heads read the dynamics slice
-    lambda_hw: float = 0.3
-    masking: dict = field(default_factory=dict)
+    recipe: dict = field(default_factory=dict)  # RunConfig fields the variant sets
+
+    @property
+    def fwm(self) -> bool:
+        """Factorized: the dynamics and action heads read the dynamics slice."""
+        return {"static", "orth"} <= self.components
 
 
 _MG = {"motion_guided": True, "motion_guided_strength": 2.0, "motion_guided_random_rate": 0.1}
@@ -42,10 +47,10 @@ _FP = {"full_complement": True, "max_temporal_keep": 0.5}
 
 VARIANTS: dict[str, VariantSpec] = {
     "Baseline": VariantSpec(),
-    "Motion-Guided": VariantSpec(masking=_MG),
-    "AMG-JEPA": VariantSpec(masking=_AMG),
-    "Future-Predictive": VariantSpec(masking=_FP),
-    "Motion-Future": VariantSpec(masking={**_MG, **_FP}),
+    "Motion-Guided": VariantSpec(recipe=_MG),
+    "AMG-JEPA": VariantSpec(recipe=_AMG),
+    "Future-Predictive": VariantSpec(recipe=_FP),
+    "Motion-Future": VariantSpec(recipe={**_MG, **_FP}),
     "Kin.-L1": VariantSpec(components=frozenset({"kin"}), kin_kind="l1", ema=False),
     "Kin.-Huber": VariantSpec(components=frozenset({"kin"}), kin_kind="huber", ema=False),
     "Kin.-Accel": VariantSpec(components=frozenset({"kin"}), kin_kind="accel", ema=False),
@@ -59,17 +64,17 @@ VARIANTS: dict[str, VariantSpec] = {
     "LD-JEPA": VariantSpec(components=frozenset({"ld"})),
     "Spectral-JEPA": VariantSpec(components=frozenset({"spectral"})),
     "LTC-JEPA": VariantSpec(components=frozenset({"ltc"})),
-    "FWM-JEPA": VariantSpec(components=frozenset({"static", "orth"}), fwm=True),
-    "HW-JEPA": VariantSpec(components=frozenset({"hw_jepa"}), lambda_hw=0.3),
-    "HW-LD-JEPA": VariantSpec(components=frozenset({"hw_jepa", "ld_hw"}), lambda_hw=1.0),
-    "FWM-LD-JEPA": VariantSpec(components=frozenset({"static", "orth", "ld"}), fwm=True),
+    "FWM-JEPA": VariantSpec(components=frozenset({"static", "orth"})),
+    "HW-JEPA": VariantSpec(components=frozenset({"hw_jepa"})),
+    "HW-LD-JEPA": VariantSpec(components=frozenset({"hw_jepa", "ld_hw"}),
+                              recipe={"lambda_hw": 1.0}),
+    "FWM-LD-JEPA": VariantSpec(components=frozenset({"static", "orth", "ld"})),
     "AC-JEPA": VariantSpec(components=frozenset({"ac"})),
-    "FAC-JEPA": VariantSpec(components=frozenset({"ac", "static", "orth"}), fwm=True),
-    "AC+HW-JEPA": VariantSpec(components=frozenset({"ac", "hw_jepa"}), lambda_hw=0.3),
-    "Combo": VariantSpec(components=frozenset({"delta", "hw_jepa"}), lambda_hw=0.3, masking=_AMG),
-    "FWM-HW-LD": VariantSpec(
-        components=frozenset({"hw_jepa", "static", "orth", "ld_hw"}), fwm=True, lambda_hw=1.0
-    ),
+    "FAC-JEPA": VariantSpec(components=frozenset({"ac", "static", "orth"})),
+    "AC+HW-JEPA": VariantSpec(components=frozenset({"ac", "hw_jepa"})),
+    "Combo": VariantSpec(components=frozenset({"delta", "hw_jepa"}), recipe=_AMG),
+    "FWM-HW-LD": VariantSpec(components=frozenset({"hw_jepa", "static", "orth", "ld_hw"}),
+                             recipe={"lambda_hw": 1.0}),
 }
 
 # Each loss part and the RunConfig field that weights it (None: weight 1). The
@@ -220,9 +225,8 @@ class RunConfig:
         return self
 
 
-# The RunConfig fields a variant's recipe sets.
-RECIPE_FIELDS = ("lambda_hw", "motion_guided", "motion_guided_strength",
-                 "motion_guided_random_rate", "full_complement", "max_temporal_keep")
+# The RunConfig fields some variant's recipe sets.
+RECIPE_FIELDS = frozenset().union(*(spec.recipe for spec in VARIANTS.values()))
 
 
 def app_width(app_ratio: float, dim: int) -> int:
@@ -244,7 +248,7 @@ def with_variant(cfg: RunConfig, variant: str) -> RunConfig:
     spec = VARIANTS[variant]
     defaults = RunConfig()
     recipe = {name: getattr(defaults, name) for name in RECIPE_FIELDS}
-    recipe.update(lambda_hw=spec.lambda_hw, **spec.masking)
+    recipe.update(spec.recipe)
     return dataclasses.replace(cfg, variant=variant, **recipe).validate()
 
 

@@ -339,18 +339,16 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
                         lambda gout: _norm_vjp(gout, y, s, gd))
 
 
-def view(x: Tensor, index, shape: tuple[int, ...] | None = None) -> Tensor:
-    """``x.data[index]`` for a basic index (integers and slices), reshaped to
-    ``shape`` if given, as one graph node; backward writes only those entries."""
-    part = x.data[index]
+def view(x: Tensor, index) -> Tensor:
+    """``x.data[index]`` for a basic index (integers and slices) as one graph
+    node; backward writes only those entries."""
 
     def vjp(g):
         out = np.zeros(x.shape)
-        out[index] = g.reshape(part.shape)
+        out[index] = g
         return (out,)
 
-    out = part.copy()
-    return Tensor._node(out if shape is None else out.reshape(shape), (x,), vjp)
+    return Tensor._node(x.data[index].copy(), (x,), vjp)
 
 
 def gather_padded(x: Tensor, keep: np.ndarray) -> tuple[Tensor, np.ndarray]:

@@ -197,27 +197,26 @@ def delta_loss(z: Tensor, h_values: np.ndarray) -> Tensor:
     return (time_diff(z) - Tensor(np.diff(h_values, axis=1))).abs().mean()
 
 
-def _transition_inputs(z: Tensor, fwm: bool, app_ratio: float) -> Tensor:
-    """What the dynamics and action heads read: the earlier state of each
-    transition, its dynamics channels only under FWM."""
+def _transition_inputs(z: Tensor, width: int) -> Tensor:
+    """What a head of input ``width`` reads: the earlier state of each
+    transition, its last ``width`` channels. ``model.init_heads`` sizes the
+    dynamics and action heads to the dynamics slice under FWM, to all of
+    ``dim`` otherwise."""
     d = z.shape[-1]
-    first = app_width(app_ratio, d) if fwm else 0
-    return _lead(z, Ellipsis, slice(first, d))
+    return _lead(z, Ellipsis, slice(d - width, d))
 
 
-def ld_errors(heads: HeadParams, z: Tensor, h_values: np.ndarray,
-              fwm: bool, app_ratio: float) -> Tensor:
+def ld_errors(heads: HeadParams, z: Tensor, h_values: np.ndarray) -> Tensor:
     """Per-token errors [B, (T'-1) * n_space] of the dynamics head predicting
     teacher deltas."""
     bsz, tp, n_space, _ = z.shape
-    pred = dyn_head(heads, _transition_inputs(z, fwm, app_ratio))
+    pred = dyn_head(heads, _transition_inputs(z, heads.dyn_w1.shape[0]))
     e = per_token_errors(pred, np.diff(h_values, axis=1))
     return e.reshape(bsz, (tp - 1) * n_space)
 
 
-def ld_loss(heads: HeadParams, z: Tensor, h_values: np.ndarray,
-            fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
-    return ld_errors(heads, z, h_values, fwm, app_ratio).mean()
+def ld_loss(heads: HeadParams, z: Tensor, h_values: np.ndarray) -> Tensor:
+    return ld_errors(heads, z, h_values).mean()
 
 
 def dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,9 +334,9 @@ def ac_targets(clip: VideoClip, patch: int, tubelet: int) -> np.ndarray:
 
 
 def ac_loss(heads: HeadParams, z: Tensor, clips: list[VideoClip], patch: int,
-            tubelet: int, fwm: bool = False, app_ratio: float = 0.5) -> Tensor:
+            tubelet: int) -> Tensor:
     """L1 between the action head and per-patch frame-difference targets."""
-    pred = action_head(heads, _transition_inputs(z, fwm, app_ratio))
+    pred = action_head(heads, _transition_inputs(z, heads.act_w.shape[0]))
     targets = np.stack([ac_targets(c, patch, tubelet) for c in clips]).reshape(pred.shape)
     return per_token_errors(pred, targets).mean()
 
@@ -353,22 +352,6 @@ class LossBundle:
     total: float
     total_node: Tensor | None = None
 
-    def validate(self, cfg: RunConfig, step: int = 0) -> "LossBundle":
-        for name, val in self.components.items():
-            if name not in PART_WEIGHTS:
-                raise ValueError(f"unknown loss component '{name}'")
-            if not np.isfinite(val):
-                raise FloatingPointError(f"non-finite loss component '{name}'")
-            if val < 0.0:
-                raise ValueError(f"loss component '{name}' is negative: {val}")
-        want = sum(
-            component_weight(cfg, name, step) * val
-            for name, val in self.components.items()
-        )
-        if abs(self.total - want) > 1e-9:
-            raise ValueError(f"total {self.total} != weighted sum {want}")
-        return self
-
 
 def component_weight(cfg: RunConfig, name: str, step: int = 0) -> float:
     weight = PART_WEIGHTS[name]
@@ -379,7 +362,8 @@ def component_weight(cfg: RunConfig, name: str, step: int = 0) -> float:
 
 
 def compose_total(cfg: RunConfig, parts: dict[str, Tensor], step: int = 0) -> LossBundle:
-    """Weighted sum per the variant's recipe; part set must match exactly."""
+    """Weighted sum per the variant's recipe; part set must match exactly,
+    and a non-finite part raises FloatingPointError naming it."""
     required = {"jepa"} | VARIANTS[cfg.variant].components
     missing = required - parts.keys()
     if missing:
@@ -394,7 +378,8 @@ def compose_total(cfg: RunConfig, parts: dict[str, Tensor], step: int = 0) -> Lo
             continue
         node = parts[name]
         comp[name] = float(node.item())
+        if not math.isfinite(comp[name]):
+            raise FloatingPointError(f"non-finite loss component '{name}'")
         term = node * component_weight(cfg, name, step)
         total = term if total is None else total + term
-    bundle = LossBundle(components=comp, total=float(total.item()), total_node=total)
-    return bundle.validate(cfg, step)
+    return LossBundle(components=comp, total=float(total.item()), total_node=total)

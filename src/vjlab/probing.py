@@ -279,10 +279,6 @@ def predict(probe: ProbeParams, feats) -> np.ndarray:
     return np.concatenate(preds)
 
 
-def accuracy(probe: ProbeParams, feats, labels: np.ndarray) -> float:
-    return float(np.mean(predict(probe, feats) == np.asarray(labels)))
-
-
 # -- benchmark -----------------------------------------------------------
 
 

@@ -492,8 +492,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
-    """Accumulate d(root)/d(leaf) into each requires-grad leaf; returns leaf map.
+def backward(root: Tensor) -> None:
+    """Accumulate d(root)/d(leaf) into the ``grad`` of each requires-grad leaf.
 
     The walk consumes the graph: each node drops its VJP closure and parents
     once its VJP has run, so the intermediates they saved are freed as the
@@ -518,7 +518,6 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
         slots[id(n)] = flat[at:at + n.size].reshape(n.shape)
         at += n.size
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    leaves: dict[Tensor, np.ndarray] = {}
     while order:
         node = order.pop()
         g = pending.pop(id(node), None)
@@ -531,7 +530,6 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
                 np.copyto(node.grad, g)
             else:
                 node.grad = node.grad + g
-            leaves[node] = node.grad
             continue
         node._vjp, node._parents = _consumed, ()
         if g is None:
@@ -541,4 +539,3 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
                 continue
             acc = pending.get(id(parent))
             pending[id(parent)] = pg if acc is None else acc + pg
-    return leaves

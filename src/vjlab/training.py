@@ -67,6 +67,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 CHECKPOINT_NAME = "checkpoint.jpck"
 METRICS_NAME = "metrics.jsonl"
+CONFIG_NAME = "config.lab"
 
 
 class Refused(ValueError):
@@ -241,16 +242,16 @@ def batch_parts(state: TrainState, clips: list[VideoClip], masks: list[MaskSpec]
         "hw_jepa": lambda: hw_jepa_loss(e, cfg.tau, valid=valid),
         "static": lambda: fwm()[0],
         "orth": lambda: fwm()[1],
-        "ld_hw": lambda: hw_jepa_loss(ld_errors(heads, z, h, spec.fwm, cfg.app_ratio), cfg.tau),
+        "ld_hw": lambda: hw_jepa_loss(ld_errors(heads, z, h), cfg.tau),
         "kin": lambda: kinematic_loss(z, spec.kin_kind, cfg.huber_delta),
         "sigreg": lambda: sigreg_loss(z, cfg.sigreg_projections, sig_rngs),
         "ham": lambda: hamiltonian_loss(z, heads.ham),
         "velgate": lambda: velgate_loss(z),
         "delta": lambda: delta_loss(z, h),
-        "ld": lambda: ld_loss(heads, z, h, spec.fwm, cfg.app_ratio),
+        "ld": lambda: ld_loss(heads, z, h),
         "spectral": lambda: spectral_loss(z, h),
         "ltc": lambda: ltc_loss(z, h, cfg.ltc_margin),
-        "ac": lambda: ac_loss(heads, z, clips, cfg.patch, cfg.tubelet, spec.fwm, cfg.app_ratio),
+        "ac": lambda: ac_loss(heads, z, clips, cfg.patch, cfg.tubelet),
     }
     return {name: Tensor(0.0) if tp == 1 and name in TEMPORAL_PARTS else loss()
             for name, loss in losses.items() if name == "jepa" or name in spec.components}
@@ -384,8 +385,8 @@ def run_pretrain(cfg: RunConfig, dataset: Dataset | None = None,
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if resume:
-        _check_resumed_config(cfg, out / "config.lab")
-    save_config(cfg, out / "config.lab")
+        _check_resumed_config(cfg, out / CONFIG_NAME)
+    save_config(cfg, out / CONFIG_NAME)
     if dataset is None:
         dataset = gen_motion_dataset(cfg.n_per_class, cfg.seed, t=cfg.frames,
                                      h=cfg.height, w=cfg.width)

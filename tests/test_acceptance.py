@@ -209,7 +209,7 @@ class TestCriterion1GradientOracle:
             HeadParams(predictor=None, dyn_w1=w1, dyn_b1=heads.dyn_b1,
                        dyn_w2=w2, dyn_b2=heads.dyn_b2,
                        act_w=heads.act_w, act_b=heads.act_b),
-            one(v, grid), h[None], False, 0.5)
+            one(v, grid), h[None])
         w_ld = hard_weights(ld_f(Tensor(zld.copy()), heads.dyn_w1, heads.dyn_w2), 1.0).data
         check("ld_hw", lambda v, w1, w2: hw_jepa_loss(ld_f(v, w1, w2), 1.0, weights=w_ld),
               [Tensor(zld.copy(), requires_grad=True), heads.dyn_w1, heads.dyn_w2])

@@ -562,6 +562,18 @@ class TestSweepReport:
         assert err.count("\n") == 1 and "names no variant" in err
         assert not root.exists()
 
+    def test_sweep_refuses_a_variant_named_twice(self, tiny_config, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "run_pretrain", no_work)
+        root = tmp_path / "sw"
+        assert run_cli("sweep", "--config", tiny_config, "--out", root,
+                       "--variants", "Baseline,Kin.-L1, Baseline") == 1
+        assert capsys.readouterr().err == "--variants names 'Baseline' twice\n"
+        assert not root.exists()
+
     @pytest.mark.parametrize("command", ["probe", "sweep"])
     @pytest.mark.parametrize("flag", ["--train-per-class", "--test-per-class"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -594,9 +606,10 @@ class TestSweepReport:
          "it does not hold a list of result rows"),
         ("sweep.json", '[{"variant": "Baseline", "accuracy": 0.5}, 3]',
          "it does not hold a list of result rows"),
+        ("sweep.json", "[]", "it does not hold a list of result rows"),
         ("sweep.json", "\xff", "can't decode"),
     ], ids=["cut probe", "probe list", "unhashable kind", "text accuracy", "sweep object",
-            "sweep non-row", "not utf-8"])
+            "sweep non-row", "empty sweep", "not utf-8"])
     def test_report_refuses_a_result_file_it_cannot_read(self, tmp_path, capsys, name, text,
                                                         problem):
         run = tmp_path / "sw" / "baseline"

@@ -12,8 +12,10 @@ import pytest
 
 from vjlab.cli import main as lab_main
 from vjlab.config import (
+    RECIPE_FIELDS,
     VARIANTS,
     RunConfig,
+    app_width,
     apply_overrides,
     load_config,
     parse_config,
@@ -22,6 +24,7 @@ from vjlab.config import (
     variant_defaults,
     with_variant,
 )
+from vjlab.model import init_heads
 from vjlab.training import init_state
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,8 +50,7 @@ class TestParse:
         for variant, spec in VARIANTS.items():
             cfg = variant_defaults(variant).validate()
             assert parse_config(serialize_config(cfg)) == cfg, variant
-            assert cfg.lambda_hw == spec.lambda_hw, variant
-            for key, val in spec.masking.items():
+            for key, val in spec.recipe.items():
                 assert getattr(cfg, key) == val, (variant, key)
 
     def test_comments_and_blanks_ignored(self):
@@ -267,6 +269,26 @@ class TestDerived:
             for b in VARIANTS:
                 got = dataclasses.replace(with_variant(start, b), out="")
                 assert got == dataclasses.replace(variant_defaults(b), out=""), (a, b)
+                assert with_variant(with_variant(start, b), a) == start, (a, b)
+
+    def test_fwm_is_exactly_the_static_and_orth_parts(self):
+        for name, spec in VARIANTS.items():
+            assert spec.fwm == ({"static", "orth"} <= spec.components), name
+        assert {name for name, spec in VARIANTS.items() if spec.fwm} == {
+            "FWM-JEPA", "FWM-LD-JEPA", "FAC-JEPA", "FWM-HW-LD"}
+
+    def test_every_recipe_key_is_a_run_config_field(self):
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        for name, spec in VARIANTS.items():
+            assert spec.recipe.keys() <= names, name
+        assert RECIPE_FIELDS == {key for spec in VARIANTS.values() for key in spec.recipe}
+
+    def test_heads_read_the_dynamics_slice_exactly_under_fwm(self):
+        for name, spec in VARIANTS.items():
+            cfg = dataclasses.replace(variant_defaults(name), app_ratio=0.25).validate()
+            heads = init_heads(cfg, np.random.default_rng(0))
+            width = cfg.dim - app_width(cfg.app_ratio, cfg.dim) if spec.fwm else cfg.dim
+            assert heads.dyn_w1.shape[0] == heads.act_w.shape[0] == width, name
 
     def test_out_slug(self):
         assert variant_defaults("Kin.-L1").out == "runs/kin-l1"

@@ -5,12 +5,14 @@ module-level assignment (``lab`` imports every module, so those run:
 ``verify.CHECKS``, ``config.VARIANTS``), and follows, from each:
 - a bare name, through the module's own definitions and constants and its
   ``from .module import name as alias`` imports;
-- an attribute ``x.name``, to every top-level definition and method called
-  ``name`` in any module, whatever ``x`` is. A same-named attribute thus
-  counts as a use: ``np.log`` would keep a ``Tensor.log`` method. The walk
-  can miss dead code that way, but it never flags code a run executes;
+- an attribute ``x.name``, to every method called ``name`` in any module,
+  whatever ``x`` is; ``src`` reaches its top-level functions by name, through
+  ``from .module import``. A same-named attribute thus counts as a use:
+  ``np.log`` would keep a ``Tensor.log`` method. The walk can miss dead code
+  that way, but it never flags code a run executes;
 - a reached class, to its body's statements and its dunder methods, which
-  Python calls without naming them.
+  Python calls without naming them. Of an annotated name in its body only
+  the value runs: a field declared ``accuracy: float`` uses no ``accuracy``.
 
 The top-level functions, classes and methods it does not reach must be
 exactly ``UNREACHED``, each with its reason. A method of an unreached class
@@ -89,18 +91,21 @@ def resolve(modules: dict[str, Module], module: str, name: str) -> str | None:
 
 def own_parts(node: ast.AST) -> list[ast.AST]:
     """What reaching a node runs: a class's bases, decorators and body
-    statements without its methods, which are reached one by one."""
+    statements without its methods, which are reached one by one, and
+    without the names and annotations of its annotated fields."""
     if isinstance(node, ast.ClassDef):
-        return [*node.bases, *node.keywords, *node.decorator_list,
-                *(s for s in node.body if not isinstance(s, ast.FunctionDef))]
+        body = [s.value if isinstance(s, ast.AnnAssign) else s for s in node.body
+                if not isinstance(s, ast.FunctionDef)]
+        return [*node.bases, *node.keywords, *node.decorator_list, *filter(None, body)]
     return [node]
 
 
 def reached(modules: dict[str, Module], roots: list[str]) -> set[str]:
-    by_attr: dict[str, list[str]] = {}  # last name part -> every definition so named
+    by_attr: dict[str, list[str]] = {}  # method name -> every method so named
     for mod in modules.values():
-        for key in mod.nodes:
-            by_attr.setdefault(key.rsplit(".", 1)[-1], []).append(key)
+        for key in mod.defs:
+            if key.count(".") == 2:
+                by_attr.setdefault(key.rsplit(".", 1)[-1], []).append(key)
     seen: set[str] = set()
     todo = list(roots)
     while todo:

@@ -343,9 +343,9 @@ class TestFusedOps:
     def test_view_grad(self):
         rng = np.random.default_rng(18)
         x = rand_t(rng, (3, 5, 4))
-        index, shape = (1, slice(0, 3)), (3, 2, 2)
-        assert np.array_equal(view(x, index, shape).data, x.data[1, :3].reshape(shape))
-        rep = grad_check(lambda t: weighted_sum(view(t, index, shape), 19), [x])
+        index = (1, slice(0, 3))
+        assert np.array_equal(view(x, index).data, x.data[1, :3])
+        rep = grad_check(lambda t: weighted_sum(view(t, index), 19), [x])
         assert rep.ok(1e-4), rep.per_input
 
 

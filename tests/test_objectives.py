@@ -11,7 +11,6 @@ from vjlab.gradcheck import grad_check
 from vjlab.model import HamiltonianParams, HeadParams
 from vjlab.objectives import (
     KIN_KINDS,
-    LossBundle,
     ac_loss,
     ac_targets,
     anneal_coeff,
@@ -369,17 +368,17 @@ class TestLatentDynamics:
         heads = mini_heads(rng, 2, 3, 4)  # dyn head consumes the 2 dynamics channels
         base = rng.standard_normal((3, 2, 4))
         h = rng.standard_normal((3, 2, 4))
-        a = ld_loss(heads, lat(base, (3, 1, 2)), h[None], fwm=True, app_ratio=0.5).item()
+        a = ld_loss(heads, lat(base, (3, 1, 2)), h[None]).item()
         poked = base.copy()
         poked[..., :2] += 100.0
-        b = ld_loss(heads, lat(poked, (3, 1, 2)), h[None], fwm=True, app_ratio=0.5).item()
+        b = ld_loss(heads, lat(poked, (3, 1, 2)), h[None]).item()
         assert a == b
 
     def test_error_vector_length(self):
         rng = np.random.default_rng(4)
         heads = mini_heads(rng, 3, 4, 3)
         z = lat(rng.standard_normal((4, 2, 3)), (4, 1, 2))
-        e = ld_errors(heads, z, rng.standard_normal((1, 4, 2, 3)), False, 0.5)
+        e = ld_errors(heads, z, rng.standard_normal((1, 4, 2, 3)))
         assert e.shape == (1, 6)
 
     def test_grad_matches_fd(self):
@@ -632,10 +631,10 @@ class TestActionConditioning:
         heads = mini_heads(rng, 2, 2, 2, channels=1, act_in=2)
         base = rng.standard_normal((2, 4, 4))
         clip = VideoClip(rng.uniform(0, 1, (4, 4, 4, 1)))
-        a = ac_loss(heads, lat(base, (2, 2, 2)), [clip], 2, 2, fwm=True, app_ratio=0.5).item()
+        a = ac_loss(heads, lat(base, (2, 2, 2)), [clip], 2, 2).item()
         poked = base.copy()
         poked[..., :2] -= 9.0
-        b = ac_loss(heads, lat(poked, (2, 2, 2)), [clip], 2, 2, fwm=True, app_ratio=0.5).item()
+        b = ac_loss(heads, lat(poked, (2, 2, 2)), [clip], 2, 2).item()
         assert a == b
 
     def test_grad_matches_fd(self):
@@ -693,11 +692,6 @@ class TestCompose:
         cfg = variant_defaults("Delta-JEPA")
         with pytest.raises(FloatingPointError, match="'delta'"):
             compose_total(cfg, {"jepa": Tensor(0.1), "delta": Tensor(float("nan"))})
-
-    def test_negative_component_rejected(self):
-        bundle = LossBundle(components={"jepa": -0.1}, total=-0.1)
-        with pytest.raises(ValueError, match="negative"):
-            bundle.validate(variant_defaults("Baseline"))
 
     def test_total_node_carries_gradient(self):
         cfg = variant_defaults("Delta-JEPA")
@@ -806,7 +800,7 @@ class TestOneTemporalBlock:
         "velgate": lambda z, h, heads, clip: velgate_loss(z),
         "delta": lambda z, h, heads, clip: delta_loss(z, h),
         "ld": lambda z, h, heads, clip: ld_loss(heads, z, h),
-        "ld_hw": lambda z, h, heads, clip: ld_errors(heads, z, h, False, 0.5),
+        "ld_hw": lambda z, h, heads, clip: ld_errors(heads, z, h),
         "spectral": lambda z, h, heads, clip: spectral_loss(z, h),
         "ltc": lambda z, h, heads, clip: ltc_loss(z, h),
         "ac": lambda z, h, heads, clip: ac_loss(heads, z, [clip], patch=2, tubelet=2),

@@ -16,7 +16,6 @@ from vjlab.probing import (
     TEST_TAG,
     TRAIN_TAG,
     _child_seed,
-    accuracy,
     apply_standardize,
     attentive_pool,
     cross_entropy,
@@ -35,6 +34,11 @@ from vjlab.synth import gen_motion_dataset
 from vjlab.tensor import Tensor, backward, no_grad
 from oracles import (composed_cross_entropy, composed_pool, evaluate_whole, standardize_stats,
                      token_features, train_probe_on_copy)
+
+
+def accuracy(probe, feats, labels) -> float:
+    """Top-1 accuracy of ``probe`` on ``feats``."""
+    return float(np.mean(predict(probe, feats) == np.asarray(labels)))
 
 
 def small_cfg(**kw):
