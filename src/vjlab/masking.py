@@ -6,12 +6,20 @@ scaled motion energy) and extruding across temporal blocks. A draw is
 retried until the achieved target fraction lands within +-10% (relative)
 of the requested ratio, so uniform and guided sampling differ only in the
 center distribution.
+
+The spatial draws are replayed in Python from a block of the generator's raw
+PCG64 words (``_Draws``), value for value and state for state what the
+``Generator.integers`` / ``random`` calls of a plain rejection loop would
+give; a pattern is an integer bitmask, so a try costs a few integer
+operations and no array.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +38,8 @@ class MotionEnergy:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.ndim != 2:
             raise ValueError(f"energy grid must be 2-d, got {self.scores.shape}")
+        if not np.isfinite(self.scores).all():  # a NaN passes both tests below
+            raise ValueError("energy scores must be finite")
         if np.any(self.scores < 0.0):
             raise ValueError("energy scores must be non-negative")
         peak = self.scores.max() if self.scores.size else 0.0
@@ -83,6 +93,8 @@ class MaskSpec:
             raise ValueError(
                 f"distance weights shape {self.distance_weight.shape}, expected ({k},)"
             )
+        if not np.isfinite(self.distance_weight).all():  # a NaN passes both tests below
+            raise ValueError("distance weights must be finite")
         if np.any(self.distance_weight <= 0.0):
             raise ValueError("distance weights must be positive")
         if abs(self.distance_weight.mean() - 1.0) > 1e-9:
@@ -139,39 +151,123 @@ def feasible_counts(n_spatial: int, mask_ratio: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _categorical_sampler(probs: np.ndarray, rng: np.random.Generator):
-    """``lambda: int(rng.choice(len(probs), p=probs))`` with ``probs`` checked
-    and its CDF built once: each call draws the same single double as choice."""
-    rng.choice(len(probs), size=0, p=probs)  # choice's own checks of p; draws nothing
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+_WORD_BLOCK = 64  # raw words drawn at a time; a try takes 7 or so
+
+
+class _Draws:
+    """``Generator.integers(0, n)`` and ``random()`` of a PCG64 generator,
+    replayed in Python from its raw 64-bit words.
+
+    The words are drawn in blocks from the generator, after a copy of its
+    state is taken; ``commit`` puts that state back and advances it past the
+    words used, to the state the same calls would have left. A 32-bit draw
+    takes the low half of a word and buffers the high half for the next one
+    (``has_uint32`` / ``uinteger``); ``random`` takes a whole word and
+    leaves a buffered half in place.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.live = rng.bit_generator
+        if not isinstance(self.live, np.random.PCG64):
+            raise TypeError(f"mask draws replay PCG64 words, not {type(self.live).__name__}")
+        self.start = self.live.state
+        self.has_uint32, self.uinteger = self.start["has_uint32"], self.start["uinteger"]
+        self.words: list[int] = []
+        self.used = 0
+
+    def word(self) -> int:
+        try:
+            word = self.words[self.used]
+        except IndexError:
+            self.words += self.live.random_raw(_WORD_BLOCK).tolist()
+            word = self.words[self.used]
+        self.used += 1
+        return word
+
+    def below(self, n: int) -> int:
+        """``integers(0, n)`` for 1 <= n < 2**32: Lemire's bounded method
+        (arXiv:1805.10941) on 32-bit draws, a draw rejected while the low
+        half of its product with n lies below (2**32 - n) % n. A width of 1
+        draws nothing."""
+        if n == 1:
+            return 0
+        while True:
+            if self.has_uint32:
+                self.has_uint32 = 0
+                m = self.uinteger * n  # the uinteger stays in the state, stale, as numpy leaves it
+            else:
+                word = self.word()
+                self.has_uint32, self.uinteger = 1, word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def random(self) -> float:
+        return (self.word() >> 11) * 2.0 ** -53
+
+    def commit(self) -> None:
+        self.live.state = self.start
+        self.live.advance(self.used)  # which clears the buffered half
+        state = self.live.state
+        state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
+        self.live.state = state
+
+
+@cache
+def _block_masks(gh: int, gw: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(rows, cols): rows[bh - 1][cr] is the bitmask of the grid rows that a
+    block of height bh centred on row cr covers, cols[bw - 1][cc] that of its
+    columns; a block is ``rows & cols``. Bit r * gw + c is token (r, c)."""
+    def starts(n: int, size: int):
+        return [min(max(centre - size // 2, 0), n - size) for centre in range(n)]
+
+    row = (1 << gw) - 1
+    column = sum(1 << (r * gw) for r in range(gh))
+    rows = [[sum(row << (r * gw) for r in range(r0, r0 + bh)) for r0 in starts(gh, bh)]
+            for bh in range(1, max(1, math.ceil(gh * 0.75)) + 1)]
+    cols = [[sum(column << c for c in range(c0, c0 + bw)) for c0 in starts(gw, bw)]
+            for bw in range(1, max(1, math.ceil(gw * 0.75)) + 1)]
+    return rows, cols
 
 
 def _draw_spatial_pattern(gh: int, gw: int, mask_ratio: float,
                           rng: np.random.Generator,
                           probs: np.ndarray | None) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Union of 1-4 rectangles; retried until the covered fraction fits."""
+    """Union of 1-4 rectangles; retried until the covered fraction fits.
+
+    Each try draws, from ``rng`` in this order, the block count
+    ``integers(1, 5)``, then per block its centre (``integers(0, gh * gw)``,
+    or, given ``probs``, one ``random()`` bisected into their CDF, draw for
+    draw ``rng.choice(gh * gw, p=probs)``), height ``integers(1, max_h + 1)``
+    and width ``integers(1, max_w + 1)``.
+    """
     n_spatial = gh * gw
     lo, hi = feasible_counts(n_spatial, mask_ratio)
-    guided = None if probs is None else _categorical_sampler(probs, rng)
-    max_h = max(1, math.ceil(gh * 0.75))
-    max_w = max(1, math.ceil(gw * 0.75))
+    cdf = None
+    if probs is not None:
+        rng.choice(len(probs), size=0, p=probs)  # choice's own checks of p; draws nothing
+        cdf = probs.cumsum()
+        cdf = (cdf / cdf[-1]).tolist()
+    rows, cols = _block_masks(gh, gw)
+    max_h, max_w = len(rows), len(cols)
+    draws = _Draws(rng)
+    below, random = draws.below, draws.random
     for _ in range(_MAX_TRIES):
-        pattern = np.zeros((gh, gw), dtype=bool)
+        pattern = 0
         centers: list[tuple[int, int]] = []
-        n_blocks = int(rng.integers(1, 5))
-        for _ in range(n_blocks):
-            flat = int(rng.integers(0, n_spatial)) if guided is None else guided()
+        for _ in range(1 + below(4)):
+            flat = below(n_spatial) if cdf is None else bisect_right(cdf, random())
             cr, cc = divmod(flat, gw)
             centers.append((cr, cc))
-            bh = int(rng.integers(1, max_h + 1))
-            bw = int(rng.integers(1, max_w + 1))
-            r0 = min(max(cr - bh // 2, 0), gh - bh)
-            c0 = min(max(cc - bw // 2, 0), gw - bw)
-            pattern[r0:r0 + bh, c0:c0 + bw] = True
-        if lo <= pattern.sum() <= hi:
-            return pattern, centers
+            block_rows = rows[below(max_h)][cr]
+            pattern |= block_rows & cols[below(max_w)][cc]
+        if lo <= pattern.bit_count() <= hi:
+            draws.commit()
+            bits = np.frombuffer(pattern.to_bytes((n_spatial + 7) // 8, "little"), np.uint8)
+            return (np.unpackbits(bits, count=n_spatial, bitorder="little")
+                    .astype(bool).reshape(gh, gw)), centers
+    draws.commit()
     raise RuntimeError(f"no admissible mask after {_MAX_TRIES} tries")
 
 

@@ -219,8 +219,30 @@ def clone_frozen(params: EncoderParams) -> EncoderParams:
     and shares its config."""
     frozen = copy.deepcopy(params, {id(params.cfg): params.cfg})
     for t in frozen.named().values():
-        t.requires_grad, t.grad = False, None
+        t.requires_grad, t.grad, t.grad_slot = False, None, None
     return frozen
+
+
+def flat_views(named: dict[str, Tensor | np.ndarray], flat: np.ndarray) -> dict[str, np.ndarray]:
+    """A view into ``flat`` per name, shaped like its tensor (or array), in
+    the layout that ``flatten`` gives ``named``: one after another, in order."""
+    views, at = {}, 0
+    for name, t in named.items():
+        views[name] = flat[at:at + t.size].reshape(t.shape)
+        at += t.size
+    return views
+
+
+def flatten(named: dict[str, Tensor]) -> np.ndarray:
+    """Moves the values of ``named`` into one new contiguous float64 buffer and
+    makes each tensor's ``data`` its view there (``flat_views``), so one
+    ufunc over the buffer updates every tensor. Returns the buffer; whatever
+    updates the values later writes into the views and never rebinds them."""
+    flat = np.empty(sum(t.size for t in named.values()))
+    for t, view in zip(named.values(), flat_views(named, flat).values()):
+        view[...] = t.data
+        t.data = view
+    return flat
 
 
 # -- position codes and patch extraction --------------------------------
@@ -605,25 +627,24 @@ def action_head(heads: HeadParams, x: Tensor) -> Tensor:
     return linear(x, heads.act_w, heads.act_b)
 
 
-def ema_update(teacher: dict[str, Tensor], student: dict[str, Tensor], momentum: float) -> None:
-    """theta_bar <- momentum * theta_bar + (1 - momentum) * theta, in place."""
+def ema_update(teacher: np.ndarray, student: np.ndarray, momentum: float) -> None:
+    """theta_bar <- momentum * theta_bar + (1 - momentum) * theta, in place,
+    over the teacher's and the student's value buffers (``flatten``), which
+    share one layout."""
     if not 0.0 <= momentum <= 1.0:
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
-    if teacher.keys() != student.keys():
-        raise ValueError("teacher/student parameter sets differ")
-    for k in teacher:
-        teacher[k].data = momentum * teacher[k].data + (1.0 - momentum) * student[k].data
+    if teacher.shape != student.shape:
+        raise ValueError(f"teacher/student parameter sets differ: {teacher.shape} values "
+                         f"vs {student.shape}")
+    pull = student * (1.0 - momentum)
+    teacher *= momentum
+    teacher += pull
 
 
-def round_f32(a: np.ndarray) -> np.ndarray:
-    """``a`` rounded to the float32 grid, held as float64."""
-    return a.astype(np.float32).astype(np.float64)
-
-
-def quantize_params(named: dict[str, Tensor]) -> None:
-    """Round values to float32 grid; keeps the float32 checkpoint lossless."""
-    for t in named.values():
-        t.data = round_f32(t.data)
+def quantize_params(flat: np.ndarray) -> None:
+    """Round a value buffer to the float32 grid, in place; keeps the float32
+    checkpoint lossless."""
+    np.copyto(flat, flat.astype(np.float32))
 
 
 # -- checkpoints ---------------------------------------------------------

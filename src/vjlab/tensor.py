@@ -37,12 +37,17 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    """``grad_slot``, when set on a leaf, is the array its next fresh gradient
+    is copied into (an optimizer's gradient arena); ``backward`` clears it
+    once used, so a later walk cannot overwrite a gradient that was kept."""
+
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and grad_enabled()
         self.grad: np.ndarray | None = None
+        self.grad_slot: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
 
@@ -52,7 +57,7 @@ class Tensor:
     def _node(data: np.ndarray, parents: tuple["Tensor", ...], vjp) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.grad = None
+        out.grad = out.grad_slot = None
         if grad_enabled() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -499,24 +504,13 @@ def backward(root: Tensor) -> None:
     once its VJP has run, so the intermediates they saved are freed as the
     walk goes. A later backward through any node of the graph raises
     RuntimeError; leaves keep accumulating across separate graphs. A leaf
-    without a gradient gets a view into one buffer shared by this walk's
-    fresh leaves."""
+    without a gradient gets its gradient copied into its ``grad_slot``, or
+    into a fresh array when it has none."""
     if root.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise ValueError("backward root is not attached to a graph")
     order = _toposort(root)
-    # The fresh leaf gradients are views into one buffer, taken before any node
-    # is freed, so it lies above the graph on the heap: the graph freed below it
-    # stays with the process for the next step instead of being trimmed from
-    # the heap's top and faulted back in.
-    fresh = [n for n in order if n._vjp is None and n.grad is None]
-    flat = np.empty(sum(n.size for n in fresh))
-    slots: dict[int, np.ndarray] = {}
-    at = 0
-    for n in fresh:
-        slots[id(n)] = flat[at:at + n.size].reshape(n.shape)
-        at += n.size
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     while order:
         node = order.pop()
@@ -525,11 +519,13 @@ def backward(root: Tensor) -> None:
         if vjp is None:
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = slots[id(node)]
-                np.copyto(node.grad, g)
-            else:
+            if node.grad is not None:
                 node.grad = node.grad + g
+                continue
+            # copied, not added to a zeroed slot: 0.0 + -0.0 would flip a zero's sign
+            grad = np.empty(node.shape) if node.grad_slot is None else node.grad_slot
+            np.copyto(grad, g)
+            node.grad, node.grad_slot = grad, None
             continue
         node._vjp, node._parents = _consumed, ()
         if g is None:

@@ -5,6 +5,11 @@ Reproducibility contract: every random draw comes from a fresh
 in checkpoints, and all persistent state (parameters, Adam moments, teacher)
 is rounded to the float32 grid after each update so the float32 checkpoint
 is lossless and resume is bit-exact.
+
+The trainable parameters' values, their gradients and both Adam moments each
+fill one contiguous buffer, and so do the teacher's values (``OptState``,
+``model.flatten``), so AdamW, the EMA, the rounding and the finiteness check
+are a few whole-buffer ufuncs per step.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ from .model import (
     clone_frozen,
     ema_update,
     encode,
+    flat_views,
+    flatten,
     full_grid,
     init_encoder,
     init_heads,
     load_checkpoint,
     predict_masked,
     quantize_params,
-    round_f32,
     save_checkpoint,
     teacher_targets,
     token_grid,
@@ -96,16 +102,62 @@ def lr_at(step: int, total: int, warmup_frac: float = 0.1,
 
 @dataclass
 class OptState:
+    """AdamW's state over the parameters ``init_opt`` was given, whose values
+    it moved into one contiguous buffer, ``theta``, in their order.
+
+    Their first and second moments (``m_flat``, ``v_flat``) and gradients
+    (``grad``) each fill a buffer of the same layout; ``m``, ``v`` and
+    ``grads`` hold each parameter's view into these three and ``spans`` its
+    [lo, hi) in all four. The gradient buffer is allocated at the first
+    ``gradient_slots`` call, which ``descend`` makes just before its first
+    backward: so it lies above that step's graph on the heap, and the graphs
+    of later steps, freed below it, stay with the process instead of being
+    trimmed from the heap's top and faulted back in.
+    """
+    theta: np.ndarray
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    spans: dict[str, tuple[int, int]]
+    grad: np.ndarray | None = None
+    grads: dict[str, np.ndarray] | None = None
     step: int = 0
+
+    def gradient_slots(self) -> dict[str, np.ndarray]:
+        if self.grads is None:
+            self.grad = np.empty(self.theta.size)
+            self.grads = flat_views(self.m, self.grad)
+        return self.grads
+
+    def runs(self, grads: dict[str, np.ndarray]) -> list[list[int]]:
+        """The [lo, hi) runs of the buffers that the parameters named in
+        ``grads`` cover, adjacent ones merged; a gradient that is not already
+        its view in ``grad`` is copied there."""
+        slots = self.gradient_slots()
+        runs: list[list[int]] = []
+        for name, g in grads.items():
+            lo, hi = self.spans[name]
+            if g is not slots[name]:
+                np.copyto(slots[name], g)
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        return runs
 
 
 def init_opt(params: dict[str, Tensor]) -> OptState:
-    return OptState(
-        m={k: np.zeros_like(t.data) for k, t in params.items()},
-        v={k: np.zeros_like(t.data) for k, t in params.items()},
-    )
+    """Zero moments for ``params``, whose values move into the state's
+    ``theta`` (``model.flatten``)."""
+    theta = flatten(params)
+    m_flat, v_flat = np.zeros((2, theta.size))
+    spans, at = {}, 0
+    for name, p in params.items():
+        spans[name] = (at, at + p.size)
+        at += p.size
+    return OptState(theta=theta, m_flat=m_flat, v_flat=v_flat, m=flat_views(params, m_flat),
+                    v=flat_views(params, v_flat), spans=spans)
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -114,35 +166,53 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
     Parameters and moments are rounded to the float32 grid afterwards.
     Parameters without a gradient this step keep their values and moments.
+    The update runs over each run of ``opt``'s buffers that ``grads``
+    covers, every element in the operation order of
+    ``theta = theta - lr * wd * theta``, ``m = b1 * m + (1 - b1) * g``,
+    ``v = b2 * v + (1 - b2) * (g * g)`` and
+    ``theta = theta - lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
     """
     opt.step += 1
     t = opt.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        theta = p.data - lr * weight_decay * p.data
-        m = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        theta = theta - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.data = round_f32(theta)
-        opt.m[name] = round_f32(m)
-        opt.v[name] = round_f32(v)
+    for lo, hi in opt.runs(grads):
+        theta, g, m, v = (buf[lo:hi] for buf in (opt.theta, opt.grad, opt.m_flat, opt.v_flat))
+        step, denom = np.empty((2, hi - lo))
+        theta -= np.multiply(theta, lr * weight_decay, out=step)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - ADAM_BETA2
+        v += step
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bc1, out=step)
+        step *= lr
+        step /= denom
+        theta -= step
+        single = denom.view(np.float32)[:hi - lo]  # denom's first half, a float32 row
+        for buf in (theta, m, v):
+            np.copyto(single, buf)
+            np.copyto(buf, single)
 
 
 def descend(params: dict[str, Tensor], loss: Tensor, opt: OptState, lr: float,
             weight_decay: float) -> None:
-    """One AdamW step of ``params`` down the gradient of ``loss``, for
-    pretraining and probes alike; a non-finite gradient raises
-    FloatingPointError naming its parameter before any value moves."""
-    for p in params.values():
-        p.grad = None
+    """One AdamW step of ``params`` (those ``opt`` was built for) down the
+    gradient of ``loss``, for pretraining and probes alike; a non-finite
+    gradient raises FloatingPointError naming its first such parameter
+    before any value moves. The gradients land in ``opt.grad``, so a
+    parameter's ``grad`` is a view there until the next step."""
+    slots = opt.gradient_slots()
+    for name, p in params.items():
+        p.grad, p.grad_slot = None, slots[name]
     backward(loss)
     grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
+    for lo, hi in opt.runs(grads):
+        if not np.isfinite(opt.grad[lo:hi]).all():
+            name = next(k for k, g in grads.items() if not np.isfinite(g).all())
             raise FloatingPointError(f"non-finite gradient for '{name}'")
     adamw_step(params, grads, opt, lr, weight_decay)
 
@@ -152,11 +222,15 @@ def descend(params: dict[str, Tensor], loss: Tensor, opt: OptState, lr: float,
 
 @dataclass
 class TrainState:
+    """A run's parameters and optimizer state. The student's values are the
+    head of ``opt.theta`` and the teacher's fill ``teacher_flat`` in the same
+    order, so the EMA is one update of the one buffer by the other."""
     cfg: RunConfig
     student: EncoderParams
     heads: HeadParams
     teacher: EncoderParams | None
     opt: OptState
+    teacher_flat: np.ndarray | None = None
 
     @property
     def step(self) -> int:
@@ -177,11 +251,14 @@ def init_state(cfg: RunConfig) -> TrainState:
     rng = np.random.default_rng([cfg.seed, STREAM_INIT])
     student = init_encoder(cfg, rng)
     heads = init_heads(cfg, rng)
-    trainable = {**student.named(), **heads.named()}
-    quantize_params(trainable)
-    teacher = clone_frozen(student) if VARIANTS[cfg.variant].ema else None
-    return TrainState(cfg=cfg, student=student, heads=heads, teacher=teacher,
-                      opt=init_opt(trainable))
+    opt = init_opt({**student.named(), **heads.named()})
+    quantize_params(opt.theta)
+    teacher = teacher_flat = None
+    if VARIANTS[cfg.variant].ema:
+        teacher = clone_frozen(student)
+        teacher_flat = flatten(teacher.named())
+    return TrainState(cfg=cfg, student=student, heads=heads, teacher=teacher, opt=opt,
+                      teacher_flat=teacher_flat)
 
 
 # -- data / masks --------------------------------------------------------
@@ -287,9 +364,9 @@ def train_step(state: TrainState, clips: list[VideoClip],
         raise FloatingPointError(f"step {state.step}: {err}") from None
 
     if state.teacher is not None:
-        t_named = state.teacher.named()
-        ema_update(t_named, state.student.named(), cfg.ema_momentum)
-        quantize_params(t_named)
+        teacher = state.teacher_flat
+        ema_update(teacher, state.opt.theta[:teacher.size], cfg.ema_momentum)
+        quantize_params(teacher)
 
     metrics = {"step": state.step, "lr": lr, "total": bundle.total}
     for name, val in bundle.components.items():
@@ -333,10 +410,10 @@ def load_train_state(cfg: RunConfig, path) -> TrainState:
         raise Refused(f"checkpoint {path} holds meta.step {step!r}, not a whole, "
                       f"non-negative step count")
     for name, t in state.record_tensors().items():
-        t.data = records[name]
+        t.data[...] = records[name]
     for name in state.opt.m:
-        state.opt.m[name] = records[f"opt.m.{name}"]
-        state.opt.v[name] = records[f"opt.v.{name}"]
+        state.opt.m[name][...] = records[f"opt.m.{name}"]
+        state.opt.v[name][...] = records[f"opt.v.{name}"]
     state.opt.step = int(step)
     return state
 

@@ -17,13 +17,14 @@ import numpy as np
 
 from .config import RunConfig, variant_defaults
 from .gradcheck import grad_check
-from .masking import sample_mask
+from .masking import _Draws, sample_mask
 from .model import (
     Block,
     block,
     clone_frozen,
     ema_update,
     extract_patches,
+    flatten,
     init_encoder,
     load_checkpoint,
     quantize_params,
@@ -194,14 +195,37 @@ def mask_coverage_band(seed: int = 0) -> None:
     assert np.array_equal(fp.target, ~fp.visible)
 
 
+# A mixed sequence for mask_replay: widths 1 (which draws nothing), 3, 4 and 16,
+# and doubles, some drawn while a 32-bit half is buffered; it ends on a buffered
+# half consumed, so the state keeps a stale uinteger.
+REPLAY_CALLS = (3, "random", 4, 1, 16, 16, "random", "random", 3, 1, 4, "random", 16, 3) * 8
+
+
+def mask_replay(seed: int = 0) -> None:
+    """The mask sampler's replay of ``Generator.integers(0, n)`` and
+    ``random()`` from raw PCG64 words (``masking._Draws``) gives the live
+    generator's values and leaves the same state dict, buffered half and
+    stale ``uinteger`` included. A change to numpy's streams (NEP 19) fails
+    here."""
+    live, replayed = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = _Draws(replayed)
+    for i, call in enumerate(REPLAY_CALLS):
+        if call == "random":
+            got, want = draws.random(), live.random()
+        else:
+            got, want = draws.below(call), int(live.integers(0, call))
+        assert got == want, f"call {i} ({call}): replayed {got}, live {want}"
+    draws.commit()
+    assert replayed.bit_generator.state == live.bit_generator.state, "states differ"
+
+
 def ema_update_exact() -> None:
     student = init_encoder(RunConfig(), np.random.default_rng(0))
     s_named, t_named = student.named(), clone_frozen(student).named()
-    rng = np.random.default_rng(9)
-    for t in t_named.values():
-        t.data = rng.standard_normal(t.data.shape)
+    s_flat, t_flat = flatten(s_named), flatten(t_named)
+    t_flat[...] = np.random.default_rng(9).standard_normal(t_flat.shape)
     before = {k: t.data.copy() for k, t in t_named.items()}
-    ema_update(t_named, s_named, 0.99925)
+    ema_update(t_flat, s_flat, 0.99925)
     for k, t in t_named.items():
         want = 0.99925 * before[k] + (1.0 - 0.99925) * s_named[k].data
         assert np.array_equal(t.data, want), k
@@ -221,7 +245,7 @@ def compose_recipe_frozen() -> None:
 
 def checkpoint_round_trip() -> None:
     params = init_encoder(RunConfig(), np.random.default_rng(5))
-    quantize_params(params.named())
+    quantize_params(flatten(params.named()))
     records = {k: t.data for k, t in params.named().items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ck.jpck"
@@ -298,6 +322,7 @@ CHECKS = (
     hard_weight_normalization,
     jepa_distance_weighting,
     mask_coverage_band,
+    mask_replay,
     ema_update_exact,
     compose_recipe_frozen,
     checkpoint_round_trip,

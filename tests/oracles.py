@@ -17,6 +17,11 @@
   features, prediction on one standardized copy, and ``evaluate`` built from
   them: the bit-for-bit oracle for ``probing``, which streams its features
   one encode chunk at a time and standardizes each chunk once, in place.
+- The spatial mask pattern as a rejection loop of live ``Generator`` calls,
+  an array per try and ``rng.choice``'s categorical draw through a CDF
+  (``loop_spatial_pattern``, ``categorical_sampler``): the bit-for-bit
+  oracle for ``masking._draw_spatial_pattern``, which replays the same draws
+  from raw PCG64 words, and for the generator state it leaves.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import math
 
 import numpy as np
 
+from vjlab.masking import _MAX_TRIES, feasible_counts
 from vjlab.model import _ATTN_CLIP, Block, encode, layer_norm, linear
 from vjlab.probing import (FEATURE_CHUNK, EvalReport, _nll, _one_hot, apply_standardize,
                            init_probe, probe_logits)
@@ -297,3 +303,41 @@ def evaluate_whole(encoder, cfg, train_ds, test_ds, seed: int | None = None) -> 
     return EvalReport(variant=cfg.variant, kind=cfg.probe_kind,
                       accuracy=float(np.mean(preds == test_y)), n_train=len(train_y),
                       n_test=len(test_y), per_class=per_class)
+
+
+# -- spatial mask pattern ------------------------------------------------
+
+def categorical_sampler(probs: np.ndarray, rng: np.random.Generator):
+    """``lambda: int(rng.choice(len(probs), p=probs))`` with ``probs`` checked
+    and its CDF built once: each call draws the same single double as choice."""
+    rng.choice(len(probs), size=0, p=probs)  # choice's own checks of p; draws nothing
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def loop_spatial_pattern(gh: int, gw: int, mask_ratio: float, rng: np.random.Generator,
+                         probs: np.ndarray | None) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Union of 1-4 rectangles, retried until the covered fraction fits, each
+    draw a call on ``rng``."""
+    n_spatial = gh * gw
+    lo, hi = feasible_counts(n_spatial, mask_ratio)
+    guided = None if probs is None else categorical_sampler(probs, rng)
+    max_h = max(1, math.ceil(gh * 0.75))
+    max_w = max(1, math.ceil(gw * 0.75))
+    for _ in range(_MAX_TRIES):
+        pattern = np.zeros((gh, gw), dtype=bool)
+        centers: list[tuple[int, int]] = []
+        n_blocks = int(rng.integers(1, 5))
+        for _ in range(n_blocks):
+            flat = int(rng.integers(0, n_spatial)) if guided is None else guided()
+            cr, cc = divmod(flat, gw)
+            centers.append((cr, cc))
+            bh = int(rng.integers(1, max_h + 1))
+            bw = int(rng.integers(1, max_w + 1))
+            r0 = min(max(cr - bh // 2, 0), gh - bh)
+            c0 = min(max(cc - bw // 2, 0), gw - bw)
+            pattern[r0:r0 + bh, c0:c0 + bw] = True
+        if lo <= pattern.sum() <= hi:
+            return pattern, centers
+    raise RuntimeError(f"no admissible mask after {_MAX_TRIES} tries")

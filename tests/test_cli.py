@@ -378,9 +378,9 @@ class TestVerify:
         assert run_cli("verify") == 1
         lines = capsys.readouterr().out.splitlines()
         assert "[FAIL] boom  AssertionError: boom" in lines
-        assert lines[-1] == "15/16 checks passed"
+        assert lines[-1] == "16/17 checks passed"
         passes = [line for line in lines if line.startswith("[PASS]")]
-        assert len(passes) == 15
+        assert len(passes) == 16
         assert all(line == line.rstrip() for line in passes)
 
     def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys):

@@ -12,13 +12,18 @@ from vjlab.config import variant_defaults
 from vjlab.masking import (
     MaskSpec,
     MotionEnergy,
-    _categorical_sampler,
+    _Draws,
+    _draw_spatial_pattern,
+    _energy_probs,
     distance_weights,
+    feasible_counts,
     motion_energy,
     sample_mask,
 )
 from vjlab.synth import MotionClass, gen_motion_clip, gen_motion_dataset, image_as_clip
 from vjlab.training import STREAM_MASK, sample_clip_mask
+
+from oracles import categorical_sampler, loop_spatial_pattern
 
 GRID = (4, 4, 4)  # desk-scale token grid
 
@@ -100,6 +105,13 @@ class TestMotionEnergy:
         with pytest.raises(ValueError, match="normalized"):
             MotionEnergy(scores=np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy_rejected(self, bad):
+        # a NaN is neither below 0 nor off the max-1 normalization, so only a
+        # finiteness check refuses it
+        with pytest.raises(ValueError, match="finite"):
+            MotionEnergy(scores=[[bad, 1.0], [0.0, 0.5]])
+
 
 class TestMotionGuided:
     def test_alpha_zero_matches_tube_distribution(self):
@@ -165,7 +177,7 @@ class TestMotionGuided:
     def test_categorical_sampler_matches_choice_draw_for_draw(self, seed, weights):
         p = np.array(weights) / np.sum(weights)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        draw = _categorical_sampler(p, ours)
+        draw = categorical_sampler(p, ours)
         for _ in range(40):  # interleaved with other draws, as in the block loop
             assert draw() == int(ref.choice(len(p), p=p))
             assert ours.integers(1, 5) == ref.integers(1, 5)
@@ -175,7 +187,7 @@ class TestMotionGuided:
         for p in (np.full(4, 0.3), np.array([0.5, np.nan, 0.5, 0.0]),
                   np.array([1.5, -0.5, 0.0, 0.0]), np.full((2, 2), 0.25)):
             with pytest.raises(ValueError) as ours:
-                _categorical_sampler(p, np.random.default_rng(0))
+                categorical_sampler(p, np.random.default_rng(0))
             with pytest.raises(ValueError) as ref:
                 np.random.default_rng(0).choice(len(p), p=p)
             assert str(ours.value) == str(ref.value)
@@ -186,6 +198,81 @@ class TestMotionGuided:
                 GRID, 0.5, np.random.default_rng(0), energy=MotionEnergy(scores=np.zeros((2, 2))),
                 alpha=1.0, fallback_rate=0.0
             )
+
+
+def drawn(fn, *args):
+    """fn(*args), or the RuntimeError it raised."""
+    try:
+        return fn(*args)
+    except RuntimeError as err:
+        return str(err)
+
+
+class TestReplayedDraws:
+    """``masking._draw_spatial_pattern`` replays the rejection loop of live
+    generator calls in ``oracles.loop_spatial_pattern`` from raw PCG64 words."""
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([0.3, 0.5, 0.75]),
+           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_live_loop(self, gh, gw, ratio, guided, buffered, seed):
+        # grids from 1 to 144 spatial tokens: a pattern wider than 64 bits is a Python int too
+        try:
+            feasible_counts(gh * gw, ratio)
+        except ValueError:
+            return
+        probs = None
+        if guided:
+            scores = np.random.default_rng(seed).random((gh, gw))
+            probs = _energy_probs(MotionEnergy(scores=scores / scores.max()), (gh, gw), 3.0)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # start with the high half of a word buffered
+            assert ours.integers(0, 7) == ref.integers(0, 7)
+        got = drawn(_draw_spatial_pattern, gh, gw, ratio, ours, probs)
+        want = drawn(loop_spatial_pattern, gh, gw, ratio, ref, probs)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.random() == ref.random()
+
+    def test_pattern_wider_than_64_tokens(self):
+        ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got, want = (_draw_spatial_pattern(16, 16, 0.5, ours, None),
+                     loop_spatial_pattern(16, 16, 0.5, ref, None))
+        assert got[0].shape == (16, 16) and np.array_equal(got[0], want[0])
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_lemire_rejection_redraws_like_numpy(self):
+        # at width 3 only a 32-bit draw of 0 is rejected, since (2**32 - 3) % 3 == 1;
+        # a buffered half of 0 makes that numpy's next 32-bit draw
+        live, replayed = np.random.default_rng(5), np.random.default_rng(5)
+        for rng in (live, replayed):
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+        draws = _Draws(replayed)
+        assert draws.below(3) == live.integers(0, 3)
+        assert draws.used == 1  # the buffered 0, rejected, then a fresh word's low half
+        draws.commit()
+        assert replayed.bit_generator.state == live.bit_generator.state
+
+    def test_lemire_rejection_on_a_constructed_word(self):
+        draws = _Draws(np.random.default_rng(0))
+        high = 0x12345678
+        draws.words = [high << 32, 1]  # low half 0, rejected at width 3; then the high half
+        assert draws.below(3) == (high * 3) >> 32
+        assert (draws.used, draws.has_uint32) == (1, 0)
+        assert draws.below(3) == 0  # low half 1 of the next word: 3 is not below 3, accepted
+
+    def test_non_pcg64_generator_refused(self):
+        with pytest.raises(TypeError, match="MT19937"):
+            sample_mask(GRID, 0.5, np.random.Generator(np.random.MT19937(0)))
+
+    def test_mask_replay_check(self):
+        verify.mask_replay()
+        verify.mask_replay(seed=7)
 
 
 class TestFuturePredictive:
@@ -291,6 +378,13 @@ class TestDistanceWeights:
         target = np.ones((1, 2, 2), dtype=bool)
         spec = MaskSpec(target=target, visible=~target)
         with pytest.raises(ValueError, match="no visible"):
+            spec.validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_catches_a_non_finite_weight(self, bad):
+        spec = sample_mask(GRID, 0.5, np.random.default_rng(3))
+        spec.distance_weight[0] = bad
+        with pytest.raises(ValueError, match="finite"):
             spec.validate()
 
     @pytest.mark.parametrize("extra", [-1, 1])

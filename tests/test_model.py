@@ -23,6 +23,7 @@ from vjlab.model import (
     encode,
     encode_tokens,
     extract_patches,
+    flatten,
     full_grid,
     gather_padded,
     init_encoder,
@@ -523,7 +524,7 @@ class TestEMA:
         teacher = clone_frozen(student)
         before = {k: t.data.copy() for k, t in teacher.named().items()}
         student.embed_w.data += 1.0
-        ema_update(teacher.named(), student.named(), 1.0)
+        ema_update(flatten(teacher.named()), flatten(student.named()), 1.0)
         for k, t in teacher.named().items():
             assert np.array_equal(t.data, before[k])
 

@@ -223,6 +223,28 @@ class TestProbeTraining:
         acc = accuracy(probe, test_x, test_y)
         assert 0.0 <= acc <= 0.30  # chance is 0.125 on unrelated noise
 
+    @pytest.mark.parametrize("kind", ["linear", "attentive"])
+    def test_fitted_probe_values_tile_one_buffer(self, kind, monkeypatch):
+        opts = []
+
+        def recorded(params):
+            opts.append(training.init_opt(params))
+            return opts[-1]
+
+        monkeypatch.setattr(probing, "init_opt", recorded)
+        rng = np.random.default_rng(6)
+        feats, labels = separable_features(rng, n_per_class=6)
+        if kind == "attentive":
+            feats = np.repeat(feats[:, None], 3, axis=1)
+        probe = train_probe(feats, labels, 4, kind=kind, epochs=2, seed=9)
+        (opt,) = opts
+        at = 0
+        for name, t in probe.named().items():
+            assert np.shares_memory(t.data, opt.theta[at:at + t.size]), name
+            assert t.grad is opt.grads[name], name
+            at += t.size
+        assert at == opt.theta.size
+
     def test_same_seed_identical_probe_weights(self):
         rng = np.random.default_rng(6)
         feats, labels = separable_features(rng, n_per_class=6)

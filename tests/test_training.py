@@ -433,16 +433,19 @@ class TestGraphSize:
 
 class TestMemoryCeilings:
     # the heap bytes allocated since a step began and still held when AdamW
-    # starts: the step's gradients (about 42k and 45k float64 values) and a
-    # few small objects, measured at 336.6-337.2 kB and 363.5-364.2 kB; 10.8 MB
-    # (Baseline) and 19.7 MB (FWM-HW-LD) before backward freed the graph it walked
-    HELD_AT_ADAMW = {"Baseline": 340_000, "FWM-HW-LD": 370_000}
-    # the step's heap peak: measured at 7.29 MB, 13.25 MB and 6.61 MB; 8.21,
+    # starts: a few small objects, measured at 13.4-13.5 kB and 14.2-15.0 kB,
+    # since the gradients land in the optimizer's arena, allocated at init;
+    # 336.6-338.4 kB and 363.5-365.6 kB while each step's gradients (about 42k
+    # and 45k float64 values) took a fresh buffer; 10.8 MB (Baseline) and
+    # 19.7 MB (FWM-HW-LD) before backward freed the graph it walked
+    HELD_AT_ADAMW = {"Baseline": 16_000, "FWM-HW-LD": 17_000}
+    # the step's heap peak: measured at 6.96 MB, 12.90 MB and 6.28 MB; 7.29,
+    # 13.25 and 6.61 MB while each step's gradients took a fresh buffer; 8.21,
     # 15.22 and 7.54 MB when each block kept its q/k/v views and attention
     # output for the backward; 11.85 MB and 19.79 MB (Baseline, FWM-HW-LD)
     # when each block's twelve nodes kept every output and the teacher
     # encoded on top of the student's graph
-    STEP_PEAK = {"Baseline": 7_300_000, "FWM-HW-LD": 13_260_000, "Motion-Future": 6_620_000}
+    STEP_PEAK = {"Baseline": 6_970_000, "FWM-HW-LD": 12_900_000, "Motion-Future": 6_285_000}
 
     @staticmethod
     def traced_second_step(variant, monkeypatch) -> tuple[int, int]:
@@ -483,6 +486,129 @@ class TestMemoryCeilings:
         # 512 clips of 8x32x32 bool pixels at one bit each; 4 MiB at a byte each
         ds = gen_motion_dataset(64, 0)
         assert sum(clip._stored.nbytes for clip in ds.clips) <= 512 * 1024
+
+
+def assert_tiles(named, buffers):
+    """Each dict of ``buffers`` (name -> array, in ``named``'s order) tiles the
+    paired flat buffer: entry i is a view of the i-th slice, of its tensor's shape."""
+    for views, flat in buffers:
+        at = 0
+        for name, t in named.items():
+            view = views[name]
+            assert view.shape == t.shape, name
+            assert np.shares_memory(view, flat[at:at + t.size]), name
+            assert not np.shares_memory(view, flat[:at]), name
+            at += t.size
+        assert at == flat.size
+
+
+def assert_arena(st):
+    """The state's values, moments and teacher live in its flat buffers."""
+    params = st.trainable()
+    opt = st.opt
+    assert_tiles(params, [({k: t.data for k, t in params.items()}, opt.theta),
+                          (opt.m, opt.m_flat), (opt.v, opt.v_flat)])
+    if opt.grad is not None:  # allocated by the first descend
+        assert_tiles(params, [(opt.grads, opt.grad)])
+    for name, p in params.items():
+        assert p.grad is None or p.grad is opt.grads[name], name
+    if st.teacher is not None:
+        teacher = st.teacher.named()
+        assert_tiles(teacher, [({k: t.data for k, t in teacher.items()}, st.teacher_flat)])
+        assert not np.shares_memory(st.teacher_flat, opt.theta)
+
+
+class TestArena:
+    def test_views_after_init_and_a_step(self):
+        cfg = small_cfg()
+        st = init_state(cfg)
+        assert_arena(st)
+        ds = gen_motion_dataset(2, 0)
+        train_step(st, draw_batch(ds, 2, cfg.seed, 0))
+        assert_arena(st)
+        assert st.student.embed_w.grad is st.opt.grads["enc.embed_w"]
+
+    def test_views_after_a_resume(self, tmp_path):
+        cfg = small_cfg()
+        st = init_state(cfg)
+        ds = gen_motion_dataset(2, 0)
+        train_step(st, draw_batch(ds, 2, cfg.seed, 0))
+        path = tmp_path / "state.jpck"
+        save_checkpoint(path, train_records(st))
+        back = load_train_state(cfg, path)
+        assert_arena(back)
+        np.testing.assert_array_equal(back.opt.theta, st.opt.theta)
+        np.testing.assert_array_equal(back.teacher_flat, st.teacher_flat)
+
+    def test_teacher_clone_has_its_own_buffer(self):
+        st = init_state(small_cfg())
+        assert_arena(st)
+        np.testing.assert_array_equal(st.teacher_flat, st.opt.theta[:st.teacher_flat.size])
+        st.opt.theta += 1.0
+        assert not np.array_equal(st.teacher_flat, st.opt.theta[:st.teacher_flat.size])
+
+    @pytest.mark.parametrize("variant,runs", [("Baseline", 2), ("FWM-HW-LD", 2),
+                                              ("Hamiltonian", 4)])
+    def test_tensors_without_a_gradient_keep_value_and_moments(self, variant, runs,
+                                                                monkeypatch):
+        cfg = small_cfg(variant)
+        st = init_state(cfg)
+        ds = gen_motion_dataset(2, 0)
+        train_step(st, draw_batch(ds, 2, cfg.seed, 0))
+        idle = [k for k, p in st.trainable().items() if p.grad is None]
+        assert idle and "enc.embed_img_w" in idle
+        rng = np.random.default_rng(1)
+        for k in idle:  # moments no update would leave as they are by chance
+            st.opt.m[k][...] = f32(rng.standard_normal(st.opt.m[k].shape))
+            st.opt.v[k][...] = f32(rng.random(st.opt.v[k].shape))
+        before = {k: [a.tobytes() for a in (st.trainable()[k].data, st.opt.m[k], st.opt.v[k])]
+                  for k in idle}
+        seen, runs_of = [], st.opt.runs
+
+        def recorded(grads):
+            seen.append(runs_of(grads))
+            return seen[-1]
+
+        monkeypatch.setattr(st.opt, "runs", recorded)
+        train_step(st, draw_batch(ds, 2, cfg.seed, 1))
+        for k in idle:
+            now = [a.tobytes() for a in (st.trainable()[k].data, st.opt.m[k], st.opt.v[k])]
+            assert now == before[k], k
+        assert len(seen[-1]) == runs
+
+    def test_descend_names_the_first_non_finite_parameter(self, monkeypatch):
+        cfg = small_cfg()
+        st = init_state(cfg)
+        ds = gen_motion_dataset(2, 0)
+        real_backward = training.backward
+
+        def plant(loss):
+            real_backward(loss)
+            st.heads.predictor.out_b.grad[1] = np.inf
+            st.student.blocks[0].wq.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "backward", plant)
+        before = st.opt.theta.copy()
+        with pytest.raises(FloatingPointError,
+                           match=r"^step 0: non-finite gradient for 'enc.block0.wq'$"):
+            train_step(st, draw_batch(ds, 2, cfg.seed, 0))
+        assert st.step == 0
+        assert st.opt.theta.tobytes() == before.tobytes()
+        assert not st.opt.m_flat.any() and not st.opt.v_flat.any()
+
+    def test_a_gradient_kept_from_a_plain_backward_is_not_overwritten(self):
+        cfg = small_cfg()
+        st = init_state(cfg)
+        ds = gen_motion_dataset(2, 0)
+        clips = draw_batch(ds, 2, cfg.seed, 0)
+        masks = [sample_clip_mask(cfg, c, token_grid(st.student, c), np.random.default_rng(i))
+                 for i, c in enumerate(clips)]
+        backward(batch_bundle(st, clips, masks).total_node)
+        kept = st.student.embed_w.grad
+        copy = kept.copy()
+        train_step(st, clips, masks)  # descend resets the grads and fills its arena
+        assert kept.tobytes() == copy.tobytes()
+        assert not np.shares_memory(kept, st.opt.grad)
 
 
 class TestRunAndResume:
