@@ -211,6 +211,10 @@ class RunConfig:
             raise ValueError(f"app_ratio must be in (0, 1), got {self.app_ratio}")
         if self.probe_kind not in ("linear", "attentive"):
             raise ValueError(f"probe_kind must be linear or attentive, got '{self.probe_kind}'")
+        # config.lab holds out on one stripped line; any other value would not read back
+        if self.out.strip() != self.out or self.out.splitlines() != [self.out]:
+            raise ValueError(f"out must be one non-empty line without surrounding whitespace, "
+                             f"got {self.out!r}")
         # the variant's masks and losses on this token grid (one block: TEMPORAL_PARTS read 0)
         spec = VARIANTS[self.variant]
         tp = self.frames // self.tubelet

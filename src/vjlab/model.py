@@ -219,7 +219,7 @@ def clone_frozen(params: EncoderParams) -> EncoderParams:
     and shares its config."""
     frozen = copy.deepcopy(params, {id(params.cfg): params.cfg})
     for t in frozen.named().values():
-        t.requires_grad, t.grad, t.grad_slot = False, None, None
+        t.requires_grad, t.grad = False, None
     return frozen
 
 

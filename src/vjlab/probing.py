@@ -256,14 +256,13 @@ def train_probe(feats, labels: np.ndarray, n_classes: int,
     rows = [row for c in chunks for row in c] if len(chunks) > 1 else None
     probe = init_probe(kind, mean.shape[0], n_classes, np.random.default_rng([seed, 0]),
                        mean, std)
-    params = probe.named()
-    opt = init_opt(params)
+    opt = init_opt(probe.named())
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 1 + epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo:lo + batch_size]
             xb = chunks[0][sel] if rows is None else np.stack([rows[i] for i in sel])
-            descend(params, _nll(probe_logits(probe, xb), onehot[sel]), opt, lr, 0.0)
+            descend(_nll(probe_logits(probe, xb), onehot[sel]), opt, lr, 0.0)
     return probe
 
 

@@ -37,17 +37,12 @@ class no_grad:
 
 
 class Tensor:
-    """``grad_slot``, when set on a leaf, is the array its next fresh gradient
-    is copied into (an optimizer's gradient arena); ``backward`` clears it
-    once used, so a later walk cannot overwrite a gradient that was kept."""
-
-    __slots__ = ("data", "requires_grad", "grad", "grad_slot", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and grad_enabled()
         self.grad: np.ndarray | None = None
-        self.grad_slot: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
 
@@ -57,7 +52,7 @@ class Tensor:
     def _node(data: np.ndarray, parents: tuple["Tensor", ...], vjp) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.grad = out.grad_slot = None
+        out.grad = None
         if grad_enabled() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -497,20 +492,22 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor) -> None:
+def backward(root: Tensor, into: dict[Tensor, np.ndarray] | None = None) -> None:
     """Accumulate d(root)/d(leaf) into the ``grad`` of each requires-grad leaf.
 
     The walk consumes the graph: each node drops its VJP closure and parents
     once its VJP has run, so the intermediates they saved are freed as the
     walk goes. A later backward through any node of the graph raises
     RuntimeError; leaves keep accumulating across separate graphs. A leaf
-    without a gradient gets its gradient copied into its ``grad_slot``, or
-    into a fresh array when it has none."""
+    without a gradient gets its gradient copied into ``into[leaf]`` (an
+    optimizer's gradient arena), or into a fresh array when ``into`` has no
+    entry for it."""
     if root.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise ValueError("backward root is not attached to a graph")
     order = _toposort(root)
+    into = {} if into is None else into
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     while order:
         node = order.pop()
@@ -523,9 +520,11 @@ def backward(root: Tensor) -> None:
                 node.grad = node.grad + g
                 continue
             # copied, not added to a zeroed slot: 0.0 + -0.0 would flip a zero's sign
-            grad = np.empty(node.shape) if node.grad_slot is None else node.grad_slot
+            grad = into.get(node)
+            if grad is None:
+                grad = np.empty(node.shape)
             np.copyto(grad, g)
-            node.grad, node.grad_slot = grad, None
+            node.grad = grad
             continue
         node._vjp, node._parents = _consumed, ()
         if g is None:

@@ -102,18 +102,20 @@ def lr_at(step: int, total: int, warmup_frac: float = 0.1,
 
 @dataclass
 class OptState:
-    """AdamW's state over the parameters ``init_opt`` was given, whose values
-    it moved into one contiguous buffer, ``theta``, in their order.
+    """AdamW's state over ``params``, the parameters ``init_opt`` was given,
+    whose values it moved into one contiguous buffer, ``theta``, in their order.
 
     Their first and second moments (``m_flat``, ``v_flat``) and gradients
-    (``grad``) each fill a buffer of the same layout; ``m``, ``v`` and
-    ``grads`` hold each parameter's view into these three and ``spans`` its
-    [lo, hi) in all four. The gradient buffer is allocated at the first
-    ``gradient_slots`` call, which ``descend`` makes just before its first
-    backward: so it lies above that step's graph on the heap, and the graphs
-    of later steps, freed below it, stay with the process instead of being
-    trimmed from the heap's top and faulted back in.
+    (``grad``) each fill a buffer of the same layout; ``m`` and ``v`` hold
+    each parameter's view into the moments by name, ``slots`` its view into
+    ``grad`` by tensor, and ``spans`` its [lo, hi) in all four. The gradient
+    buffer is allocated at the first ``gradient_slots`` call, which
+    ``descend`` makes just before its first backward: so it lies above that
+    step's graph on the heap, and the graphs of later steps, freed below it,
+    stay with the process instead of being trimmed from the heap's top and
+    faulted back in.
     """
+    params: dict[str, Tensor]
     theta: np.ndarray
     m_flat: np.ndarray
     v_flat: np.ndarray
@@ -121,30 +123,15 @@ class OptState:
     v: dict[str, np.ndarray]
     spans: dict[str, tuple[int, int]]
     grad: np.ndarray | None = None
-    grads: dict[str, np.ndarray] | None = None
+    slots: dict[Tensor, np.ndarray] | None = None
     step: int = 0
 
-    def gradient_slots(self) -> dict[str, np.ndarray]:
-        if self.grads is None:
+    def gradient_slots(self) -> dict[Tensor, np.ndarray]:
+        if self.slots is None:
             self.grad = np.empty(self.theta.size)
-            self.grads = flat_views(self.m, self.grad)
-        return self.grads
-
-    def runs(self, grads: dict[str, np.ndarray]) -> list[list[int]]:
-        """The [lo, hi) runs of the buffers that the parameters named in
-        ``grads`` cover, adjacent ones merged; a gradient that is not already
-        its view in ``grad`` is copied there."""
-        slots = self.gradient_slots()
-        runs: list[list[int]] = []
-        for name, g in grads.items():
-            lo, hi = self.spans[name]
-            if g is not slots[name]:
-                np.copyto(slots[name], g)
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
-        return runs
+            self.slots = dict(zip(self.params.values(),
+                                  flat_views(self.params, self.grad).values()))
+        return self.slots
 
 
 def init_opt(params: dict[str, Tensor]) -> OptState:
@@ -156,18 +143,17 @@ def init_opt(params: dict[str, Tensor]) -> OptState:
     for name, p in params.items():
         spans[name] = (at, at + p.size)
         at += p.size
-    return OptState(theta=theta, m_flat=m_flat, v_flat=v_flat, m=flat_views(params, m_flat),
-                    v=flat_views(params, v_flat), spans=spans)
+    return OptState(params=params, theta=theta, m_flat=m_flat, v_flat=v_flat,
+                    m=flat_views(params, m_flat), v=flat_views(params, v_flat), spans=spans)
 
 
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               opt: OptState, lr: float, weight_decay: float = 0.04) -> None:
+def adamw_step(opt: OptState, runs: list[list[int]], lr: float, weight_decay: float) -> None:
     """Decoupled weight decay first, then the bias-corrected Adam update.
 
     Parameters and moments are rounded to the float32 grid afterwards.
-    Parameters without a gradient this step keep their values and moments.
-    The update runs over each run of ``opt``'s buffers that ``grads``
-    covers, every element in the operation order of
+    The update runs over each [lo, hi) run of ``opt``'s buffers in ``runs``,
+    the parameters with a gradient this step; the others keep their values
+    and moments. Every element follows the operation order of
     ``theta = theta - lr * wd * theta``, ``m = b1 * m + (1 - b1) * g``,
     ``v = b2 * v + (1 - b2) * (g * g)`` and
     ``theta = theta - lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
@@ -176,7 +162,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     t = opt.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for lo, hi in opt.runs(grads):
+    for lo, hi in runs:
         theta, g, m, v = (buf[lo:hi] for buf in (opt.theta, opt.grad, opt.m_flat, opt.v_flat))
         step, denom = np.empty((2, hi - lo))
         theta -= np.multiply(theta, lr * weight_decay, out=step)
@@ -198,23 +184,30 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             np.copyto(buf, single)
 
 
-def descend(params: dict[str, Tensor], loss: Tensor, opt: OptState, lr: float,
-            weight_decay: float) -> None:
-    """One AdamW step of ``params`` (those ``opt`` was built for) down the
-    gradient of ``loss``, for pretraining and probes alike; a non-finite
-    gradient raises FloatingPointError naming its first such parameter
-    before any value moves. The gradients land in ``opt.grad``, so a
-    parameter's ``grad`` is a view there until the next step."""
+def descend(loss: Tensor, opt: OptState, lr: float, weight_decay: float) -> None:
+    """One AdamW step of ``opt.params`` down the gradient of ``loss``, for
+    pretraining and probes alike; a non-finite gradient raises
+    FloatingPointError naming its first such parameter before any value
+    moves. The gradients land in ``opt.grad``, so a parameter's ``grad`` is
+    its view there (``opt.slots``) until the next step."""
     slots = opt.gradient_slots()
-    for name, p in params.items():
-        p.grad, p.grad_slot = None, slots[name]
-    backward(loss)
-    grads = {k: p.grad for k, p in params.items() if p.grad is not None}
-    for lo, hi in opt.runs(grads):
+    for p in opt.params.values():
+        p.grad = None
+    backward(loss, slots)
+    runs: list[list[int]] = []  # the spans of the parameters with a gradient, adjacent ones merged
+    for name, p in opt.params.items():
+        if p.grad is not None:
+            lo, hi = opt.spans[name]
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+    for lo, hi in runs:
         if not np.isfinite(opt.grad[lo:hi]).all():
-            name = next(k for k, g in grads.items() if not np.isfinite(g).all())
+            name = next(k for k, p in opt.params.items()
+                        if p.grad is not None and not np.isfinite(p.grad).all())
             raise FloatingPointError(f"non-finite gradient for '{name}'")
-    adamw_step(params, grads, opt, lr, weight_decay)
+    adamw_step(opt, runs, lr, weight_decay)
 
 
 # -- state ---------------------------------------------------------------
@@ -222,9 +215,10 @@ def descend(params: dict[str, Tensor], loss: Tensor, opt: OptState, lr: float,
 
 @dataclass
 class TrainState:
-    """A run's parameters and optimizer state. The student's values are the
-    head of ``opt.theta`` and the teacher's fill ``teacher_flat`` in the same
-    order, so the EMA is one update of the one buffer by the other."""
+    """A run's parameters and optimizer state; ``opt.params`` holds the
+    trainable ones, student then heads. The student's values are the head of
+    ``opt.theta`` and the teacher's fill ``teacher_flat`` in the same order,
+    so the EMA is one update of the one buffer by the other."""
     cfg: RunConfig
     student: EncoderParams
     heads: HeadParams
@@ -236,14 +230,6 @@ class TrainState:
     def step(self) -> int:
         """Steps taken: AdamW's own count."""
         return self.opt.step
-
-    def trainable(self) -> dict[str, Tensor]:
-        return {**self.student.named(), **self.heads.named()}
-
-    def record_tensors(self) -> dict[str, Tensor]:
-        """Every tensor a checkpoint holds, by record name: student, heads, teacher."""
-        teacher = {} if self.teacher is None else self.teacher.named("teacher")
-        return {**self.trainable(), **teacher}
 
 
 def init_state(cfg: RunConfig) -> TrainState:
@@ -359,7 +345,7 @@ def train_step(state: TrainState, clips: list[VideoClip],
     lr = lr_at(state.step, cfg.steps, cfg.warmup_frac, cfg.lr_start, cfg.lr_peak)
     try:
         bundle = batch_bundle(state, clips, masks)
-        descend(state.trainable(), bundle.total_node, state.opt, lr, cfg.weight_decay)
+        descend(bundle.total_node, state.opt, lr, cfg.weight_decay)
     except FloatingPointError as err:
         raise FloatingPointError(f"step {state.step}: {err}") from None
 
@@ -375,8 +361,10 @@ def train_step(state: TrainState, clips: list[VideoClip],
 
 
 def train_records(state: TrainState) -> dict[str, np.ndarray]:
-    """Every checkpoint record of a state, by name."""
-    records = {name: t.data for name, t in state.record_tensors().items()}
+    """Every checkpoint record of a state, by name: views into its buffers
+    (student, heads, teacher, moments), and a fresh array for the step."""
+    teacher = {} if state.teacher is None else state.teacher.named("teacher")
+    records = {name: t.data for name, t in {**state.opt.params, **teacher}.items()}
     for name in state.opt.m:
         records[f"opt.m.{name}"] = state.opt.m[name]
         records[f"opt.v.{name}"] = state.opt.v[name]
@@ -409,11 +397,8 @@ def load_train_state(cfg: RunConfig, path) -> TrainState:
     if not (step.is_integer() and step >= 0):
         raise Refused(f"checkpoint {path} holds meta.step {step!r}, not a whole, "
                       f"non-negative step count")
-    for name, t in state.record_tensors().items():
-        t.data[...] = records[name]
-    for name in state.opt.m:
-        state.opt.m[name][...] = records[f"opt.m.{name}"]
-        state.opt.v[name][...] = records[f"opt.v.{name}"]
+    for name, view in expected.items():
+        view[...] = records[name]
     state.opt.step = int(step)
     return state
 

@@ -265,13 +265,12 @@ def train_probe_on_copy(feats: np.ndarray, labels: np.ndarray, n_classes: int,
     x = apply_standardize(feats, mean, std)
     probe = init_probe(kind, feats.shape[-1], n_classes, np.random.default_rng([seed, 0]),
                        mean, std)
-    params = probe.named()
-    opt = init_opt(params)
+    opt = init_opt(probe.named())
     for epoch in range(epochs):
         order = np.random.default_rng([seed, 1 + epoch]).permutation(n)
         for lo in range(0, n, batch_size):
             sel = order[lo:lo + batch_size]
-            descend(params, _nll(probe_logits(probe, x[sel]), onehot[sel]), opt, lr, 0.0)
+            descend(_nll(probe_logits(probe, x[sel]), onehot[sel]), opt, lr, 0.0)
     return probe
 
 

@@ -354,6 +354,18 @@ class TestRunFilesThatDoNotFit:
         assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == log
         assert not (tmp_path / "run" / "probe-linear.json").exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "probe"])
+    @pytest.mark.parametrize("out", ["", "r\nseed = 9", " r"],
+                             ids=["empty", "two lines", "padded"])
+    def test_an_out_config_lab_cannot_hold_is_refused_before_any_write(
+            self, tiny_config, tmp_path, monkeypatch, capsys, command, out):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, "--config", tiny_config, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"invalid config: out must be one non-empty line without surrounding "
+            f"whitespace, got {out!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.lab"]
+
     def test_resume_refuses_a_changed_config(self, tiny_config, tmp_path, capsys):
         assert run_cli("pretrain", "--config", tiny_config) == 0
         capsys.readouterr()

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vjlab.cli import main as lab_main
 from vjlab.config import (
@@ -52,6 +53,16 @@ class TestParse:
             assert parse_config(serialize_config(cfg)) == cfg, variant
             for key, val in spec.recipe.items():
                 assert getattr(cfg, key) == val, (variant, key)
+
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_every_out_that_validates(self, out):
+        cfg = dataclasses.replace(RunConfig(), out=out)
+        try:
+            cfg.validate()
+        except ValueError:
+            assume(False)
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\n  \nseed = 3\n# another\n")

@@ -18,6 +18,9 @@ The top-level functions, classes and methods it does not reach must be
 exactly ``UNREACHED``, each with its reason. A method of an unreached class
 is reported as its class. An oracle or alias that only tests call belongs
 in ``tests/oracles.py``, or in the tests themselves, not in ``src``.
+
+The tests themselves are checked for a name that a module or class body
+defines twice: Python keeps the second definition, so the first never runs.
 """
 
 import ast
@@ -36,6 +39,7 @@ UNREACHED = {
 }
 
 SRC = Path(vjlab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 class Module:
@@ -148,3 +152,35 @@ def test_src_holds_only_what_a_run_reaches():
         f"unreached and not listed: {sorted(missing - set(UNREACHED))}; "
         f"listed but reached or gone: {sorted(set(UNREACHED) - missing)}")
 
+
+def defined_twice(tree: ast.Module) -> list[str]:
+    """Each function or class that its module or class body defines again
+    under the same name, by dotted name and the line of the later definition."""
+    twice = []
+    bodies = [("", tree.body)]
+    while bodies:
+        prefix, body = bodies.pop()
+        seen = set()
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if stmt.name in seen:
+                    twice.append(f"{prefix}{stmt.name} (line {stmt.lineno})")
+                seen.add(stmt.name)
+                if isinstance(stmt, ast.ClassDef):
+                    bodies.append((f"{prefix}{stmt.name}.", stmt.body))
+    return twice
+
+
+def test_defined_twice_sees_module_and_class_bodies():
+    tree = ast.parse("def f(): pass\n"
+                     "class A:\n    def t(self): pass\n    def t(self): pass\n"
+                     "class B:\n    def t(self): pass\n    class C:\n        def u(self): pass\n"
+                     "        def u(self): pass\n"
+                     "def f(): pass\n")
+    assert sorted(defined_twice(tree)) == ["A.t (line 4)", "B.C.u (line 9)", "f (line 10)"]
+
+
+def test_no_test_module_defines_a_name_twice():
+    twice = {path.name: defined_twice(ast.parse(path.read_text()))
+             for path in sorted(TESTS.glob("*.py"))}
+    assert {name: found for name, found in twice.items() if found} == {}

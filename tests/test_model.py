@@ -276,7 +276,7 @@ class TestFusedOps:
         assert np.all(qg[1:, :2] != 0.0) and np.all(kg[:3, :2] != 0.0)
 
     @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)])
-    def test_slice_cols_grad(self, shape):
+    def test_view_cols_grad(self, shape):
         rng = np.random.default_rng(8)
         x = rand_t(rng, shape)
         cols = (Ellipsis, slice(2, 5))
@@ -310,15 +310,6 @@ class TestFusedOps:
         assert np.max(np.abs(out.data[1, :3] - alone.data[0])) <= 1e-12
         backward(weighted_sum(out, 15))
         assert np.all(qkv[1].grad[1, 3:] == 0.0) and np.all(qkv[2].grad[1, 3:] == 0.0)
-
-    @pytest.mark.parametrize("valid", [np.ones((2, 6), bool), np.ones((5, 2), bool),
-                                       np.array([[True] * 5, [False] * 5])],
-                             ids=["extra-key", "transposed", "row-without-a-key"])
-    def test_attention_core_refuses_a_misfit_key_mask(self, valid):
-        rng = np.random.default_rng(16)
-        qkv = [Tensor(rng.standard_normal((2, 5, 8))) for _ in range(3)]
-        with pytest.raises(ValueError, match=r"\[2, 5\] key mask"):
-            attention_core(*qkv, 2, valid)
 
     @pytest.mark.parametrize("valid", [np.ones((2, 6), bool), np.ones((5, 2), bool),
                                        np.array([[True] * 5, [False] * 5])],

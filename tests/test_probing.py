@@ -241,7 +241,7 @@ class TestProbeTraining:
         at = 0
         for name, t in probe.named().items():
             assert np.shares_memory(t.data, opt.theta[at:at + t.size]), name
-            assert t.grad is opt.grads[name], name
+            assert t.grad is opt.slots[t], name
             at += t.size
         assert at == opt.theta.size
 
@@ -603,9 +603,10 @@ class TestPinnedProbeGradient:
         steps = []
         step = training.adamw_step
 
-        def recorded(params, grads, *args, **kwargs):
-            steps.append({name: g.copy() for name, g in grads.items()})
-            step(params, grads, *args, **kwargs)
+        def recorded(opt, *args):
+            steps.append({name: p.grad.copy() for name, p in opt.params.items()
+                          if p.grad is not None})
+            step(opt, *args)
 
         monkeypatch.setattr(training, "adamw_step", recorded)
         feats, labels = _pin_features(kind, 0)

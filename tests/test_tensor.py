@@ -328,6 +328,32 @@ class TestBackward:
         backward((x * x).sum())
         assert np.array_equal(x.grad, 3.0 + 2.0 * x.data)
 
+    def test_a_fresh_gradient_is_copied_into_its_slot_with_its_sign(self):
+        # a zeroed slot plus -0.0 would read +0.0; the copy keeps the sign bit
+        x = Tensor(np.ones(3), requires_grad=True)
+        slot = np.zeros(3)
+        backward((x * Tensor([-0.0, 2.0, -0.0])).sum(), {x: slot})
+        assert x.grad is slot
+        assert slot.tolist() == [0.0, 2.0, 0.0]
+        assert np.signbit(slot).tolist() == [True, False, True]
+
+    def test_a_leaf_without_a_slot_gets_a_fresh_array(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        slot = np.zeros(2)
+        into = {x: slot}
+        backward((x * w).sum(), into)
+        assert x.grad is slot and list(into) == [x]
+        assert not np.shares_memory(w.grad, slot)
+        assert w.grad.tolist() == [1.0, 1.0] and slot.tolist() == [3.0, 4.0]
+
+    def test_leaves_with_slots_accumulate_across_separate_graphs(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        slot = np.zeros(2)
+        backward((x * 3.0).sum(), {x: slot})
+        backward((x * x).sum(), {x: slot})  # x holds a gradient, so its slot is not written
+        assert np.array_equal(x.grad, 3.0 + 2.0 * x.data)
+        assert slot.tolist() == [3.0, 3.0]
 
 
 class TestDetach:

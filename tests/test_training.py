@@ -18,9 +18,9 @@ from vjlab.training import (
     STREAM_SIGREG,
     OptState,
     Refused,
-    adamw_step,
     batch_bundle,
     batch_parts,
+    descend,
     draw_batch,
     init_opt,
     init_state,
@@ -41,6 +41,12 @@ def small_cfg(variant="Baseline", **kw):
 
 def f32(x):
     return np.asarray(x, dtype=np.float32).astype(np.float64)
+
+
+def descend_along(p, grads, opt, lr, weight_decay):
+    """``descend`` down the sum of p[k] * c over ``grads`` (k -> c), whose
+    gradient is exactly c."""
+    descend(sum((p[k] * Tensor(c)).sum() for k, c in grads.items()), opt, lr, weight_decay)
 
 
 class TestSchedule:
@@ -74,7 +80,7 @@ class TestAdamW:
         # unit gradient, zero decay: update is lr * 1 / (1 + eps), then f32
         p = {"w": Tensor(np.zeros(1), requires_grad=True)}
         opt = init_opt(p)
-        adamw_step(p, {"w": np.ones(1)}, opt, lr=0.1, weight_decay=0.0)
+        descend_along(p, {"w": np.ones(1)}, opt, lr=0.1, weight_decay=0.0)
         want = f32(-0.1 / (1.0 + 1e-8))
         np.testing.assert_array_equal(p["w"].data, want)
         assert opt.step == 1
@@ -83,14 +89,14 @@ class TestAdamW:
         # zero gradient still shrinks the parameter by lr * wd
         p = {"w": Tensor(np.array([2.0]), requires_grad=True)}
         opt = init_opt(p)
-        adamw_step(p, {"w": np.zeros(1)}, opt, lr=0.1, weight_decay=0.04)
+        descend_along(p, {"w": np.zeros(1)}, opt, lr=0.1, weight_decay=0.04)
         np.testing.assert_array_equal(p["w"].data, f32(2.0 * (1.0 - 0.1 * 0.04)))
 
     def test_absent_gradient_leaves_param(self):
         p = {"a": Tensor(np.ones(2), requires_grad=True),
              "b": Tensor(np.ones(2), requires_grad=True)}
         opt = init_opt(p)
-        adamw_step(p, {"a": np.ones(2)}, opt, lr=0.1)
+        descend_along(p, {"a": np.ones(2)}, opt, lr=0.1, weight_decay=0.04)
         np.testing.assert_array_equal(p["b"].data, np.ones(2))
         np.testing.assert_array_equal(opt.m["b"], np.zeros(2))
 
@@ -99,7 +105,7 @@ class TestAdamW:
         p = {"w": Tensor(f32(rng.standard_normal(5)), requires_grad=True)}
         opt = init_opt(p)
         for _ in range(3):
-            adamw_step(p, {"w": rng.standard_normal(5)}, opt, lr=0.01)
+            descend_along(p, {"w": rng.standard_normal(5)}, opt, lr=0.01, weight_decay=0.04)
         np.testing.assert_array_equal(p["w"].data, f32(p["w"].data))
         np.testing.assert_array_equal(opt.m["w"], f32(opt.m["w"]))
         np.testing.assert_array_equal(opt.v["w"], f32(opt.v["w"]))
@@ -110,8 +116,8 @@ class TestAdamW:
         g1, g2 = np.array([0.25]), np.array([-0.5])
         p = {"w": Tensor(np.zeros(1), requires_grad=True)}
         opt = init_opt(p)
-        adamw_step(p, {"w": g1}, opt, lr=0.125, weight_decay=0.0)
-        adamw_step(p, {"w": g2}, opt, lr=0.125, weight_decay=0.0)
+        descend_along(p, {"w": g1}, opt, lr=0.125, weight_decay=0.0)
+        descend_along(p, {"w": g2}, opt, lr=0.125, weight_decay=0.0)
 
         theta, m, v = np.zeros(1), np.zeros(1), np.zeros(1)
         for t, g in ((1, g1), (2, g2)):
@@ -148,7 +154,7 @@ class TestInitState:
 
     def test_params_start_on_float32_grid(self):
         st = init_state(small_cfg())
-        for t in st.trainable().values():
+        for t in st.opt.params.values():
             np.testing.assert_array_equal(t.data, f32(t.data))
 
 
@@ -280,7 +286,7 @@ class TestClipParts:
             want = np.mean([s[name].item() for s in singles])
             assert abs(val - want) <= 1e-12, name
 
-        params = st.trainable()
+        params = st.opt.params
         backward(bundle.total_node)
         batched = {k: np.zeros_like(p.data) if p.grad is None else p.grad
                    for k, p in params.items()}
@@ -328,12 +334,12 @@ class TestTrainStep:
         cfg = small_cfg()
         st = init_state(cfg)
         ds = gen_motion_dataset(2, 0)
-        before = {k: t.data.copy() for k, t in st.trainable().items()}
+        before = {k: t.data.copy() for k, t in st.opt.params.items()}
         m = train_step(st, draw_batch(ds, 2, cfg.seed, 0))
         assert m["step"] == 1
         assert m["lr"] == lr_at(0, cfg.steps, cfg.warmup_frac, cfg.lr_start, cfg.lr_peak)
         assert m["total"] > 0 and "loss_jepa" in m
-        moved = [k for k, t in st.trainable().items()
+        moved = [k for k, t in st.opt.params.items()
                  if not np.array_equal(before[k], t.data)]
         assert moved  # gradients actually applied
 
@@ -375,17 +381,17 @@ class TestTrainStep:
         train_step(st, draw_batch(ds, 2, cfg.seed, 0))
         real_backward = training.backward
 
-        def plant_inf(loss):
-            real_backward(loss)
+        def plant_inf(loss, into):
+            real_backward(loss, into)
             st.student.ln_g.grad[0] = np.inf
 
         monkeypatch.setattr(training, "backward", plant_inf)
-        before = {k: t.data.copy() for k, t in st.trainable().items()}
+        before = {k: t.data.copy() for k, t in st.opt.params.items()}
         with pytest.raises(FloatingPointError,
                            match=r"^step 1: non-finite gradient for 'enc.ln_g'$"):
             train_step(st, draw_batch(ds, 2, cfg.seed, 1))
         assert st.step == 1
-        for k, t in st.trainable().items():
+        for k, t in st.opt.params.items():
             np.testing.assert_array_equal(t.data, before[k])
 
     def test_explicit_masks_override_sampling(self):
@@ -433,19 +439,22 @@ class TestGraphSize:
 
 class TestMemoryCeilings:
     # the heap bytes allocated since a step began and still held when AdamW
-    # starts: a few small objects, measured at 13.4-13.5 kB and 14.2-15.0 kB,
-    # since the gradients land in the optimizer's arena, allocated at init;
-    # 336.6-338.4 kB and 363.5-365.6 kB while each step's gradients (about 42k
-    # and 45k float64 values) took a fresh buffer; 10.8 MB (Baseline) and
-    # 19.7 MB (FWM-HW-LD) before backward freed the graph it walked
-    HELD_AT_ADAMW = {"Baseline": 16_000, "FWM-HW-LD": 17_000}
-    # the step's heap peak: measured at 6.96 MB, 12.90 MB and 6.28 MB; 7.29,
+    # starts: a few small objects, measured at 4.61-5.41 kB and 5.57-6.94 kB
+    # since descend finds the runs itself and builds no name -> gradient dict;
+    # 13.4-13.5 kB and 14.2-15.0 kB since the gradients land in the
+    # optimizer's arena, allocated at init; 336.6-338.4 kB and 363.5-365.6 kB
+    # while each step's gradients (about 42k and 45k float64 values) took a
+    # fresh buffer; 10.8 MB (Baseline) and 19.7 MB (FWM-HW-LD) before
+    # backward freed the graph it walked
+    HELD_AT_ADAMW = {"Baseline": 6_500, "FWM-HW-LD": 8_000}
+    # the step's heap peak: measured at 6.956, 12.888 and 6.272 MB; 6.96,
+    # 12.90 and 6.28 MB before descend found the runs itself; 7.29,
     # 13.25 and 6.61 MB while each step's gradients took a fresh buffer; 8.21,
     # 15.22 and 7.54 MB when each block kept its q/k/v views and attention
     # output for the backward; 11.85 MB and 19.79 MB (Baseline, FWM-HW-LD)
     # when each block's twelve nodes kept every output and the teacher
     # encoded on top of the student's graph
-    STEP_PEAK = {"Baseline": 6_970_000, "FWM-HW-LD": 12_900_000, "Motion-Future": 6_285_000}
+    STEP_PEAK = {"Baseline": 6_962_000, "FWM-HW-LD": 12_894_000, "Motion-Future": 6_278_000}
 
     @staticmethod
     def traced_second_step(variant, monkeypatch) -> tuple[int, int]:
@@ -504,14 +513,14 @@ def assert_tiles(named, buffers):
 
 def assert_arena(st):
     """The state's values, moments and teacher live in its flat buffers."""
-    params = st.trainable()
+    params = st.opt.params
     opt = st.opt
     assert_tiles(params, [({k: t.data for k, t in params.items()}, opt.theta),
                           (opt.m, opt.m_flat), (opt.v, opt.v_flat)])
     if opt.grad is not None:  # allocated by the first descend
-        assert_tiles(params, [(opt.grads, opt.grad)])
+        assert_tiles(params, [({k: opt.slots[p] for k, p in params.items()}, opt.grad)])
     for name, p in params.items():
-        assert p.grad is None or p.grad is opt.grads[name], name
+        assert p.grad is None or p.grad is opt.slots[p], name
     if st.teacher is not None:
         teacher = st.teacher.named()
         assert_tiles(teacher, [({k: t.data for k, t in teacher.items()}, st.teacher_flat)])
@@ -526,7 +535,7 @@ class TestArena:
         ds = gen_motion_dataset(2, 0)
         train_step(st, draw_batch(ds, 2, cfg.seed, 0))
         assert_arena(st)
-        assert st.student.embed_w.grad is st.opt.grads["enc.embed_w"]
+        assert st.student.embed_w.grad is st.opt.slots[st.student.embed_w]
 
     def test_views_after_a_resume(self, tmp_path):
         cfg = small_cfg()
@@ -555,24 +564,24 @@ class TestArena:
         st = init_state(cfg)
         ds = gen_motion_dataset(2, 0)
         train_step(st, draw_batch(ds, 2, cfg.seed, 0))
-        idle = [k for k, p in st.trainable().items() if p.grad is None]
+        idle = [k for k, p in st.opt.params.items() if p.grad is None]
         assert idle and "enc.embed_img_w" in idle
         rng = np.random.default_rng(1)
         for k in idle:  # moments no update would leave as they are by chance
             st.opt.m[k][...] = f32(rng.standard_normal(st.opt.m[k].shape))
             st.opt.v[k][...] = f32(rng.random(st.opt.v[k].shape))
-        before = {k: [a.tobytes() for a in (st.trainable()[k].data, st.opt.m[k], st.opt.v[k])]
+        before = {k: [a.tobytes() for a in (st.opt.params[k].data, st.opt.m[k], st.opt.v[k])]
                   for k in idle}
-        seen, runs_of = [], st.opt.runs
+        seen, adamw_step = [], training.adamw_step
 
-        def recorded(grads):
-            seen.append(runs_of(grads))
-            return seen[-1]
+        def recorded(opt, runs, *args):
+            seen.append(runs)
+            return adamw_step(opt, runs, *args)
 
-        monkeypatch.setattr(st.opt, "runs", recorded)
+        monkeypatch.setattr(training, "adamw_step", recorded)
         train_step(st, draw_batch(ds, 2, cfg.seed, 1))
         for k in idle:
-            now = [a.tobytes() for a in (st.trainable()[k].data, st.opt.m[k], st.opt.v[k])]
+            now = [a.tobytes() for a in (st.opt.params[k].data, st.opt.m[k], st.opt.v[k])]
             assert now == before[k], k
         assert len(seen[-1]) == runs
 
@@ -582,8 +591,8 @@ class TestArena:
         ds = gen_motion_dataset(2, 0)
         real_backward = training.backward
 
-        def plant(loss):
-            real_backward(loss)
+        def plant(loss, into):
+            real_backward(loss, into)
             st.heads.predictor.out_b.grad[1] = np.inf
             st.student.blocks[0].wq.grad[0, 0] = np.nan
 
@@ -639,8 +648,8 @@ class TestRunAndResume:
         save_checkpoint(path, train_records(st))
         st2 = load_train_state(cfg, path)
         assert st2.step == st.step and st2.opt.step == st.opt.step
-        for k, t in st.trainable().items():
-            np.testing.assert_array_equal(t.data, st2.trainable()[k].data)
+        for k, t in st.opt.params.items():
+            np.testing.assert_array_equal(t.data, st2.opt.params[k].data)
         for k in st.opt.m:
             np.testing.assert_array_equal(st.opt.m[k], st2.opt.m[k])
             np.testing.assert_array_equal(st.opt.v[k], st2.opt.v[k])
